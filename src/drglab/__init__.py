@@ -34,6 +34,7 @@ from .circuits import (
     build_harmonic_function,
     check_harmonicity,
     effective_resistance_oracle,
+    effective_resistances,
     laplacian_spectral_gap,
     measure_current,
     representative_pairs,

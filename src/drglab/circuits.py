@@ -2,17 +2,18 @@
 the piecewise-constant voltage function built from a potential sequence, and
 two independent numerical routes (exact Laplacian solve, Jacobi spectrum).
 
-The resistance oracle works entirely in exact fractions so that agreement
-with the array formulas is literal equality.  The eigensolver is the single
-floating-point computation in the package, with a stated convergence
-threshold.
+The resistance oracle grounds the Laplacian at vertex 0 and runs one
+fraction-free integer elimination per graph for all requested pairs, so
+agreement with the array formulas is literal equality.  The eigensolver is
+the single floating-point computation in the package, with a stated
+convergence threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class PartitionGap(RuntimeError):
 
 class ArrayMismatch(ValueError):
     """Graph and potential sequence disagree about the intersection array."""
+
+
+class NotConverged(RuntimeError):
+    """The Jacobi eigensolver ran out of sweeps above its threshold."""
 
 
 @dataclass(frozen=True)
@@ -159,29 +164,43 @@ def measure_current(g: ExplicitGraph, assignment: PotentialAssignment, at: Optio
     return sum((f[source] - f[x] for x in g.adjacency[source]), Fraction(0))
 
 
-def effective_resistance_oracle(g: ExplicitGraph, u: int, v: int) -> Fraction:
-    """Two-point resistance by direct circuit solution, independent of any
-    intersection-array formula.
+def effective_resistances(g: ExplicitGraph, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
+    """Two-point resistances of many pairs by direct circuit solution,
+    independent of any intersection-array formula.
 
-    Grounds v, injects a unit current at u, and solves the reduced Laplacian
-    system exactly; the answer is the potential at u.
+    Grounds vertex 0 and solves the reduced Laplacian L0 once, by a single
+    fraction-free elimination, for a unit current injected at each distinct
+    endpoint other than 0.  With Y = det(L0) * inv(L0), whose row and column
+    for the ground are 0, R(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det(L0).
     """
-    if u == v:
-        raise ValueError("resistance needs two distinct vertices")
-    keep = [z for z in range(g.n) if z != v]
-    position = {z: i for i, z in enumerate(keep)}
+    for a, b in pairs:
+        if a == b:
+            raise ValueError("resistance needs two distinct vertices")
+        if not (0 <= a < g.n and 0 <= b < g.n):
+            raise ValueError(f"pair ({a},{b}) outside vertex range 0..{g.n - 1}")
     size = g.n - 1
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for z in keep:
-        i = position[z]
-        matrix[i][i] = Fraction(g.degree(z))
+    # vertex z >= 1 sits at row z - 1 of the grounded Laplacian
+    matrix = [[0] * size for _ in range(size)]
+    for z in range(1, g.n):
+        row = matrix[z - 1]
+        row[z - 1] = g.degree(z)
         for x in g.adjacency[z]:
-            if x != v:
-                matrix[i][position[x]] -= 1
-    rhs = [Fraction(0)] * size
-    rhs[position[u]] = Fraction(1)
-    solution = solve_exact(matrix, rhs)
-    return solution[position[u]]
+            if x:
+                row[x - 1] -= 1
+    sources = sorted({z for pair in pairs for z in pair if z})
+    units = [[int(i == z - 1) for i in range(size)] for z in sources]
+    det, solved = solve_exact(matrix, units)
+    column = dict(zip(sources, solved))
+
+    def y(a: int, b: int) -> int:
+        return column[b][a - 1] if a and b else 0
+
+    return [Fraction(y(a, a) + y(b, b) - 2 * y(a, b), det) for a, b in pairs]
+
+
+def effective_resistance_oracle(g: ExplicitGraph, u: int, v: int) -> Fraction:
+    """Two-point resistance between u and v; see `effective_resistances`."""
+    return effective_resistances(g, [(u, v)])[0]
 
 
 def laplacian_matrix(g: ExplicitGraph) -> np.ndarray:
@@ -194,6 +213,8 @@ def laplacian_matrix(g: ExplicitGraph) -> np.ndarray:
     return lap
 
 
+# a vanishing a[p, q] overflows theta to inf, which gives t = 0: no rotation
+@np.errstate(over="ignore")
 def jacobi_eigenvalues(matrix: np.ndarray, off_tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -224,7 +245,7 @@ def jacobi_eigenvalues(matrix: np.ndarray, off_tol: float = 1e-10, max_sweeps: i
                 col_p, col_q = a[:, p].copy(), a[:, q].copy()
                 a[:, p] = c * col_p - s * col_q
                 a[:, q] = s * col_p + c * col_q
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    raise NotConverged(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
 
 
 def laplacian_spectral_gap(g: ExplicitGraph, off_tol: float = 1e-10, zero_tol: float = 1e-8) -> float:
@@ -252,9 +273,7 @@ def representative_pairs(g: ExplicitGraph) -> dict[int, tuple[int, int]]:
 
 
 def all_pairs_by_distance(g: ExplicitGraph) -> dict[int, list[tuple[int, int]]]:
-    """Every unordered pair grouped by distance; meant for n <= 32."""
-    if g.n > 32:
-        raise ValueError("exhaustive pair enumeration is limited to n <= 32")
+    """Every unordered pair grouped by distance."""
     out: dict[int, list[tuple[int, int]]] = {}
     for x in range(g.n):
         dist = bfs_distances(g, x)

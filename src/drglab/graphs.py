@@ -41,7 +41,10 @@ class ExplicitGraph:
                 raise ValueError(f"edge ({a},{b}) outside vertex range 0..{n - 1}")
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
-            normalized.add((a, b) if a < b else (b, a))
+            edge = (a, b) if a < b else (b, a)
+            if edge in normalized:
+                raise ValueError(f"parallel edge ({a},{b})")
+            normalized.add(edge)
         self.n = n
         self.edges = frozenset(normalized)
         neighbors: list[list[int]] = [[] for _ in range(n)]

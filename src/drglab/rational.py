@@ -1,8 +1,10 @@
 """Shared exact-arithmetic helpers: half-even decimal rendering and a
-fraction-pivot linear solver."""
+fraction-free (Bareiss) integer linear solver for several right-hand sides
+at once."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,37 +32,50 @@ def decimal_string(value: Fraction, places: int = 6) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular linear system over the rationals.
+def solve_exact(
+    matrix: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve A x = b for several integer right-hand sides at once.
 
-    Plain Gaussian elimination with the first nonzero pivot in each column;
-    with exact arithmetic there is no stability concern, only size growth,
-    which stays modest for the desk-scale systems used here.
+    Fraction-free Bareiss elimination (Bareiss 1968): every intermediate
+    entry is a minor of the augmented matrix, so each division is exact and
+    nothing leaves the integers.  Returns det(A) and, for each column b,
+    the integer vector det(A) * x; with no columns it is a determinant.
+    A zero pivot is replaced by swapping in the first row below it with a
+    nonzero entry in that column.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != n for row in matrix) or any(len(b) != n for b in columns):
         raise ValueError("matrix must be square and match rhs length")
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    # row r holds A[r] followed by every column's entry r
+    rows = [list(row) + [b[r] for b in columns] for r, row in enumerate(matrix)]
+    upper = []  # upper[k]: row k of the eliminated system, from column k on
+    sign, prev = 1, 1
+    for _ in range(n):
+        pivot_row = next((r for r, row in enumerate(rows) if row[0]), None)
         if pivot_row is None:
             raise ValueError("singular matrix")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / pivot
-            if factor == 0:
-                continue
-            row_r, row_c = aug[r], aug[col]
-            for c in range(col, n + 1):
-                row_r[c] -= factor * row_c[c]
+        if pivot_row:
+            rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
+            sign = -sign
+        head = rows.pop(0)
+        upper.append(head)
+        pivot, tail = head[0], head[1:]
+        for r, row in enumerate(rows):
+            lead = row[0]
+            if lead:
+                rows[r] = [(pivot * x - lead * y) // prev for x, y in zip(row[1:], tail)]
+            else:
+                rows[r] = [pivot * x // prev for x in row[1:]]
+        prev = pivot
+    det = sign * prev
 
-    solution = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n]
-        for c in range(r + 1, n):
-            acc -= aug[r][c] * solution[c]
-        solution[r] = acc / aug[r][r]
-    return solution
+    solutions = []
+    for c in range(len(columns)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = upper[k]
+            acc = det * row[n - k + c] - sum(map(operator.mul, row[1 : n - k], y[k + 1 :]))
+            y[k] = acc // row[0]
+        solutions.append(y)
+    return det, solutions

@@ -23,7 +23,7 @@ from drglab import (
     resistance_profile,
     verify_distance_regular,
 )
-from drglab.circuits import all_pairs_by_distance, jacobi_eigenvalues, laplacian_matrix
+from drglab.circuits import all_pairs_by_distance, effective_resistances, jacobi_eigenvalues, laplacian_matrix
 from drglab.rational import solve_exact
 
 CUBE = construct_named_graph("hypercube", (3,))
@@ -185,14 +185,54 @@ class TestResistanceOracle:
         assert effective_resistance_oracle(cycle, 0, 1) == Fraction(5, 6)
 
 
+class TestBatchedOracle:
+    def test_agrees_with_one_pair_oracle_on_every_petersen_pair(self):
+        pairs = [(a, b) for a in range(PETERSEN.n) for b in range(PETERSEN.n) if a != b]
+        batched = effective_resistances(PETERSEN, pairs)
+        assert batched == [effective_resistance_oracle(PETERSEN, a, b) for a, b in pairs]
+
+    def test_keeps_pair_order_and_repeats(self):
+        pairs = [(7, 0), (0, 1), (0, 7), (0, 1)]
+        assert effective_resistances(CUBE, pairs) == [Fraction(5, 6), Fraction(7, 12), Fraction(5, 6), Fraction(7, 12)]
+
+    def test_bad_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            effective_resistances(CUBE, [(0, 1), (2, 2)])
+        with pytest.raises(ValueError):
+            effective_resistances(CUBE, [(0, 8)])
+
+    def test_no_pairs(self):
+        assert effective_resistances(CUBE, []) == []
+
+
+class TestMatrixTree:
+    """Kirchhoff: the grounded Laplacian's determinant counts spanning trees."""
+
+    @staticmethod
+    def grounded_determinant(g):
+        lap = laplacian_matrix(g)
+        det, _ = solve_exact([[int(x) for x in row[1:]] for row in lap[1:]], [])
+        return det
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_complete_graphs(self, n):
+        assert self.grounded_determinant(construct_named_graph("complete", (n,))) == n ** (n - 2)
+
+    def test_cube(self):
+        assert self.grounded_determinant(CUBE) == 384
+
+    def test_petersen(self):
+        assert self.grounded_determinant(PETERSEN) == 2000
+
+
 class TestExactSolver:
     def test_known_system(self):
-        matrix = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        assert solve_exact(matrix, [Fraction(3), Fraction(5)]) == [Fraction(4, 5), Fraction(7, 5)]
+        # det 5, x = (4/5, 7/5)
+        assert solve_exact([[2, 1], [1, 3]], [[3, 5]]) == (5, [[4, 7]])
 
     def test_singular_detected(self):
         with pytest.raises(ValueError):
-            solve_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [Fraction(1), Fraction(1)])
+            solve_exact([[1, 2], [2, 4]], [[1, 1]])
 
 
 class TestEigensolver:

@@ -141,6 +141,30 @@ class TestVerify:
         assert code == 0
         assert len(payload["oracle"]) == 45  # every pair of the 10 vertices
 
+    def test_exhaustive_beyond_32_vertices(self, tmp_path):
+        code, payload = run_json(tmp_path, ["verify", "hypercube", "6", "--exhaustive"])
+        assert code == 0
+        assert len(payload["oracle"]) == 2016  # every pair of the 64 vertices
+        assert all(row["equal"] for row in payload["oracle"])
+
+    def test_parallel_edge_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "triangle.txt"
+        path.write_text("3 4\n0 1\n1 2\n2 0\n1 0\n", encoding="utf-8")
+        assert main(["verify", "--edges", str(path)]) == 1
+        assert "parallel edge" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_one(self):
+        # C5's Jacobi off-diagonal norm stalls above the threshold
+        result = subprocess.run(
+            [sys.executable, "-m", "drglab", "verify", "cycle", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: ")
+
     def test_edge_list_import(self, tmp_path):
         path = tmp_path / "petersen.txt"
         path.write_text(to_edge_list(construct_named_graph("petersen")), encoding="utf-8")

@@ -98,9 +98,11 @@ class TestExplicitGraph:
         with pytest.raises(NotConnected):
             ExplicitGraph(4, [(0, 1), (2, 3)])
 
-    def test_parallel_edges_collapse(self):
-        g = ExplicitGraph(2, [(0, 1), (1, 0)])
-        assert g.m == 1
+    def test_parallel_edges_rejected(self):
+        with pytest.raises(ValueError, match="parallel edge"):
+            ExplicitGraph(2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="parallel edge"):
+            from_edge_list("3 4\n0 1\n1 2\n2 0\n1 0\n")
 
     def test_adjacency_sorted(self):
         g = construct_named_graph("petersen")

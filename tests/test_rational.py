@@ -1,4 +1,4 @@
-"""Exact rounding and the fraction linear solver."""
+"""Exact rounding and the fraction-free (Bareiss) linear solver."""
 
 from fractions import Fraction
 
@@ -47,19 +47,29 @@ class TestRounding:
             assert round_half_even(value, 0) == round(float(value))
 
 
+def solve(matrix, rhs):
+    """One right-hand side, solution as exact fractions."""
+    det, (scaled,) = solve_exact(matrix, [rhs])
+    return [Fraction(y, det) for y in scaled]
+
+
 class TestSolver:
     def test_identity(self):
-        eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        rhs = [Fraction(i) for i in range(4)]
-        assert solve_exact(eye, rhs) == rhs
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        rhs = list(range(4))
+        assert solve(eye, rhs) == rhs
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            solve_exact([[Fraction(1), Fraction(2)]], [Fraction(1)])
+            solve_exact([[1, 2]], [[1]])
+        with pytest.raises(ValueError):
+            solve_exact([[1, 0], [0, 1]], [[1]])
 
     def test_pivoting_past_zero(self):
-        matrix = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        assert solve_exact(matrix, [Fraction(5), Fraction(7)]) == [Fraction(7), Fraction(5)]
+        assert solve([[0, 1], [1, 0]], [5, 7]) == [7, 5]
+        det, (scaled,) = solve_exact([[0, 1], [1, 0]], [[5, 7]])
+        assert det == -1  # the row swap flips the determinant's sign
+        assert scaled == [-7, -5]
 
     def test_against_numpy_on_random_systems(self):
         rng = np.random.default_rng(42)
@@ -69,8 +79,29 @@ class TestSolver:
             if abs(np.linalg.det(dense)) < 0.5:
                 continue
             rhs = rng.integers(-5, 6, size=size)
-            exact = solve_exact(
-                [[Fraction(int(x)) for x in row] for row in dense],
-                [Fraction(int(x)) for x in rhs],
-            )
+            exact = solve([[int(x) for x in row] for row in dense], [int(x) for x in rhs])
             assert np.allclose([float(x) for x in exact], np.linalg.solve(dense, rhs), atol=1e-9)
+
+    def test_residuals_with_several_right_hand_sides(self):
+        rng = np.random.default_rng(2024)
+        solved = 0
+        for _ in range(40):
+            size = int(rng.integers(1, 9))
+            matrix = [[int(x) for x in row] for row in rng.integers(-6, 7, size=(size, size))]
+            columns = [[int(x) for x in col] for col in rng.integers(-6, 7, size=(int(rng.integers(1, 5)), size))]
+            float_det = round(np.linalg.det(np.array(matrix, dtype=float)))
+            if float_det == 0:
+                with pytest.raises(ValueError):
+                    solve_exact(matrix, columns)
+                continue
+            solved += 1
+            det, scaled = solve_exact(matrix, columns)
+            assert det == float_det
+            assert len(scaled) == len(columns)
+            for b, y in zip(columns, scaled):
+                x = [Fraction(v, det) for v in y]
+                assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == b
+        assert solved >= 20
+
+    def test_determinant_only(self):
+        assert solve_exact([[2, 1], [1, 3]], []) == (5, [])
