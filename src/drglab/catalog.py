@@ -16,8 +16,9 @@ from importlib import resources
 from typing import Optional
 
 from .arrays import IntersectionArray, compute_distance_distribution, parse_intersection_array
+from .potentials import potentials_closed_form
 from .rational import decimal_string
-from .resistance import biggs_ratio, extremal_set
+from .resistance import extremal_set
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class RecomputedEntry:
 
 def recompute_entry(entry: CatalogEntry) -> RecomputedEntry:
     dist = compute_distance_distribution(entry.array)
-    ratio = biggs_ratio(entry.array)
+    ratio = potentials_closed_form(entry.array, dist).ratio()
     places = len(entry.printed_ratio.split(".")[1]) if "." in entry.printed_ratio else 0
     rendered = decimal_string(ratio, places)
     return RecomputedEntry(

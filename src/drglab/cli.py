@@ -49,7 +49,7 @@ from .graphs import (
 )
 from .potentials import potentials_recursive
 from .rational import decimal_string
-from .resistance import BiggsClass, classify_biggs, resistance_profile
+from .resistance import BiggsClass, classify_ratio, resistance_profile
 from .scanner import QueryTooLarge, ScanQuery, scan
 from .walks import commute_time, simulate_hitting_time, spectral_check, walk_bounds
 
@@ -158,7 +158,7 @@ def _cmd_analyze(args) -> int:
 
     p = potentials_recursive(arr)
     profile = resistance_profile(arr)
-    verdict = classify_biggs(arr)
+    verdict = classify_ratio(arr, profile.ratio)
     bounds = walk_bounds(arr)
     payload["potentials"] = {
         "fractions": [_fr(x) for x in p.phi],
@@ -404,7 +404,11 @@ def _cmd_walk(args) -> int:
 
     dist = bfs_distances(graph, 0)
     target = dist.index(args.from_distance)
-    estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
+    try:
+        estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
+    except ValueError as exc:
+        print(f"walk: {exc}", file=sys.stderr)
+        return 1
     expected = commute_time(verified, args.from_distance) / 2
     gap = abs(estimate.mean - float(expected))
     within = gap <= 3 * estimate.stderr
@@ -454,7 +458,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--diameter", required=True, metavar="C..E", help="diameter range")
     p_scan.add_argument("--n-max", type=int, default=None, help="drop candidates above this vertex count")
     p_scan.add_argument("--only-biggs", action="store_true", help="print only arrays ruled out by the resistance bound alone")
-    p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers (output identical regardless)")
+    p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers, at least 1, capped at the CPU count (output identical regardless)")
     p_scan.add_argument("--budget", type=int, default=10**8, help="raw candidate budget before refusing")
     p_scan.set_defaults(func=_cmd_scan)
 

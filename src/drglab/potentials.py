@@ -3,8 +3,12 @@
 Two independent routes to the same numbers: the downward recursion
 phi_0 = n - 1, phi_i = (c_i phi_{i-1} - k) / b_i, and the closed form
 phi_i = k * (sum of shell sizes beyond i) / e_i.  They must agree exactly;
-keeping both alive is a permanent self-check, and the scanner prefers the
-closed form while the analyzer prefers the recursion.
+keeping both alive is a permanent self-check.  The closed form reuses the
+distance distribution its caller already holds, so the scanner's biggs
+stage, `resistance_profile` and the catalog recomputation take it; the
+recursion is the reference route behind `biggs_ratio` and `classify_biggs`;
+`drglab analyze` prints it and `drglab verify` builds its harmonic function
+from it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ class PotentialSequence:
     def tail_sum(self) -> Fraction:
         """phi_1 + ... + phi_{D-1} (zero for diameter 1)."""
         return sum(self.phi[1:-1], Fraction(0))
+
+    def ratio(self) -> Fraction:
+        """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""
+        return self.tail_sum() / self.phi[0]
 
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrays import IntersectionArray, compute_distance_distribution, parse_intersection_array
-from .potentials import potentials_recursive
+from .potentials import potentials_closed_form, potentials_recursive
 
 #: Ratios at or above this are impossible outside the four extremal graphs.
 BIGGS_THRESHOLD = Fraction(87, 100)
@@ -103,14 +103,14 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
     dist = compute_distance_distribution(arr)
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
-    p = potentials_recursive(arr)
+    p = potentials_closed_form(arr, dist)
     current = dist.n * arr.k
     d = []
     prefix = Fraction(0)
     for j in range(1, arr.D + 1):
         prefix += p.phi[j - 1]
         d.append(2 * prefix / current)
-    ratio = p.tail_sum() / p.phi[0]
+    ratio = p.ratio()
     return ResistanceProfile(
         d=tuple(d),
         ratio=ratio,
@@ -122,9 +122,8 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
 
 
 def biggs_ratio(arr: IntersectionArray) -> Fraction:
-    """(phi_1 + ... + phi_{D-1}) / phi_0; zero for diameter 1."""
-    p = potentials_recursive(arr)
-    return p.tail_sum() / p.phi[0]
+    """(phi_1 + ... + phi_{D-1}) / phi_0 by the recursion; zero for diameter 1."""
+    return potentials_recursive(arr).ratio()
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,21 @@ class BiggsVerdict:
 
 
 def classify_biggs(arr: IntersectionArray) -> BiggsVerdict:
-    """Place an array strictly below the 87/100 threshold, in the extremal
-    set, or beyond realizability.
+    """Classify an array by its ratio from the recursion; see `classify_ratio`."""
+    return classify_ratio(arr, biggs_ratio(arr))
 
-    Membership in the extremal set is by verbatim array equality: a distinct
-    array whose ratio merely coincides with an extremal value is still a
-    VIOLATION.
+
+def classify_ratio(arr: IntersectionArray, ratio: Fraction) -> BiggsVerdict:
+    """Place an array with the given head-to-tail ratio strictly below the
+    87/100 threshold, in the extremal set, or beyond realizability.
+
+    `ratio` must be the array's own (phi_1 + ... + phi_{D-1}) / phi_0, by
+    either potential route.  Membership in the extremal set is by verbatim
+    array equality: a distinct array whose ratio merely coincides with an
+    extremal value is still a VIOLATION.
     """
     if arr.k <= 2:
         raise ValencyError(f"classification needs valency >= 3, got k = {arr.k}")
-    ratio = biggs_ratio(arr)
     if ratio < BIGGS_THRESHOLD:
         return BiggsVerdict(arr, BiggsClass.PASS_STRICT, ratio)
     for entry in _EXTREMAL:

@@ -1,19 +1,22 @@
 """Candidate-array enumeration and the stacked feasibility pipeline.
 
-Filter order is fixed: basic -> integrality -> n_max -> divisibility ->
-head_bound -> biggs, cheap structural screens ahead of rational
-computations, so "ruled out by the resistance bound alone" always means
-every earlier screen passed.  Enumeration is a deterministic generator in
-lexicographic (k, D, b, c) order; parallel scans fan the pure per-array
-evaluation out over workers and re-sort, so job count never changes output.
+Stage order is fixed (PIPELINE_ORDER): basic -> integrality -> n_max ->
+divisibility -> head_bound -> biggs, cheap structural screens ahead of
+rational computations, so "ruled out by the resistance bound alone" always
+means every earlier screen passed; n_max applies only under a vertex cap.
+Enumeration is a deterministic generator in lexicographic (k, D, b, c)
+order; parallel scans fan the pure per-array evaluation out over at most
+os.cpu_count() workers and re-sort, so job count never changes output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .arrays import (
@@ -23,10 +26,10 @@ from .arrays import (
     diameter_head_bound,
     validate_basic,
 )
-from .resistance import BiggsClass, BiggsVerdict, biggs_ratio, classify_biggs
+from .potentials import potentials_closed_form
+from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
-DEFAULT_FILTERS = ("basic", "integrality", "divisibility", "head_bound", "biggs")
 
 
 class QueryTooLarge(ValueError):
@@ -40,7 +43,6 @@ class ScanQuery:
     d_min: int
     d_max: int
     n_max: Optional[int] = None
-    filters: tuple[str, ...] = DEFAULT_FILTERS
     budget: int = 10**8
 
     def __post_init__(self) -> None:
@@ -48,9 +50,6 @@ class ScanQuery:
             raise ValueError("valency range must start at 3 or above")
         if self.k_max < self.k_min or self.d_max < self.d_min or self.d_min < 1:
             raise ValueError("empty or invalid query ranges")
-        unknown = set(self.filters) - set(PIPELINE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown filters: {sorted(unknown)}")
 
 
 def _multichoose(values: int, length: int) -> int:
@@ -136,76 +135,44 @@ class ScanRecord:
         return self.first_failing_check == "biggs_violation"
 
 
-def evaluate_array(
-    arr: IntersectionArray,
-    n_max: Optional[int] = None,
-    filters: tuple[str, ...] = DEFAULT_FILTERS,
-) -> ScanRecord:
+def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanRecord:
     """Run one candidate through the pipeline, stopping at the first failure."""
-    enabled = set(filters)
-    if n_max is not None:
-        enabled.add("n_max")
     dist = compute_distance_distribution(arr)
-    ratio: Optional[Fraction] = None
-    verdict: Optional[BiggsVerdict] = None
-
-    failing = "pass"
-    for stage in PIPELINE_ORDER:
-        if stage not in enabled:
-            continue
-        if stage == "basic":
-            if not validate_basic(arr).overall:
-                failing = "basic"
-                break
-        elif stage == "integrality":
-            # shells only: a half-integral edge count (odd n times odd k)
-            # still reaches the resistance classification, mirroring how
-            # the known non-realizable examples are presented
-            if not dist.shells_integral:
-                failing = "integrality"
-                break
-        elif stage == "n_max":
-            if n_max is not None and dist.n > n_max:
-                failing = "n_max"
-                break
-        elif stage == "divisibility":
-            if not check_divisibility(arr).passed:
-                failing = "divisibility"
-                break
-        elif stage == "head_bound":
-            if not diameter_head_bound(arr).passed:
-                failing = "head_bound"
-                break
-        elif stage == "biggs":
-            verdict = classify_biggs(arr)
-            ratio = verdict.ratio
-            if verdict.category is BiggsClass.VIOLATION:
-                failing = "biggs_violation"
-                break
-    else:
-        if "biggs" not in enabled:
-            ratio = biggs_ratio(arr)
-    return ScanRecord(arr, dist.n, ratio, failing, verdict)
+    if not validate_basic(arr).overall:
+        return ScanRecord(arr, dist.n, None, "basic", None)
+    # shells only: a half-integral edge count (odd n times odd k) still
+    # reaches the resistance classification, mirroring how the known
+    # non-realizable examples are presented
+    if not dist.shells_integral:
+        return ScanRecord(arr, dist.n, None, "integrality", None)
+    if n_max is not None and dist.n > n_max:
+        return ScanRecord(arr, dist.n, None, "n_max", None)
+    if not check_divisibility(arr).passed:
+        return ScanRecord(arr, dist.n, None, "divisibility", None)
+    if not diameter_head_bound(arr).passed:
+        return ScanRecord(arr, dist.n, None, "head_bound", None)
+    verdict = classify_ratio(arr, potentials_closed_form(arr, dist).ratio())
+    failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
+    return ScanRecord(arr, dist.n, verdict.ratio, failing, verdict)
 
 
 def _record_key(record: ScanRecord) -> tuple:
     return (record.array.k, record.array.D, record.array.b, record.array.c)
 
 
-def _worker(payload: tuple[IntersectionArray, Optional[int], tuple[str, ...]]) -> ScanRecord:
-    arr, n_max, filters = payload
-    return evaluate_array(arr, n_max=n_max, filters=filters)
-
-
 def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:
     """Evaluate the whole query box; output order is canonical regardless
-    of worker count."""
+    of worker count.  `jobs` must be at least 1 and is capped at
+    os.cpu_count()."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     candidates = list(enumerate_arrays(query))
-    if jobs <= 1:
-        records = [evaluate_array(arr, n_max=query.n_max, filters=query.filters) for arr in candidates]
+    evaluate = functools.partial(evaluate_array, n_max=query.n_max)
+    if jobs == 1:
+        records = [evaluate(arr) for arr in candidates]
     else:
-        payloads = [(arr, query.n_max, query.filters) for arr in candidates]
-        with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(_worker, payloads, chunksize=64)
+        with Pool(jobs) as pool:
+            records = pool.map(evaluate, candidates, chunksize=64)
     records.sort(key=_record_key)
     return records

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .arrays import IntersectionArray
 from .circuits import laplacian_spectral_gap
 from .graphs import ExplicitGraph, verify_distance_regular
-from .resistance import ValencyError, resistance_profile
+from .resistance import ResistanceProfile, ValencyError, resistance_profile
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ def commute_time(arr: IntersectionArray, j: int) -> Fraction:
     return 2 * profile.m * profile.at(j)
 
 
+def _gap_bounds(profile: ResistanceProfile) -> tuple[Fraction, Fraction]:
+    """1/(n d_D) and k/(4(n-1)); unlike `walk_bounds`, defined for every valency."""
+    return 1 / (profile.n * profile.d[-1]), Fraction(profile.k, 4 * (profile.n - 1))
+
+
 def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
     if arr.k <= 2:
         raise ValencyError(f"walk bounds need valency >= 3, got k = {arr.k}")
@@ -54,8 +59,7 @@ def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
     n, m = profile.n, profile.m
     commutes = tuple(2 * m * d for d in profile.d)
     commute_cap = 4 * (n - 1)
-    gap_bound = 1 / (n * profile.d[-1])
-    spectral_floor = Fraction(arr.k, 4 * (n - 1))
+    gap_bound, spectral_floor = _gap_bounds(profile)
     return WalkBoundsReport(
         array=arr,
         n=n,
@@ -77,6 +81,17 @@ class MonteCarloEstimate:
     stderr: float
     trials: int
     seed: int
+
+
+def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEstimate:
+    """Sample mean and its standard error from exact integer step sums."""
+    mean = total / trials
+    if trials > 1:
+        variance = (total_sq - total * total / trials) / (trials - 1)
+        stderr = math.sqrt(max(variance, 0.0) / trials)
+    else:
+        stderr = 0.0
+    return MonteCarloEstimate(mean, stderr, trials, seed)
 
 
 def simulate_hitting_time(
@@ -101,13 +116,7 @@ def simulate_hitting_time(
             steps += 1
         total += steps
         total_sq += steps * steps
-    mean = total / trials
-    if trials > 1:
-        variance = (total_sq - total * total / trials) / (trials - 1)
-        stderr = math.sqrt(max(variance, 0.0) / trials)
-    else:
-        stderr = 0.0
-    return MonteCarloEstimate(mean, stderr, trials, seed)
+    return _estimate(total, total_sq, trials, seed)
 
 
 def simulate_cover_time(
@@ -138,13 +147,7 @@ def simulate_cover_time(
                 remaining -= 1
         total += steps
         total_sq += steps * steps
-    mean = total / trials
-    if trials > 1:
-        variance = (total_sq - total * total / trials) / (trials - 1)
-        stderr = math.sqrt(max(variance, 0.0) / trials)
-    else:
-        stderr = 0.0
-    return MonteCarloEstimate(mean, stderr, trials, seed)
+    return _estimate(total, total_sq, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,7 @@ def spectral_check(g: ExplicitGraph, arr: IntersectionArray, tolerance: float = 
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray) or verified != arr:
         raise ValueError(f"graph verifies as {verified}, expected {arr}")
-    profile = resistance_profile(arr)
-    gap_bound = 1 / (profile.n * profile.d[-1])
-    spectral_floor = Fraction(arr.k, 4 * (profile.n - 1))
+    gap_bound, spectral_floor = _gap_bounds(resistance_profile(arr))
     sigma = laplacian_spectral_gap(g)
     return SpectralCheckReport(
         sigma=sigma,

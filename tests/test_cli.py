@@ -108,6 +108,13 @@ class TestScan:
         assert main(["scan", "--k", "3", "--diameter", "2", "--budget", "2"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_one(self, jobs, capsys):
+        assert main(["scan", "--k", "3", "--diameter", "2", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scan: jobs must be >= 1, got {jobs}\n"
+
 
 class TestCatalog:
     def test_recompute_green(self, tmp_path):
@@ -204,6 +211,13 @@ class TestWalk:
 
     def test_bad_distance_exits_one(self):
         assert main(["walk", "complete", "4", "--from-distance", "2", "--trials", "10", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_exits_one(self, trials, capsys):
+        assert main(["walk", "hypercube", "3", "--from-distance", "1", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "walk: trials must be >= 1\n"
 
 
 class TestEntryPoints:

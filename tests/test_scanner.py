@@ -1,19 +1,26 @@
-"""Enumeration against a brute-force reference, and the filter pipeline."""
+"""Enumeration against a brute-force reference, and the feasibility pipeline."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
+import drglab.scanner as scanner
 from drglab import (
     BiggsClass,
     IntersectionArray,
     QueryTooLarge,
     ScanQuery,
+    catalog,
+    classify_biggs,
+    compute_distance_distribution,
     enumerate_arrays,
     estimate_candidates,
     evaluate_array,
     parse_intersection_array,
+    recompute_entry,
+    resistance_profile,
     scan,
     validate_basic,
 )
@@ -93,10 +100,6 @@ class TestQueryLimits:
         with pytest.raises(ValueError):
             ScanQuery(3, 3, 3, 2)
 
-    def test_unknown_filter_rejected(self):
-        with pytest.raises(ValueError):
-            ScanQuery(3, 3, 1, 1, filters=("basic", "parity"))
-
 
 class TestPipeline:
     def test_petersen_passes(self):
@@ -154,15 +157,18 @@ class TestPipeline:
         assert record.ruled_out_by_biggs_alone
         assert record.ratio == ratio
 
-    def test_filter_subset_respected(self):
-        # with the resistance filter disabled a violating array sails through
-        record = evaluate_array(
-            parse_intersection_array("(3,2,2,1,1,1,1;1,1,1,1,1,1,3)"),
-            filters=("basic", "integrality", "divisibility", "head_bound"),
-        )
-        assert record.first_failing_check == "pass"
-        assert record.verdict is None
-        assert record.ratio == Fraction(64, 61)  # still reported
+    def test_closed_form_verdicts_match_recursion(self):
+        # the scanner classifies the closed-form ratio; classify_biggs takes
+        # the recursion, so the two potential routes check each other here
+        reached = 0
+        for record in scan(ScanQuery(3, 5, 1, 6)):
+            if record.verdict is None:
+                continue
+            reference = classify_biggs(record.array)
+            assert record.verdict == reference
+            assert record.ratio == reference.ratio
+            reached += 1
+        assert reached == 1645
 
 
 class TestScan:
@@ -191,6 +197,44 @@ class TestScan:
         q = ScanQuery(3, 4, 2, 4)
         assert scan(q, jobs=2) == scan(q, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            scan(ScanQuery(3, 3, 2, 2), jobs=jobs)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(scanner, "Pool", RecordingPool)
+        q = ScanQuery(3, 3, 2, 3)
+        serial = scan(q)
+        assert scan(q, jobs=2) == serial
+        assert scan(q, jobs=1000) == serial
+        assert asked == [2, 3]
+
+    def test_single_cpu_runs_serial(self, monkeypatch):
+        def no_pool(processes):
+            raise AssertionError("a pool was started on one CPU")
+
+        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(scanner, "Pool", no_pool)
+        q = ScanQuery(3, 3, 2, 3)
+        assert scan(q, jobs=4) == scan(q)
+
     def test_biggs_alone_records(self):
         records = scan(ScanQuery(3, 3, 6, 6))
         flagged = [r for r in records if r.ruled_out_by_biggs_alone]
@@ -211,8 +255,6 @@ class TestScan:
 class TestBulkInvariants:
     def test_profile_identities_over_enumeration(self):
         # d_D/d_1 = 1 + ratio and strict monotonicity wherever shells are whole
-        from drglab import compute_distance_distribution, resistance_profile
-
         checked = 0
         for arr in enumerate_arrays(ScanQuery(3, 5, 2, 5)):
             if not compute_distance_distribution(arr).shells_integral:
@@ -222,3 +264,40 @@ class TestBulkInvariants:
             assert all(a < b for a, b in zip(profile.d, profile.d[1:]))
             checked += 1
         assert checked > 300
+
+
+class TestOneDerivation:
+    # each layer builds one distance distribution per array and reuses it
+    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog")
+
+    @pytest.fixture
+    def distribution_calls(self, monkeypatch):
+        calls = []
+        original = compute_distance_distribution
+
+        def counted(arr):
+            calls.append(arr)
+            return original(arr)
+
+        for name in self.MODULES:
+            monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "compute_distance_distribution", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(3,2;1,1)", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "(3,2,2,1,1,1,1;1,1,1,1,1,1,3)"],
+    )
+    def test_evaluate_array(self, distribution_calls, text):
+        record = evaluate_array(parse_intersection_array(text))
+        assert record.verdict is not None
+        assert len(distribution_calls) == 1
+
+    def test_resistance_profile(self, distribution_calls):
+        resistance_profile(parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"))
+        assert len(distribution_calls) == 1
+
+    def test_recompute_entry(self, distribution_calls):
+        entries = catalog()
+        for entry in entries:
+            assert recompute_entry(entry).matches
+        assert len(distribution_calls) == len(entries)
