@@ -69,6 +69,7 @@ from .resistance import (
     biggs_ratio,
     classify_biggs,
     extremal_set,
+    profile_from_distribution,
     resistance_profile,
 )
 from .scanner import (
@@ -89,6 +90,7 @@ from .walks import (
     simulate_hitting_time,
     spectral_check,
     walk_bounds,
+    walk_bounds_from_profile,
 )
 
 __version__ = "0.1.0"

@@ -256,7 +256,7 @@ def diameter_head_bound(arr: IntersectionArray) -> HeadBound:
     A strict crossing caps D at 2j - 1, a tie at 3j - 1.  The convention
     b_D = 0 guarantees the index exists; when j = D the cap is vacuous.
     """
-    D = arr.D
-    j = next(i for i in range(1, D + 1) if arr.c_at(i) >= arr.b_at(i))
-    bound = 2 * j - 1 if arr.c_at(j) > arr.b_at(j) else 3 * j - 1
-    return HeadBound(j, bound, D <= bound)
+    b = arr.b[1:] + (0,)  # b_1 ... b_D, beside c_1 ... c_D
+    j, c_j, b_j = next((i, c_i, b_i) for i, (c_i, b_i) in enumerate(zip(arr.c, b), 1) if c_i >= b_i)
+    bound = 2 * j - 1 if c_j > b_j else 3 * j - 1
+    return HeadBound(j, bound, arr.D <= bound)

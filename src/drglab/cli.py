@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .arrays import (
     IntersectionArray,
@@ -49,9 +49,9 @@ from .graphs import (
 )
 from .potentials import potentials_recursive
 from .rational import decimal_string
-from .resistance import BiggsClass, classify_ratio, resistance_profile
+from .resistance import BiggsClass, classify_ratio, profile_from_distribution, resistance_profile
 from .scanner import QueryTooLarge, ScanQuery, scan
-from .walks import commute_time, simulate_hitting_time, spectral_check, walk_bounds
+from .walks import commute_time, simulate_hitting_time, spectral_check, walk_bounds_from_profile
 
 SCHEMA = 1
 
@@ -83,11 +83,12 @@ def _range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(payload: dict, table_lines: list[str], args) -> None:
+def _emit(args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
+    """Write the output in the format asked for, calling only that format's function."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload(), indent=2) + "\n"
     else:
-        text = "\n".join(table_lines) + "\n"
+        text = "\n".join(table()) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -123,72 +124,86 @@ def _cmd_analyze(args) -> int:
     divisibility = check_divisibility(arr)
     head = diameter_head_bound(arr)
 
-    payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "array": str(arr),
-        "validation": {
-            "overall": report.overall,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
-        },
-        "distribution": {
-            "shells": [_num(x) for x in dist.k_sizes],
-            "n": _num(dist.n),
-            "m": _num(dist.m),
-            "edge_counts": [_num(x) for x in dist.e],
-            "integral": dist.integral,
-        },
-        "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
-        "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
-    }
-    lines = [
-        f"array            {arr}",
-        f"validation       {'pass' if report.overall else 'FAIL: ' + '; '.join(c.detail for c in report.failed())}",
-        f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
-        f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
-        f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
-    ]
+    def screens_payload() -> dict:
+        return {
+            "schema": SCHEMA,
+            "command": "analyze",
+            "array": str(arr),
+            "validation": {
+                "overall": report.overall,
+                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
+            },
+            "distribution": {
+                "shells": [_num(x) for x in dist.k_sizes],
+                "n": _num(dist.n),
+                "m": _num(dist.m),
+                "edge_counts": [_num(x) for x in dist.e],
+                "integral": dist.integral,
+            },
+            "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
+            "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
+        }
+
+    def screens_table() -> list[str]:
+        return [
+            f"array            {arr}",
+            f"validation       {'pass' if report.overall else 'FAIL: ' + '; '.join(c.detail for c in report.failed())}",
+            f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+            f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
+            f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
+        ]
 
     if not (report.overall and dist.shells_integral):
-        payload["verdict"] = None
-        payload["realizable"] = False
-        lines.append("verdict          INFEASIBLE (fails structural or shell-integrality screens)")
-        _emit(payload, lines, args)
+        _emit(
+            args,
+            lambda: {**screens_payload(), "verdict": None, "realizable": False},
+            lambda: screens_table() + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"],
+        )
         return 2
 
     p = potentials_recursive(arr)
-    profile = resistance_profile(arr)
+    profile = profile_from_distribution(arr, dist)
     verdict = classify_ratio(arr, profile.ratio)
-    bounds = walk_bounds(arr)
-    payload["potentials"] = {
-        "fractions": [_fr(x) for x in p.phi],
-        "decimals": [decimal_string(x) for x in p.phi],
-        "source": p.source,
-    }
-    payload["resistance"] = {
-        "d": [_fr(x) for x in profile.d],
-        "d_decimals": [decimal_string(x) for x in profile.d],
-        "ratio": _fr(profile.ratio),
-        "ratio_decimal": decimal_string(profile.ratio),
-        "K_factor": _fr(profile.K_factor),
-    }
-    payload["verdict"] = _verdict_json(verdict)
-    payload["walk_bounds"] = {
-        "array": str(arr),
-        "n": bounds.n,
-        "m": _num(bounds.m),
-        "commute_times": [_fr(x) for x in bounds.commute_times],
-        "hitting_bound": bounds.hitting_bound,
-        "commute_bound": bounds.commute_bound,
-        "cover_bound_dominant": bounds.cover_bound_dominant,
-        "spectral_lower_bound": _fr(bounds.spectral_lower_bound),
-    }
-    lines.append(f"potentials       {[str(x) for x in p.phi]}")
-    lines.append(f"resistances      {[str(x) for x in profile.d]}")
-    lines.append(f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}")
-    lines.append(f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""))
-    lines.append(f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}")
-    _emit(payload, lines, args)
+    bounds = walk_bounds_from_profile(arr, profile)
+
+    def payload() -> dict:
+        return {
+            **screens_payload(),
+            "potentials": {
+                "fractions": [_fr(x) for x in p.phi],
+                "decimals": [decimal_string(x) for x in p.phi],
+                "source": p.source,
+            },
+            "resistance": {
+                "d": [_fr(x) for x in profile.d],
+                "d_decimals": [decimal_string(x) for x in profile.d],
+                "ratio": _fr(profile.ratio),
+                "ratio_decimal": decimal_string(profile.ratio),
+                "K_factor": _fr(profile.K_factor),
+            },
+            "verdict": _verdict_json(verdict),
+            "walk_bounds": {
+                "array": str(arr),
+                "n": bounds.n,
+                "m": _num(bounds.m),
+                "commute_times": [_fr(x) for x in bounds.commute_times],
+                "hitting_bound": bounds.hitting_bound,
+                "commute_bound": bounds.commute_bound,
+                "cover_bound_dominant": bounds.cover_bound_dominant,
+                "spectral_lower_bound": _fr(bounds.spectral_lower_bound),
+            },
+        }
+
+    def table() -> list[str]:
+        return screens_table() + [
+            f"potentials       {[str(x) for x in p.phi]}",
+            f"resistances      {[str(x) for x in profile.d]}",
+            f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
+            f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
+            f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
+        ]
+
+    _emit(args, payload, table)
     return 2 if verdict.category is BiggsClass.VIOLATION else 0
 
 
@@ -222,26 +237,32 @@ def _cmd_scan(args) -> int:
         return 1
 
     shown = [r for r in records if r.ruled_out_by_biggs_alone] if args.only_biggs else records
-    biggs_only = [str(r.array) for r in records if r.ruled_out_by_biggs_alone]
-    payload = {
-        "schema": SCHEMA,
-        "command": "scan",
-        "query": {
-            "k": [k_lo, k_hi],
-            "diameter": [d_lo, d_hi],
-            "n_max": args.n_max,
-            "only_biggs": bool(args.only_biggs),
-        },
-        "records": [_record_json(r) for r in shown],
-        "ruled_out_by_biggs_alone": biggs_only,
-    }
-    lines = [f"{'array':42s} {'n':>6s} {'first_failing':14s} {'ratio':>10s} class"]
-    for r in shown:
-        ratio = decimal_string(r.ratio) if r.ratio is not None else "-"
-        cls = r.verdict.category.value if r.verdict else "-"
-        lines.append(f"{str(r.array):42s} {str(_num(r.n)):>6s} {r.first_failing_check:14s} {ratio:>10s} {cls}")
-    lines.append(f"total {len(shown)} record(s); {len(biggs_only)} ruled out by the resistance bound alone")
-    _emit(payload, lines, args)
+    biggs_only = [r.array for r in records if r.ruled_out_by_biggs_alone]
+
+    def payload() -> dict:
+        return {
+            "schema": SCHEMA,
+            "command": "scan",
+            "query": {
+                "k": [k_lo, k_hi],
+                "diameter": [d_lo, d_hi],
+                "n_max": args.n_max,
+                "only_biggs": bool(args.only_biggs),
+            },
+            "records": [_record_json(r) for r in shown],
+            "ruled_out_by_biggs_alone": [str(a) for a in biggs_only],
+        }
+
+    def table() -> list[str]:
+        lines = [f"{'array':42s} {'n':>6s} {'first_failing':14s} {'ratio':>10s} class"]
+        for r in shown:
+            ratio = decimal_string(r.ratio) if r.ratio is not None else "-"
+            cls = r.verdict.category.value if r.verdict else "-"
+            lines.append(f"{str(r.array):42s} {str(_num(r.n)):>6s} {r.first_failing_check:14s} {ratio:>10s} {cls}")
+        lines.append(f"total {len(shown)} record(s); {len(biggs_only)} ruled out by the resistance bound alone")
+        return lines
+
+    _emit(args, payload, table)
     return 0
 
 
@@ -249,37 +270,40 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    mismatch = False
-    entries = []
-    lines = [f"{'name':34s} {'array':42s} {'n':>5s} {'ratio':>9s}  table"]
-    for entry in catalog():
-        item = {
-            "table": entry.table,
-            "name": entry.name,
-            "aliases": list(entry.aliases),
-            "array": str(entry.array),
-            "vertices": entry.vertices,
-            "ratio": entry.printed_ratio,
-            "extremal": entry.extremal,
-            "has_explicit_construction": entry.has_explicit_construction,
-        }
-        mark = ""
-        if args.recompute:
-            recomputed = recompute_entry(entry)
-            item["recomputed_n"] = recomputed.n
-            item["recomputed_ratio"] = _fr(recomputed.ratio)
-            item["recomputed_ratio_rendered"] = recomputed.ratio_rendered
-            item["matches"] = recomputed.matches
-            if not recomputed.matches:
-                mismatch = True
-                mark = "  MISMATCH"
-        entries.append(item)
-        lines.append(
-            f"{entry.name:34s} {str(entry.array):42s} {entry.vertices:>5d} {entry.printed_ratio:>9s}  {entry.table}{mark}"
-        )
-    payload = {"schema": SCHEMA, "command": "catalog", "recompute": bool(args.recompute), "entries": entries}
-    _emit(payload, lines, args)
-    return 2 if mismatch else 0
+    rows = [(entry, recompute_entry(entry) if args.recompute else None) for entry in catalog()]
+
+    def payload() -> dict:
+        entries = []
+        for entry, recomputed in rows:
+            item = {
+                "table": entry.table,
+                "name": entry.name,
+                "aliases": list(entry.aliases),
+                "array": str(entry.array),
+                "vertices": entry.vertices,
+                "ratio": entry.printed_ratio,
+                "extremal": entry.extremal,
+                "has_explicit_construction": entry.has_explicit_construction,
+            }
+            if recomputed is not None:
+                item["recomputed_n"] = recomputed.n
+                item["recomputed_ratio"] = _fr(recomputed.ratio)
+                item["recomputed_ratio_rendered"] = recomputed.ratio_rendered
+                item["matches"] = recomputed.matches
+            entries.append(item)
+        return {"schema": SCHEMA, "command": "catalog", "recompute": bool(args.recompute), "entries": entries}
+
+    def table() -> list[str]:
+        lines = [f"{'name':34s} {'array':42s} {'n':>5s} {'ratio':>9s}  table"]
+        for entry, recomputed in rows:
+            mark = "  MISMATCH" if recomputed is not None and not recomputed.matches else ""
+            lines.append(
+                f"{entry.name:34s} {str(entry.array):42s} {entry.vertices:>5d} {entry.printed_ratio:>9s}  {entry.table}{mark}"
+            )
+        return lines
+
+    _emit(args, payload, table)
+    return 2 if any(recomputed is not None and not recomputed.matches for _, recomputed in rows) else 0
 
 
 # ----------------------------------------------------------------------- verify
@@ -307,21 +331,19 @@ def _cmd_verify(args) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
 
-    payload = {"schema": SCHEMA, "command": "verify", "graph": origin, "n": graph.n, "m": graph.m}
-    lines = [f"graph            n={graph.n} m={graph.m}"]
+    def graph_payload() -> dict:
+        return {"schema": SCHEMA, "command": "verify", "graph": origin, "n": graph.n, "m": graph.m}
+
+    graph_line = f"graph            n={graph.n} m={graph.m}"
 
     verified = verify_distance_regular(graph)
     if not isinstance(verified, IntersectionArray):
-        payload["distance_regular"] = False
-        payload["failure"] = str(verified)
-        lines.append(f"distance-regular NO: {verified}")
-        _emit(payload, lines, args)
+        _emit(
+            args,
+            lambda: {**graph_payload(), "distance_regular": False, "failure": str(verified)},
+            lambda: [graph_line, f"distance-regular NO: {verified}"],
+        )
         return 2
-    payload["distance_regular"] = True
-    payload["array"] = str(verified)
-    lines.append(f"array            {verified}")
-
-    overall = True
 
     p = potentials_recursive(verified)
     u = 0
@@ -331,57 +353,65 @@ def _cmd_verify(args) -> int:
     current = measure_current(graph, assignment)
     harmonic_ok = residual == 0
     current_ok = current == assignment.expected_current
-    overall &= harmonic_ok and current_ok
-    payload["harmonic"] = {
-        "pair": [u, v],
-        "max_residual": _fr(residual),
-        "residual_zero": harmonic_ok,
-        "current": _fr(current),
-        "expected_current": assignment.expected_current,
-        "current_matches": current_ok,
-    }
-    lines.append(f"harmonic         residual={residual} current={current}/{assignment.expected_current}")
 
     profile = resistance_profile(verified)
-    oracle_rows = []
     if args.exhaustive:
         checked = [(j, pair) for j, pairs in all_pairs_by_distance(graph).items() for pair in pairs]
     else:
         checked = list(representative_pairs(graph).items())
     measured = effective_resistances(graph, [pair for _, pair in checked])
-    for (j, pair), value in zip(checked, measured):
-        equal = value == profile.at(j)
-        overall &= equal
-        oracle_rows.append(
-            {"distance": j, "pair": list(pair), "oracle": _fr(value), "formula": _fr(profile.at(j)), "equal": equal}
-        )
-    payload["oracle"] = oracle_rows
-    for row in oracle_rows:
-        lines.append(
-            f"resistance d_{row['distance']}   pair {tuple(row['pair'])} oracle={row['oracle']} formula={row['formula']} {'ok' if row['equal'] else 'MISMATCH'}"
-        )
+    oracle_rows = [
+        {"distance": j, "pair": list(pair), "oracle": _fr(value), "formula": _fr(profile.at(j)), "equal": value == profile.at(j)}
+        for (j, pair), value in zip(checked, measured)
+    ]
 
     try:
         spectral = spectral_check(graph, verified)
     except NotConverged as exc:
         print(f"verify: spectral check failed: {exc}", file=sys.stderr)
         return 1
-    overall &= spectral.sigma_holds and spectral.middle_holds
-    payload["spectral"] = {
-        "sigma": spectral.sigma,
-        "resistance_gap_bound": _fr(spectral.resistance_gap_bound),
-        "spectral_lower_bound": _fr(spectral.spectral_lower_bound),
-        "sigma_holds": spectral.sigma_holds,
-        "middle_holds": spectral.middle_holds,
-    }
-    lines.append(
-        f"spectral         sigma={spectral.sigma:.8f} >= {spectral.resistance_gap_bound} >= {spectral.spectral_lower_bound}"
-        f" {'ok' if spectral.sigma_holds and spectral.middle_holds else 'MISMATCH'}"
-    )
+    spectral_ok = spectral.sigma_holds and spectral.middle_holds
+    overall = harmonic_ok and current_ok and all(row["equal"] for row in oracle_rows) and spectral_ok
 
-    payload["overall"] = overall
-    lines.append(f"overall          {'pass' if overall else 'FAIL'}")
-    _emit(payload, lines, args)
+    def payload() -> dict:
+        return {
+            **graph_payload(),
+            "distance_regular": True,
+            "array": str(verified),
+            "harmonic": {
+                "pair": [u, v],
+                "max_residual": _fr(residual),
+                "residual_zero": harmonic_ok,
+                "current": _fr(current),
+                "expected_current": assignment.expected_current,
+                "current_matches": current_ok,
+            },
+            "oracle": oracle_rows,
+            "spectral": {
+                "sigma": spectral.sigma,
+                "resistance_gap_bound": _fr(spectral.resistance_gap_bound),
+                "spectral_lower_bound": _fr(spectral.spectral_lower_bound),
+                "sigma_holds": spectral.sigma_holds,
+                "middle_holds": spectral.middle_holds,
+            },
+            "overall": overall,
+        }
+
+    def table() -> list[str]:
+        return [
+            graph_line,
+            f"array            {verified}",
+            f"harmonic         residual={residual} current={current}/{assignment.expected_current}",
+            *(
+                f"resistance d_{row['distance']}   pair {tuple(row['pair'])} oracle={row['oracle']} formula={row['formula']} {'ok' if row['equal'] else 'MISMATCH'}"
+                for row in oracle_rows
+            ),
+            f"spectral         sigma={spectral.sigma:.8f} >= {spectral.resistance_gap_bound} >= {spectral.spectral_lower_bound}"
+            f" {'ok' if spectral_ok else 'MISMATCH'}",
+            f"overall          {'pass' if overall else 'FAIL'}",
+        ]
+
+    _emit(args, payload, table)
     return 0 if overall else 2
 
 
@@ -412,29 +442,34 @@ def _cmd_walk(args) -> int:
     expected = commute_time(verified, args.from_distance) / 2
     gap = abs(estimate.mean - float(expected))
     within = gap <= 3 * estimate.stderr
-    payload = {
-        "schema": SCHEMA,
-        "command": "walk",
-        "graph": origin,
-        "array": str(verified),
-        "from_distance": args.from_distance,
-        "pair": [0, target],
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
-        "expected": _fr(expected),
-        "expected_decimal": decimal_string(expected),
-        "within_3_stderr": within,
-    }
-    lines = [
-        f"graph            {origin}",
-        f"pair             (0, {target}) at distance {args.from_distance}",
-        f"estimate         mean={estimate.mean:.4f} stderr={estimate.stderr:.4f} ({estimate.trials} trials, seed {estimate.seed})",
-        f"expected         {expected} = {decimal_string(expected)}",
-        f"within 3 stderr  {'yes' if within else 'NO'}",
-    ]
-    _emit(payload, lines, args)
+
+    def payload() -> dict:
+        return {
+            "schema": SCHEMA,
+            "command": "walk",
+            "graph": origin,
+            "array": str(verified),
+            "from_distance": args.from_distance,
+            "pair": [0, target],
+            "trials": estimate.trials,
+            "seed": estimate.seed,
+            "mean": estimate.mean,
+            "stderr": estimate.stderr,
+            "expected": _fr(expected),
+            "expected_decimal": decimal_string(expected),
+            "within_3_stderr": within,
+        }
+
+    def table() -> list[str]:
+        return [
+            f"graph            {origin}",
+            f"pair             (0, {target}) at distance {args.from_distance}",
+            f"estimate         mean={estimate.mean:.4f} stderr={estimate.stderr:.4f} ({estimate.trials} trials, seed {estimate.seed})",
+            f"expected         {expected} = {decimal_string(expected)}",
+            f"within 3 stderr  {'yes' if within else 'NO'}",
+        ]
+
+    _emit(args, payload, table)
     return 0 if within else 2
 
 
@@ -456,7 +491,7 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", parents=[common], help="enumerate candidates and run the feasibility pipeline")
     p_scan.add_argument("--k", required=True, metavar="A..B", help="valency range (lower bound >= 3)")
     p_scan.add_argument("--diameter", required=True, metavar="C..E", help="diameter range")
-    p_scan.add_argument("--n-max", type=int, default=None, help="drop candidates above this vertex count")
+    p_scan.add_argument("--n-max", type=int, default=None, help="drop candidates above this vertex count, at least 1")
     p_scan.add_argument("--only-biggs", action="store_true", help="print only arrays ruled out by the resistance bound alone")
     p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers, at least 1, capped at the CPU count (output identical regardless)")
     p_scan.add_argument("--budget", type=int, default=10**8, help="raw candidate budget before refusing")

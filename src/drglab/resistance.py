@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arrays import IntersectionArray, compute_distance_distribution, parse_intersection_array
+from .arrays import (
+    DistanceDistribution,
+    IntersectionArray,
+    compute_distance_distribution,
+    parse_intersection_array,
+)
 from .potentials import potentials_closed_form, potentials_recursive
 
 #: Ratios at or above this are impossible outside the four extremal graphs.
@@ -98,9 +103,15 @@ class ResistanceProfile:
 def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
     """d_j = 2 (phi_0 + ... + phi_{j-1}) / (n k), exactly.
 
-    Requires whole shell sizes; d_1 always simplifies to (n-1)/m.
+    Requires whole shell sizes; d_1 always simplifies to (n-1)/m.  A caller
+    already holding the distance distribution passes it to
+    `profile_from_distribution` instead.
     """
-    dist = compute_distance_distribution(arr)
+    return profile_from_distribution(arr, compute_distance_distribution(arr))
+
+
+def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
+    """`resistance_profile` from the array's precomputed distance distribution."""
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
     p = potentials_closed_form(arr, dist)

@@ -5,8 +5,14 @@ divisibility -> head_bound -> biggs, cheap structural screens ahead of
 rational computations, so "ruled out by the resistance bound alone" always
 means every earlier screen passed; n_max applies only under a vertex cap.
 Enumeration is a deterministic generator in lexicographic (k, D, b, c)
-order; parallel scans fan the pure per-array evaluation out over at most
-os.cpu_count() workers and re-sort, so job count never changes output.
+order that only yields arrays passing the structural battery, so `scan`
+runs the stages after `basic` alone.  Those stages are an integer kernel:
+shell sizes and the resistance ratio stay in exact ints until one
+`Fraction` is reduced, and tests check every record of it against the
+`Fraction` route (distance distribution, closed-form potentials,
+`classify_ratio`) that `analyze`, `resistance_profile` and the catalog use.
+Parallel scans fan the pure per-array evaluation out over at most
+os.cpu_count() workers in input order, so job count never changes output.
 """
 
 from __future__ import annotations
@@ -19,14 +25,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .arrays import (
-    IntersectionArray,
-    check_divisibility,
-    compute_distance_distribution,
-    diameter_head_bound,
-    validate_basic,
-)
-from .potentials import potentials_closed_form
+from .arrays import IntersectionArray, check_divisibility, diameter_head_bound, validate_basic
 from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
@@ -50,6 +49,8 @@ class ScanQuery:
             raise ValueError("valency range must start at 3 or above")
         if self.k_max < self.k_min or self.d_max < self.d_min or self.d_min < 1:
             raise ValueError("empty or invalid query ranges")
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
 
 def _multichoose(values: int, length: int) -> int:
@@ -136,43 +137,71 @@ class ScanRecord:
 
 
 def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanRecord:
-    """Run one candidate through the pipeline, stopping at the first failure."""
-    dist = compute_distance_distribution(arr)
+    """Run one candidate through the pipeline, stopping at the first failure:
+    the structural battery, then the integer kernel."""
     if not validate_basic(arr).overall:
-        return ScanRecord(arr, dist.n, None, "basic", None)
-    # shells only: a half-integral edge count (odd n times odd k) still
-    # reaches the resistance classification, mirroring how the known
-    # non-realizable examples are presented
-    if not dist.shells_integral:
-        return ScanRecord(arr, dist.n, None, "integrality", None)
-    if n_max is not None and dist.n > n_max:
-        return ScanRecord(arr, dist.n, None, "n_max", None)
+        return ScanRecord(arr, _vertex_count(arr), None, "basic", None)
+    return _evaluate_valid(arr, n_max)
+
+
+def _vertex_count(arr: IntersectionArray) -> Fraction:
+    """n = 1 + (b0/c1)(1 + (b1/c2)(1 + ...)), over the one denominator c1...cD."""
+    num = den = 1
+    for b, c in zip(reversed(arr.b), reversed(arr.c)):
+        num, den = c * den + b * num, c * den
+    return Fraction(num, den)
+
+
+def _evaluate_valid(arr: IntersectionArray, n_max: Optional[int]) -> ScanRecord:
+    """The stages after `basic`, in exact integers, for an array that passes
+    `validate_basic` (every array `enumerate_arrays` yields does).
+
+    Shell sizes k_{i+1} = k_i b_i / c_{i+1} stay whole ints until the first
+    one that does not divide.  The ratio (phi_1 + ... + phi_{D-1}) / phi_0
+    is k * sum_{i=1}^{D-1} S_i / (k_i b_i) over n - 1, with S_i the shell
+    total beyond i, summed over one integer denominator and reduced once.
+    The `Fraction` route (compute_distance_distribution, then
+    potentials_closed_form) is the reference it is tested against.
+    """
+    b, c = arr.b, arr.c
+    sizes = [1]
+    for b_i, c_next in zip(b, c):
+        size, rem = divmod(sizes[-1] * b_i, c_next)
+        if rem:
+            # shells only: a half-integral edge count (odd n times odd k)
+            # still reaches the resistance classification, mirroring how
+            # the known non-realizable examples are presented
+            return ScanRecord(arr, _vertex_count(arr), None, "integrality", None)
+        sizes.append(size)
+    n = sum(sizes)
+    if n_max is not None and n > n_max:
+        return ScanRecord(arr, Fraction(n), None, "n_max", None)
     if not check_divisibility(arr).passed:
-        return ScanRecord(arr, dist.n, None, "divisibility", None)
+        return ScanRecord(arr, Fraction(n), None, "divisibility", None)
     if not diameter_head_bound(arr).passed:
-        return ScanRecord(arr, dist.n, None, "head_bound", None)
-    verdict = classify_ratio(arr, potentials_closed_form(arr, dist).ratio())
+        return ScanRecord(arr, Fraction(n), None, "head_bound", None)
+    num, den, beyond = 0, 1, 0
+    for i in range(arr.D - 1, 0, -1):
+        beyond += sizes[i + 1]
+        edges = sizes[i] * b[i]
+        num, den = num * edges + beyond * den, den * edges
+    verdict = classify_ratio(arr, Fraction(arr.k * num, den * (n - 1)))
     failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
-    return ScanRecord(arr, dist.n, verdict.ratio, failing, verdict)
-
-
-def _record_key(record: ScanRecord) -> tuple:
-    return (record.array.k, record.array.D, record.array.b, record.array.c)
+    return ScanRecord(arr, Fraction(n), verdict.ratio, failing, verdict)
 
 
 def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:
-    """Evaluate the whole query box; output order is canonical regardless
-    of worker count.  `jobs` must be at least 1 and is capped at
-    os.cpu_count()."""
+    """Evaluate the whole query box in enumeration order, which is canonical
+    and which `Pool.map` keeps, so worker count never changes the output.
+    `jobs` must be at least 1 and is capped at os.cpu_count()."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
+    # the enumerator enforces the structural battery, so the `basic`
+    # stage is skipped
     candidates = list(enumerate_arrays(query))
-    evaluate = functools.partial(evaluate_array, n_max=query.n_max)
+    evaluate = functools.partial(_evaluate_valid, n_max=query.n_max)
     if jobs == 1:
-        records = [evaluate(arr) for arr in candidates]
-    else:
-        with Pool(jobs) as pool:
-            records = pool.map(evaluate, candidates, chunksize=64)
-    records.sort(key=_record_key)
-    return records
+        return [evaluate(arr) for arr in candidates]
+    with Pool(jobs) as pool:
+        return pool.map(evaluate, candidates, chunksize=64)

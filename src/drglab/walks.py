@@ -53,9 +53,14 @@ def _gap_bounds(profile: ResistanceProfile) -> tuple[Fraction, Fraction]:
 
 
 def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
+    """`walk_bounds_from_profile` on the array's own resistance profile."""
+    return walk_bounds_from_profile(arr, resistance_profile(arr))
+
+
+def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile) -> WalkBoundsReport:
+    """Commute times and walk bounds of an array from its resistance profile."""
     if arr.k <= 2:
         raise ValencyError(f"walk bounds need valency >= 3, got k = {arr.k}")
-    profile = resistance_profile(arr)
     n, m = profile.n, profile.m
     commutes = tuple(2 * m * d for d in profile.d)
     commute_cap = 4 * (n - 1)

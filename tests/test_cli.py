@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,6 +116,12 @@ class TestScan:
         assert captured.out == ""
         assert captured.err == f"scan: jobs must be >= 1, got {jobs}\n"
 
+    def test_n_max_below_one_exits_one(self, capsys):
+        assert main(["scan", "--k", "3", "--diameter", "2", "--n-max", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scan: n_max must be >= 1, got -4\n"
+
 
 class TestCatalog:
     def test_recompute_green(self, tmp_path):
@@ -218,6 +225,43 @@ class TestWalk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "walk: trials must be >= 1\n"
+
+
+PRISM_EDGES = "6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n"
+
+# sha256 of stdout, recorded before the scan moved to an integer kernel and
+# each command started rendering only the format it writes
+GOLDEN = [
+    (["scan", "--k", "3..4", "--diameter", "1..5", "--n-max", "200", "--format", "json"], "779f9c0c3e2211ab373de4e8d1b57d1bdad7db6b2067fd86968e30e02e95d73c"),
+    (["scan", "--k", "3..4", "--diameter", "1..5", "--n-max", "200"], "0cb2201f16544bea5c2b7863c62d1a8ed3943d065b09f11dbcf183ba842ea81a"),
+    (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], "8d6504c3ef3e03d76cb72efe9ea65f8a65d9b45eed4b5d7377162a43ae2bc0e9"),
+    (["analyze", "(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)"], "a9e0ac4c872e55ba4873e7e0ebd08e00e1b33b3d4336b4143464384841c370c7"),
+    (["analyze", "(4,2,2,2,2,2;1,1,1,1,1,2)"], "855286c41758a919a77d1f36bc4d4a3af0677190e130058af6f40c53b85dd9b7"),
+    (["analyze", "(3,2,2,2,2,2;1,1,1,1,1,3)"], "4b17e26a21537cf316a8af9a87e2b5f4c81644b0d14e4517e8a8f3f3e20ff309"),
+    (["analyze", "(3,2,3;1,1,3)"], "85440076a9789a89fe8a60294b3cd5288f156e948063ad43e0871f81f587d193"),
+    (["analyze", "(3,2,3;1,1,3)", "--format", "json"], "9a5b754563b55bf575ca72da198f02e3e81a8ac982005f5602d7aa3eed3e0dae"),
+    (["analyze", "(5,2,2,1,1,1,1;1,1,1,1,1,1,4)"], "3ff96737e5d78f215b7d69750b396f94824d929bca6322005517882b282de167"),
+    (["analyze", "(5,2,2,1,1,1,1;1,1,1,1,1,1,4)", "--format", "json"], "376ef89d93036f5972b42c9efeba6cebfe591c22f1e7392a34576029144a510f"),
+    (["catalog", "--recompute"], "696f790ec07ba26687b4ffd35987b59450bb38f9d57c46c6168c757d0cf83373"),
+    (["catalog", "--recompute", "--format", "json"], "c87715bf678c9c466c32204ab9ce840501789922dab849ea937d7521212cfc31"),
+    (["verify", "petersen"], "72ba8d2318304117778fb40842f69c76c6034339a20680738f50f4d5877a7f7b"),
+    (["verify", "hypercube", "3", "--exhaustive"], "88e593d672251df307022b445c806bbc8686e2e6dda4cfa26d4e162f541ecb00"),
+    (["verify", "hypercube", "3", "--exhaustive", "--format", "json"], "303d0f8b51191ed14419ad0470197c222c37589e2e0ef4eee69b918ddec36e5b"),
+    (["verify", "--edges", "{prism}"], "3d423fadaaed01c82b9c77cc03d2b1486a79b6d7375e45ff32a44080c6232487"),
+    (["walk", "hypercube", "3", "--from-distance", "3", "--trials", "2000", "--seed", "1"], "bd51a17ce8abd17d02b259cc631ee7512db5cab6b8f401ef2f793032f388d721"),
+    (["walk", "hypercube", "3", "--from-distance", "3", "--trials", "2000", "--seed", "1", "--format", "json"], "b804a88cc5bbbbc782395950d81a95665706b13867789c35e37572bc4f132f63"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+    def test_stdout_digest(self, argv, digest, tmp_path, capsys):
+        # the prism is 3-regular but not distance-regular; its path is part
+        # of the JSON payload, so only its table output is pinned
+        prism = tmp_path / "prism.txt"
+        prism.write_text(PRISM_EDGES, encoding="utf-8")
+        main([arg.format(prism=prism) for arg in argv])
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 class TestEntryPoints:

@@ -12,18 +12,24 @@ from drglab import (
     IntersectionArray,
     QueryTooLarge,
     ScanQuery,
+    ScanRecord,
     catalog,
+    check_divisibility,
     classify_biggs,
     compute_distance_distribution,
+    diameter_head_bound,
     enumerate_arrays,
     estimate_candidates,
     evaluate_array,
     parse_intersection_array,
+    potentials_closed_form,
     recompute_entry,
     resistance_profile,
     scan,
     validate_basic,
 )
+from drglab.cli import main
+from drglab.resistance import classify_ratio
 
 
 def brute_force_box(k: int, D: int) -> list[IntersectionArray]:
@@ -39,6 +45,25 @@ def brute_force_box(k: int, D: int) -> list[IntersectionArray]:
             if validate_basic(arr).overall:
                 found.append(arr)
     return found
+
+
+def reference_record(arr: IntersectionArray, n_max=None) -> ScanRecord:
+    """The pipeline over the `Fraction` route: distance distribution, the
+    closed-form potentials, then `classify_ratio`."""
+    dist = compute_distance_distribution(arr)
+    if not validate_basic(arr).overall:
+        return ScanRecord(arr, dist.n, None, "basic", None)
+    if not dist.shells_integral:
+        return ScanRecord(arr, dist.n, None, "integrality", None)
+    if n_max is not None and dist.n > n_max:
+        return ScanRecord(arr, dist.n, None, "n_max", None)
+    if not check_divisibility(arr).passed:
+        return ScanRecord(arr, dist.n, None, "divisibility", None)
+    if not diameter_head_bound(arr).passed:
+        return ScanRecord(arr, dist.n, None, "head_bound", None)
+    verdict = classify_ratio(arr, potentials_closed_form(arr, dist).ratio())
+    failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
+    return ScanRecord(arr, dist.n, verdict.ratio, failing, verdict)
 
 
 class TestEnumeration:
@@ -73,7 +98,8 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_everything_validates(self):
-        for arr in enumerate_arrays(ScanQuery(3, 5, 1, 4)):
+        # the scan skips the basic stage on the strength of this
+        for arr in enumerate_arrays(ScanQuery(3, 6, 1, 6)):
             assert validate_basic(arr).overall
 
 
@@ -99,6 +125,11 @@ class TestQueryLimits:
             ScanQuery(4, 3, 1, 2)
         with pytest.raises(ValueError):
             ScanQuery(3, 3, 3, 2)
+
+    @pytest.mark.parametrize("n_max", [0, -4])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            ScanQuery(3, 3, 2, 2, n_max=n_max)
 
 
 class TestPipeline:
@@ -169,6 +200,41 @@ class TestPipeline:
             assert record.ratio == reference.ratio
             reached += 1
         assert reached == 1645
+
+
+class TestIntegerKernel:
+    # the scan's integer kernel against the Fraction route, record for record
+    @pytest.mark.parametrize("n_max", [None, 200])
+    def test_scan_matches_fraction_reference(self, n_max):
+        query = ScanQuery(3, 6, 1, 6, n_max=n_max)
+        records = scan(query)
+        reference = [reference_record(arr, n_max) for arr in enumerate_arrays(query)]
+        assert len(records) == 14651
+        # repr-equal also pins the types, e.g. n stays a Fraction
+        assert [repr(r) for r in records] == [repr(r) for r in reference]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(3,2,3;1,1,3)", "(3,4,1;2,1,3)", "(5,5;3,1)", "(4,3,3;2,1,4)", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"],
+    )
+    def test_evaluate_array_matches_fraction_reference(self, text):
+        # includes arrays failing the basic stage, with and without whole n
+        arr = parse_intersection_array(text)
+        for n_max in (None, 20):
+            assert repr(evaluate_array(arr, n_max)) == repr(reference_record(arr, n_max))
+
+    def test_n_max_is_inclusive(self):
+        petersen = parse_intersection_array("(3,2;1,1)")
+        assert evaluate_array(petersen, n_max=10).first_failing_check == "pass"
+        assert evaluate_array(petersen, n_max=9).first_failing_check == "n_max"
+
+    def test_scan_skips_basic_stage(self, monkeypatch):
+        def refuse(arr):
+            raise AssertionError("scan re-ran validate_basic")
+
+        monkeypatch.setattr(scanner, "validate_basic", refuse)
+        records = scan(ScanQuery(3, 4, 1, 4))
+        assert len(records) == sum(1 for _ in enumerate_arrays(ScanQuery(3, 4, 1, 4)))
 
 
 class TestScan:
@@ -268,7 +334,7 @@ class TestBulkInvariants:
 
 class TestOneDerivation:
     # each layer builds one distance distribution per array and reuses it
-    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog")
+    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "cli")
 
     @pytest.fixture
     def distribution_calls(self, monkeypatch):
@@ -280,7 +346,11 @@ class TestOneDerivation:
             return original(arr)
 
         for name in self.MODULES:
-            monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "compute_distance_distribution", counted)
+            # raising=False: the scanner imports no distribution today, and
+            # a later import of one would still be counted
+            monkeypatch.setattr(
+                importlib.import_module(f"drglab.{name}"), "compute_distance_distribution", counted, raising=False
+            )
         return calls
 
     @pytest.mark.parametrize(
@@ -288,9 +358,16 @@ class TestOneDerivation:
         ["(3,2;1,1)", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "(3,2,2,1,1,1,1;1,1,1,1,1,1,3)"],
     )
     def test_evaluate_array(self, distribution_calls, text):
+        # the integer kernel builds no Fraction distribution at all
         record = evaluate_array(parse_intersection_array(text))
         assert record.verdict is not None
-        assert len(distribution_calls) == 1
+        assert len(distribution_calls) == 0
+
+    def test_analyze(self, distribution_calls, capsys):
+        # its own distribution and the recursion's; the profile and the walk
+        # bounds reuse the first
+        assert main(["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "--format", "json"]) == 0
+        assert len(distribution_calls) == 2
 
     def test_resistance_profile(self, distribution_calls):
         resistance_profile(parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"))
