@@ -514,7 +514,7 @@ def _build_parser() -> _Parser:
     p_walk.add_argument("--edges", metavar="FILE", default=None)
     p_walk.add_argument("--from-distance", type=int, required=True, metavar="J")
     p_walk.add_argument("--trials", type=int, default=100000)
-    p_walk.add_argument("--seed", type=int, default=0)
+    p_walk.add_argument("--seed", type=int, default=0, help="seed of the walks' random.Random stream, at least 0")
     p_walk.set_defaults(func=_cmd_walk)
 
     return parser

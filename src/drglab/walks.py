@@ -2,9 +2,17 @@
 the hitting/commute/cover bounds, the spectral-gap chain, and seeded Monte
 Carlo estimation of hitting times on explicit graphs.
 
-Walk simulation uses Python's Mersenne Twister (`random.Random(seed)`) with
-uniform neighbor choice via `randrange` over the sorted adjacency list, so a
-(seed, trials) pair pins the estimate exactly.  Step counts accumulate as
+Seeded contract: every walk step picks the `c`-th entry of the current
+vertex's sorted adjacency list, where `c` runs through the stream that
+`random.Random(seed).randrange(degree)` returns call after call.  That
+stream is drawn in bulk: one `getrandbits(32 * size)` call gives the next
+`size` Mersenne Twister words, lowest word first; each word is shifted right
+to `degree.bit_length()` bits and kept only if it is below `degree`, the
+same shift and rejection as CPython's `Random._randbelow_with_getrandbits`.
+So a (seed, trials) pair pins the estimate exactly, and the seed must be a
+non-negative int (`random.Random` folds a negative seed onto its absolute
+value).  One stream serves every vertex, so the simulators take regular
+graphs only, as every distance-regular graph is.  Step counts accumulate as
 exact integers before any division, keeping results independent of
 summation order.
 """
@@ -15,6 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 from .arrays import IntersectionArray
 from .circuits import laplacian_spectral_gap
@@ -99,26 +111,54 @@ def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEs
     return MonteCarloEstimate(mean, stderr, trials, seed)
 
 
+def _choices(seed: int, degree: int) -> Iterator[int]:
+    """The `random.Random(seed).randrange(degree)` stream, drawn in bulk; degree >= 1."""
+    rng = random.Random(seed)
+    shift = 32 - degree.bit_length()
+
+    def chunks() -> Iterator[list[int]]:
+        size = 1024
+        while True:
+            words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
+            yield words[words < degree].tolist()
+            size = min(2 * size, 16384)
+
+    return chain.from_iterable(chunks())
+
+
+def _walk_degree(g: ExplicitGraph, vertices: tuple[int, ...], trials: int, seed: int) -> int:
+    """Check a simulation's arguments; return the graph's common degree."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    for x in vertices:
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
+    degree = len(g.adjacency[0])
+    if any(len(neighbors) != degree for neighbors in g.adjacency):
+        raise ValueError("Monte Carlo walks need a regular graph")
+    return degree
+
+
 def simulate_hitting_time(
     g: ExplicitGraph, u: int, v: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Average steps of independent simple random walks from u until v."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if u == v:
         raise ValueError("hitting time needs distinct endpoints")
-    rng = random.Random(seed)
-    randrange = rng.randrange
+    choices = _choices(seed, _walk_degree(g, (u, v), trials, seed))
     adjacency = g.adjacency
     total = 0
     total_sq = 0
     for _ in range(trials):
         cur = u
         steps = 0
-        while cur != v:
-            neighbors = adjacency[cur]
-            cur = neighbors[randrange(len(neighbors))]
+        for c in choices:  # resumes the one stream where the last trial stopped
+            cur = adjacency[cur][c]
             steps += 1
+            if cur == v:
+                break
         total += steps
         total_sq += steps * steps
     return _estimate(total, total_sq, trials, seed)
@@ -130,10 +170,10 @@ def simulate_cover_time(
     """Sanity harness for the cover bound; no acceptance threshold attached."""
     if g.n > 50:
         raise ValueError("cover-time simulation is limited to n <= 50")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    randrange = rng.randrange
+    degree = _walk_degree(g, (start,), trials, seed)
+    if g.n == 1:  # covered before any step; degree 0 has no choice stream
+        return _estimate(0, 0, trials, seed)
+    choices = _choices(seed, degree)
     adjacency = g.adjacency
     total = 0
     total_sq = 0
@@ -143,13 +183,14 @@ def simulate_cover_time(
         remaining = g.n - 1
         cur = start
         steps = 0
-        while remaining:
-            neighbors = adjacency[cur]
-            cur = neighbors[randrange(len(neighbors))]
+        for c in choices:
+            cur = adjacency[cur][c]
             steps += 1
             if not seen[cur]:
                 seen[cur] = 1
                 remaining -= 1
+                if not remaining:
+                    break
         total += steps
         total_sq += steps * steps
     return _estimate(total, total_sq, trials, seed)

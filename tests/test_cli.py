@@ -226,6 +226,14 @@ class TestWalk:
         assert captured.out == ""
         assert captured.err == "walk: trials must be >= 1\n"
 
+    def test_negative_seed_exits_one(self, capsys):
+        # random.Random(-7) would silently replay the seed-7 stream
+        argv = ["walk", "petersen", "--from-distance", "1", "--trials", "200", "--seed", "-7"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "walk: seed must be >= 0, got -7\n"
+
 
 PRISM_EDGES = "6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n"
 

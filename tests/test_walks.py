@@ -1,20 +1,31 @@
 """Commute times, walk bounds, Monte Carlo estimation, spectral chain."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import drglab
 from drglab import (
+    ExplicitGraph,
     ValencyError,
+    bfs_distances,
     commute_time,
     construct_named_graph,
+    from_edge_list,
     parse_intersection_array,
     simulate_cover_time,
     simulate_hitting_time,
     spectral_check,
     verify_distance_regular,
     walk_bounds,
+    walks,
 )
 
 CUBE_ARR = parse_intersection_array("(3,2,1;1,2,3)")
@@ -156,8 +167,140 @@ class TestVertexTransitiveIdentity:
         for g, arr, j in ((CUBE, CUBE_ARR, 2), (PETERSEN, PETERSEN_ARR, 1)):
             verified = verify_distance_regular(g)
             assert verified == arr
-            from drglab import bfs_distances
-
             target = bfs_distances(g, 0).index(j)
             estimate = simulate_hitting_time(g, 0, target, 20000, seed=99)
             assert abs(estimate.mean - float(commute_time(arr, j)) / 2) <= 4 * estimate.stderr
+
+
+def _reference_estimate(total, total_sq, trials):
+    mean = total / trials
+    if trials > 1:
+        variance = (total_sq - total * total / trials) / (trials - 1)
+        return mean, math.sqrt(max(variance, 0.0) / trials)
+    return mean, 0.0
+
+
+def reference_hitting_time(g, u, v, trials, seed):
+    """One `randrange` call per step, the simulator's stream by definition."""
+    randrange = random.Random(seed).randrange
+    total = total_sq = 0
+    for _ in range(trials):
+        cur, steps = u, 0
+        while cur != v:
+            neighbors = g.adjacency[cur]
+            cur = neighbors[randrange(len(neighbors))]
+            steps += 1
+        total += steps
+        total_sq += steps * steps
+    return _reference_estimate(total, total_sq, trials)
+
+
+def reference_cover_time(g, start, trials, seed):
+    randrange = random.Random(seed).randrange
+    total = total_sq = 0
+    for _ in range(trials):
+        seen = {start}
+        cur, steps = start, 0
+        while len(seen) < g.n:
+            neighbors = g.adjacency[cur]
+            cur = neighbors[randrange(len(neighbors))]
+            steps += 1
+            seen.add(cur)
+        total += steps
+        total_sq += steps * steps
+    return _reference_estimate(total, total_sq, trials)
+
+
+DIFFERENTIAL_GRAPHS = {
+    "petersen": PETERSEN,
+    "hypercube 4": construct_named_graph("hypercube", (4,)),
+    "hypercube 6": construct_named_graph("hypercube", (6,)),
+    "complete 20": construct_named_graph("complete", (20,)),
+    "cocktail_party 10": construct_named_graph("cocktail_party", (10,)),
+}
+SEEDS = (0, 1, 7, 20240809, 2**31 - 1)
+
+
+class TestBulkDrawnStream:
+    @pytest.mark.parametrize("degree", range(1, 65))
+    def test_choices_equal_randrange(self, degree):
+        for seed in (0, 1, 20240809):
+            reference = random.Random(seed)
+            expected = [reference.randrange(degree) for _ in range(2500)]
+            assert list(islice(walks._choices(seed, degree), 2500)) == expected
+
+    @pytest.mark.parametrize("degree", (3, 20, 64))
+    def test_choices_equal_randrange_across_refills(self, degree):
+        # 70k choices need more than the 1k + 2k + 4k + 8k + 16k + 16k words of the first six chunks
+        reference = random.Random(5)
+        expected = [reference.randrange(degree) for _ in range(70_000)]
+        assert list(islice(walks._choices(5, degree), 70_000)) == expected
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
+    def test_hitting_time_equals_reference(self, name):
+        g = DIFFERENTIAL_GRAPHS[name]
+        dist = bfs_distances(g, 0)
+        for j in range(1, max(dist) + 1):
+            v = dist.index(j)
+            for seed in SEEDS:
+                estimate = simulate_hitting_time(g, 0, v, 60, seed)
+                assert (estimate.mean, estimate.stderr) == reference_hitting_time(g, 0, v, 60, seed)
+
+    @pytest.mark.parametrize("name", ["petersen", "hypercube 4", "complete 20", "cocktail_party 10"])
+    def test_cover_time_equals_reference(self, name):
+        g = DIFFERENTIAL_GRAPHS[name]
+        for seed in SEEDS:
+            estimate = simulate_cover_time(g, 3, 40, seed)
+            assert (estimate.mean, estimate.stderr) == reference_cover_time(g, 3, 40, seed)
+
+    def test_long_run_crosses_chunk_refills(self):
+        g = DIFFERENTIAL_GRAPHS["hypercube 6"]
+        estimate = simulate_hitting_time(g, 0, 63, 1000, 3)
+        assert estimate.mean * estimate.trials > 2**16
+        assert (estimate.mean, estimate.stderr) == reference_hitting_time(g, 0, 63, 1000, 3)
+
+    def test_single_vertex_cover_time_is_zero(self):
+        estimate = simulate_cover_time(ExplicitGraph(1, []), 0, 5, seed=0)
+        assert (estimate.mean, estimate.stderr) == (0.0, 0.0)
+
+
+PATH = from_edge_list("4 3\n0 1\n1 2\n2 3\n")
+
+
+class TestWalkArguments:
+    def test_irregular_graph_rejected(self):
+        with pytest.raises(ValueError, match="regular graph"):
+            simulate_hitting_time(PATH, 0, 3, 10, seed=1)
+        with pytest.raises(ValueError, match="regular graph"):
+            simulate_cover_time(PATH, 0, 10, seed=1)
+
+    @pytest.mark.parametrize("u,v", [(0, 10), (10, 0), (-1, 3), (3, -1), (0, 99)])
+    def test_hitting_vertex_out_of_range(self, u, v):
+        with pytest.raises(ValueError, match=r"outside 0\.\.9"):
+            simulate_hitting_time(PETERSEN, u, v, 1, seed=1)
+
+    @pytest.mark.parametrize("start", [10, -1])
+    def test_cover_start_out_of_range(self, start):
+        with pytest.raises(ValueError, match=r"outside 0\.\.9"):
+            simulate_cover_time(PETERSEN, start, 1, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -7$"):
+            simulate_hitting_time(PETERSEN, 0, 1, 10, seed=-7)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -7$"):
+            simulate_cover_time(PETERSEN, 0, 10, seed=-7)
+
+
+def test_walk_command_leaves_numpy_random_unimported():
+    # importing numpy.random costs ~6 MB of resident memory
+    code = (
+        "import sys\n"
+        "from drglab.cli import main\n"
+        "main(['walk', 'petersen', '--from-distance', '2', '--trials', '500', '--format', 'json'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(drglab.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert '"command": "walk"' in result.stdout
+    assert result.stdout.splitlines()[-1] == "False"
