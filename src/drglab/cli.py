@@ -6,16 +6,22 @@ catalog mismatch, verification mismatch, walk estimate off target).
 
 JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
-rendered half-even to six places.
+rendered half-even to six places.  `scan` streams: records come from the
+scanner one at a time in canonical order and each is written as soon as it
+is rendered, in the same bytes `json.dumps(indent=2)` gives, so memory stays
+flat however large the box.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterator, Optional, TextIO
 
 from .arrays import (
     IntersectionArray,
@@ -50,7 +56,7 @@ from .graphs import (
 from .potentials import potentials_recursive
 from .rational import decimal_string
 from .resistance import BiggsClass, classify_ratio, profile_from_distribution, resistance_profile
-from .scanner import QueryTooLarge, ScanQuery, scan
+from .scanner import ScanQuery, ScanRecord, _records
 from .walks import commute_time, simulate_hitting_time, spectral_check, walk_bounds_from_profile
 
 SCHEMA = 1
@@ -83,17 +89,24 @@ def _range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@contextlib.contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The file --output names, opened for writing, or stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield sys.stdout
+
+
 def _emit(args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
     """Write the output in the format asked for, calling only that format's function."""
     if args.format == "json":
         text = json.dumps(payload(), indent=2) + "\n"
     else:
         text = "\n".join(table()) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _verdict_json(verdict) -> dict:
@@ -210,16 +223,85 @@ def _cmd_analyze(args) -> int:
 # ------------------------------------------------------------------------- scan
 
 
-def _record_json(record) -> dict:
-    return {
-        "array": str(record.array),
-        "n": _num(record.n),
-        "ratio": None if record.ratio is None else _fr(record.ratio),
-        "ratio_decimal": None if record.ratio is None else decimal_string(record.ratio),
-        "first_failing_check": record.first_failing_check,
-        "class": None if record.verdict is None else record.verdict.category.value,
-        "matched_extremal": None if record.verdict is None else record.verdict.matched_extremal,
-    }
+# the indent=2 layout of the scan payload, filled in field by field
+_SCAN_HEAD = """{
+  "schema": %d,
+  "command": "scan",
+  "query": {
+    "k": [
+      %d,
+      %d
+    ],
+    "diameter": [
+      %d,
+      %d
+    ],
+    "n_max": %s,
+    "only_biggs": %s
+  },
+  "records": ["""
+_SCAN_RECORD = """
+    {
+      "array": %s,
+      "n": %s,
+      "ratio": %s,
+      "ratio_decimal": %s,
+      "first_failing_check": %s,
+      "class": %s,
+      "matched_extremal": %s
+    }"""
+_TABLE_ROW = "%-42s %6s %-14s %10s %s\n"
+
+
+def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
+    """The JSON after its head: the records, one write each, then the ruled-out list."""
+    ruled_out = []
+    sep = ""
+    for record in records:
+        array = encode_basestring_ascii(str(record.array))
+        if record.ruled_out_by_biggs_alone:
+            ruled_out.append(array)
+        elif only_biggs:
+            continue
+        n = record.n
+        n_text = str(n.numerator) if n.denominator == 1 else f'"{n.numerator}/{n.denominator}"'
+        ratio = record.ratio
+        if ratio is None:
+            ratio_text = decimal = "null"
+        else:
+            ratio_text = f'"{ratio.numerator}"' if ratio.denominator == 1 else f'"{ratio.numerator}/{ratio.denominator}"'
+            decimal = f'"{decimal_string(ratio)}"'
+        verdict = record.verdict
+        if verdict is None:
+            category = matched = "null"
+        else:
+            category = encode_basestring_ascii(verdict.category.value)
+            matched = "null" if verdict.matched_extremal is None else encode_basestring_ascii(verdict.matched_extremal)
+        failing = encode_basestring_ascii(record.first_failing_check)
+        out.write(sep + _SCAN_RECORD % (array, n_text, ratio_text, decimal, failing, category, matched))
+        sep = ","
+    listed = ",\n    ".join(ruled_out)
+    out.write(
+        ("\n  ]" if sep else "]")
+        + ',\n  "ruled_out_by_biggs_alone": ['
+        + (f"\n    {listed}\n  ]" if ruled_out else "]")
+        + "\n}\n"
+    )
+
+
+def _write_scan_table(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
+    out.write(_TABLE_ROW % ("array", "n", "first_failing", "ratio", "class"))
+    shown = ruled_out = 0
+    for record in records:
+        if record.ruled_out_by_biggs_alone:
+            ruled_out += 1
+        elif only_biggs:
+            continue
+        shown += 1
+        ratio = "-" if record.ratio is None else decimal_string(record.ratio)
+        category = "-" if record.verdict is None else record.verdict.category.value
+        out.write(_TABLE_ROW % (record.array, record.n, record.first_failing_check, ratio, category))
+    out.write(f"total {shown} record(s); {ruled_out} ruled out by the resistance bound alone\n")
 
 
 def _cmd_scan(args) -> int:
@@ -229,40 +311,21 @@ def _cmd_scan(args) -> int:
     except ValueError:
         print("scan: ranges look like A..B or a single integer", file=sys.stderr)
         return 1
+    # every refusal (ranges, jobs, budget) is raised here, before --output
+    # is opened
     try:
         query = ScanQuery(k_lo, k_hi, d_lo, d_hi, n_max=args.n_max, budget=args.budget)
-        records = scan(query, jobs=args.jobs)
-    except (ValueError, QueryTooLarge) as exc:
+        records = _records(query, jobs=args.jobs)
+    except ValueError as exc:
         print(f"scan: {exc}", file=sys.stderr)
         return 1
 
-    shown = [r for r in records if r.ruled_out_by_biggs_alone] if args.only_biggs else records
-    biggs_only = [r.array for r in records if r.ruled_out_by_biggs_alone]
-
-    def payload() -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": "scan",
-            "query": {
-                "k": [k_lo, k_hi],
-                "diameter": [d_lo, d_hi],
-                "n_max": args.n_max,
-                "only_biggs": bool(args.only_biggs),
-            },
-            "records": [_record_json(r) for r in shown],
-            "ruled_out_by_biggs_alone": [str(a) for a in biggs_only],
-        }
-
-    def table() -> list[str]:
-        lines = [f"{'array':42s} {'n':>6s} {'first_failing':14s} {'ratio':>10s} class"]
-        for r in shown:
-            ratio = decimal_string(r.ratio) if r.ratio is not None else "-"
-            cls = r.verdict.category.value if r.verdict else "-"
-            lines.append(f"{str(r.array):42s} {str(_num(r.n)):>6s} {r.first_failing_check:14s} {ratio:>10s} {cls}")
-        lines.append(f"total {len(shown)} record(s); {len(biggs_only)} ruled out by the resistance bound alone")
-        return lines
-
-    _emit(args, payload, table)
+    with _output(args) as out:
+        if args.format == "json":
+            out.write(_SCAN_HEAD % (SCHEMA, k_lo, k_hi, d_lo, d_hi, json.dumps(args.n_max), json.dumps(args.only_biggs)))
+            _write_scan_json(out, records, args.only_biggs)
+        else:
+            _write_scan_table(out, records, args.only_biggs)
     return 0
 
 
@@ -476,7 +539,9 @@ def _cmd_walk(args) -> int:
 # ------------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="drglab", description="Exact resistance analysis of distance-regular graph parameters.")
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")

@@ -9,26 +9,23 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def round_half_even(value: Fraction, places: int) -> Fraction:
-    """Round an exact rational to `places` decimal digits, ties to even."""
+def decimal_string(value: Fraction, places: int = 6) -> str:
+    """Fixed-point decimal rendering of an exact rational, half-even.
+
+    One integer division of |p| * 10^places by q; the remainder decides the
+    rounding (ties to the even last digit).  A negative value keeps its
+    sign even when it rounds to zero.
+    """
     if places < 0:
         raise ValueError("places must be >= 0")
-    scaled = value * 10**places
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * rem
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2):
+    p, q = value.numerator, value.denominator
+    whole, rem = divmod(abs(p) * 10**places, q)
+    if 2 * rem > q or (2 * rem == q and whole & 1):
         whole += 1
-    return Fraction(whole, 10**places)
-
-
-def decimal_string(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering of an exact rational, half-even."""
-    sign = "-" if value < 0 else ""
-    quantized = round_half_even(abs(Fraction(value)), places)
-    scaled = quantized * 10**places
+    sign = "-" if p < 0 else ""
     if places == 0:
-        return sign + str(scaled.numerator)
-    digits = f"{scaled.numerator:0{places + 1}d}"
+        return f"{sign}{whole}"
+    digits = f"{whole:0{places + 1}d}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 

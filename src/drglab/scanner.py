@@ -11,13 +11,17 @@ shell sizes and the resistance ratio stay in exact ints until one
 `Fraction` is reduced, and tests check every record of it against the
 `Fraction` route (distance distribution, closed-form potentials,
 `classify_ratio`) that `analyze`, `resistance_profile` and the catalog use.
-Parallel scans fan the pure per-array evaluation out over at most
-os.cpu_count() workers in input order, so job count never changes output.
+Records stream: `_records` yields them one at a time in canonical order,
+which the CLI writes as it goes, and `scan` is its list form.  Parallel
+scans fan the pure per-array evaluation out over at most os.cpu_count()
+workers and hand results back in input order, so job count never changes
+output.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -58,13 +62,26 @@ def _multichoose(values: int, length: int) -> int:
     return math.comb(values + length - 1, length) if length >= 0 else 0
 
 
-def estimate_candidates(query: ScanQuery) -> int:
-    """Upper bound on raw monotone (b, c) pairs before cross-condition pruning."""
-    total = 0
+def _cell_estimates(query: ScanQuery) -> Iterator[int]:
+    # raw monotone (b, c) pairs of each (k, D) cell, at least 1 for k >= 3
     for k in range(query.k_min, query.k_max + 1):
         for D in range(query.d_min, query.d_max + 1):
-            total += _multichoose(k - 1, D - 1) * _multichoose(k, D - 1)
-    return total
+            yield _multichoose(k - 1, D - 1) * _multichoose(k, D - 1)
+
+
+def estimate_candidates(query: ScanQuery) -> int:
+    """Upper bound on raw monotone (b, c) pairs before cross-condition pruning."""
+    return sum(_cell_estimates(query))
+
+
+def _exceeds_budget(query: ScanQuery) -> bool:
+    """Whether estimate_candidates(query) > query.budget, summing only until
+    the budget is passed; a box of more cells than the budget is refused
+    without a sum, since every cell holds a raw candidate."""
+    cells = (query.k_max - query.k_min + 1) * (query.d_max - query.d_min + 1)
+    return cells > query.budget or any(
+        total > query.budget for total in itertools.accumulate(_cell_estimates(query))
+    )
 
 
 def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
@@ -72,13 +89,11 @@ def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
 
     Candidates satisfy the full structural battery (monotone b and c, the
     cross condition, a_i >= 0 which forces c_D <= k), applied incrementally
-    while extending the c sequence.  Raises QueryTooLarge before yielding
-    anything if the raw search space exceeds the budget.
+    while extending the c sequence.  Raises QueryTooLarge at the call,
+    before yielding anything, if the raw search space exceeds the budget.
     """
-    if estimate_candidates(query) > query.budget:
-        raise QueryTooLarge(
-            f"estimated {estimate_candidates(query)} raw candidates exceeds budget {query.budget}"
-        )
+    if _exceeds_budget(query):
+        raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {query.budget}")
     return _generate(query)
 
 
@@ -190,18 +205,30 @@ def _evaluate_valid(arr: IntersectionArray, n_max: Optional[int]) -> ScanRecord:
     return ScanRecord(arr, Fraction(n), verdict.ratio, failing, verdict)
 
 
-def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:
-    """Evaluate the whole query box in enumeration order, which is canonical
-    and which `Pool.map` keeps, so worker count never changes the output.
-    `jobs` must be at least 1 and is capped at os.cpu_count()."""
+def _records(query: ScanQuery, jobs: int = 1) -> Iterator[ScanRecord]:
+    """The records of every candidate in the query box, one at a time, in
+    enumeration order, which is canonical and which `Pool.imap` keeps, so
+    worker count never changes the output.  `jobs` must be at least 1 and
+    is capped at os.cpu_count().  A bad `jobs` and an over-budget box raise
+    here, at the call, before any record is produced."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     # the enumerator enforces the structural battery, so the `basic`
     # stage is skipped
-    candidates = list(enumerate_arrays(query))
+    candidates = enumerate_arrays(query)
     evaluate = functools.partial(_evaluate_valid, n_max=query.n_max)
     if jobs == 1:
-        return [evaluate(arr) for arr in candidates]
+        return map(evaluate, candidates)
+    return _pooled(evaluate, candidates, jobs)
+
+
+def _pooled(evaluate, candidates: Iterator[IntersectionArray], jobs: int) -> Iterator[ScanRecord]:
     with Pool(jobs) as pool:
-        return pool.map(evaluate, candidates, chunksize=64)
+        yield from pool.imap(evaluate, candidates, chunksize=64)
+
+
+def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:
+    """The list form of `_records`: every record of the query box, in
+    enumeration order."""
+    return list(_records(query, jobs))

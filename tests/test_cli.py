@@ -258,18 +258,102 @@ GOLDEN = [
     (["verify", "--edges", "{prism}"], "3d423fadaaed01c82b9c77cc03d2b1486a79b6d7375e45ff32a44080c6232487"),
     (["walk", "hypercube", "3", "--from-distance", "3", "--trials", "2000", "--seed", "1"], "bd51a17ce8abd17d02b259cc631ee7512db5cab6b8f401ef2f793032f388d721"),
     (["walk", "hypercube", "3", "--from-distance", "3", "--trials", "2000", "--seed", "1", "--format", "json"], "b804a88cc5bbbbc782395950d81a95665706b13867789c35e37572bc4f132f63"),
+    # recorded before the scan output started streaming through a fixed
+    # template: --only-biggs, both lists empty, and every record n_max
+    (["scan", "--k", "3..6", "--diameter", "1..6", "--only-biggs", "--format", "json"], "ced7afe1d81b4cf0c3b58106effc4b64775b26fd9eb4b312ba62c1c2f15f7f62"),
+    (["scan", "--k", "3..6", "--diameter", "1..6", "--only-biggs"], "815fd95679026b8d2bebe6bae3dfd7a3db22f3d4d2ce7a568ae948ed0f78f8b5"),
+    (["scan", "--k", "3", "--diameter", "1..2", "--only-biggs", "--format", "json"], "113c92f7e7cdd85597b176c4eb68f4cc866fbb2e0333086b63107cff0c3a74e7"),
+    (["scan", "--k", "3", "--diameter", "1..2", "--only-biggs"], "1622180613845ec6a49dd55c3b311655b1aa9b8948025cdc9f2c3f39852bb4c5"),
+    (["scan", "--k", "3..8", "--diameter", "1", "--n-max", "3", "--format", "json"], "27c2f80e779c1bfdeceb95a5b0ba4bd93ba22b470f2c61c23f5aed9b01516316"),
 ]
 
 
+def stdout_digest(argv, prism, capsys) -> str:
+    main([arg.format(prism=prism) for arg in argv])
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
 class TestGoldenBytes:
-    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
-    def test_stdout_digest(self, argv, digest, tmp_path, capsys):
+    @pytest.fixture
+    def prism(self, tmp_path):
         # the prism is 3-regular but not distance-regular; its path is part
         # of the JSON payload, so only its table output is pinned
-        prism = tmp_path / "prism.txt"
-        prism.write_text(PRISM_EDGES, encoding="utf-8")
-        main([arg.format(prism=prism) for arg in argv])
-        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+        path = tmp_path / "prism.txt"
+        path.write_text(PRISM_EDGES, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+    def test_stdout_digest(self, argv, digest, prism, capsys):
+        assert stdout_digest(argv, prism, capsys) == digest
+
+    def test_repeated_calls_in_one_process(self, prism, capsys):
+        # the parser is built once per process; no state may leak from one
+        # call to the next, through a usage error or --help either
+        for _ in range(2):
+            for argv, digest in GOLDEN:
+                assert stdout_digest(argv, prism, capsys) == digest, argv
+                assert main(["scan", "--k", "3"]) == 1
+                assert main(["scan", "--help"]) == 0
+                capsys.readouterr()
+
+
+MEMORY_GUARD = """
+import resource, sys
+from drglab.cli import main
+code = main(["scan", "--k", "3..7", "--diameter", "1..6", "--format", "json", "--output", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestScanStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_output_file_equals_stdout(self, fmt, tmp_path, capsys):
+        argv = ["scan", "--k", "3..5", "--diameter", "1..6", "--n-max", "300", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "out"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_bytes() == stdout.encode("utf-8")
+
+    def test_memory_stays_flat(self, tmp_path):
+        # over 150 MB of peak RSS before the scan streamed; the digest was
+        # recorded then
+        path = tmp_path / "box.json"
+        result = subprocess.run(
+            [sys.executable, "-c", MEMORY_GUARD, str(path)], capture_output=True, text=True, timeout=120
+        )
+        code, max_rss_kb = result.stdout.split()
+        assert code == "0"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == "0dfdfd94ab97163150255969764b5e5b8387f54925ae1d75cbc819db67cc6163"
+        assert int(max_rss_kb) < 80 * 1024
+
+    def test_over_budget_box_refused_fast(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "drglab", "scan", "--k", "3..100000", "--diameter", "1..100000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "scan: the query box exceeds the raw candidate budget of 100000000\n"
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--k", "3", "--diameter", "2", "--jobs", "0"], "scan: jobs must be >= 1, got 0\n"),
+            (["--k", "7..3", "--diameter", "1..2"], "scan: empty or invalid query ranges\n"),
+            (["--k", "3..x", "--diameter", "2"], "scan: ranges look like A..B or a single integer\n"),
+            (["--k", "3..8", "--diameter", "1..8", "--budget", "1000"], "scan: the query box exceeds the raw candidate budget of 1000\n"),
+        ],
+    )
+    def test_refused_before_output_opened(self, argv, err, tmp_path, capsys):
+        path = tmp_path / "never.json"
+        assert main(["scan", *argv, "--format", "json", "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+        assert not path.exists()
 
 
 class TestEntryPoints:

@@ -1,11 +1,34 @@
 """Exact rounding and the fraction-free (Bareiss) linear solver."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from drglab.rational import decimal_string, round_half_even, solve_exact
+from drglab import ScanQuery, scan
+from drglab.rational import decimal_string, solve_exact
+
+
+def round_half_even(value: Fraction, places: int) -> Fraction:
+    """Reference: round an exact rational to `places` decimal digits, ties to even."""
+    scaled = value * 10**places
+    whole, rem = divmod(scaled.numerator, scaled.denominator)
+    double = 2 * rem
+    if double > scaled.denominator or (double == scaled.denominator and whole % 2):
+        whole += 1
+    return Fraction(whole, 10**places)
+
+
+def reference_decimal_string(value: Fraction, places: int = 6) -> str:
+    """Reference: the `Fraction` route, round the magnitude then quantize."""
+    sign = "-" if value < 0 else ""
+    quantized = round_half_even(abs(Fraction(value)), places)
+    scaled = quantized * 10**places
+    if places == 0:
+        return sign + str(scaled.numerator)
+    digits = f"{scaled.numerator:0{places + 1}d}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 class TestRounding:
@@ -32,19 +55,54 @@ class TestRounding:
     def test_decimal_string(self, value, places, expected):
         assert decimal_string(value, places) == expected
 
-    def test_round_half_even_returns_fraction(self):
-        assert round_half_even(Fraction(7, 3), 1) == Fraction(23, 10)
-        assert round_half_even(Fraction(1, 2), 0) == 0
-        assert round_half_even(Fraction(5, 2), 0) == 2
-
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):
-            round_half_even(Fraction(1), -1)
+            decimal_string(Fraction(1), -1)
 
     def test_matches_python_bankers_rounding(self):
         for numerator in range(-50, 50):
             value = Fraction(numerator, 4)
-            assert round_half_even(value, 0) == round(float(value))
+            assert int(decimal_string(value, 0)) == round(float(value))
+
+
+class TestIntegerRounding:
+    # the integer decimal_string against the Fraction reference above
+    def test_random_fractions(self):
+        rng = random.Random(20240809)
+        for _ in range(200_000):
+            numerator = rng.randrange(-(10 ** rng.randrange(1, 30)), 10 ** rng.randrange(1, 30))
+            value = Fraction(numerator, rng.randrange(1, 10 ** rng.randrange(1, 25)))
+            places = rng.randrange(9)
+            assert decimal_string(value, places) == reference_decimal_string(value, places), (value, places)
+
+    @pytest.mark.parametrize(
+        "value,places,expected",
+        [
+            (Fraction(1, 2000000), 6, "0.000000"),  # 0.0000005 -> even 0
+            (Fraction(3, 2000000), 6, "0.000002"),  # 0.0000015 -> even 2
+            (Fraction(5, 2), 0, "2"),
+            (Fraction(7, 2), 0, "4"),
+            (Fraction(-3, 2000000), 6, "-0.000002"),
+        ],
+    )
+    def test_exact_ties(self, value, places, expected):
+        assert decimal_string(value, places) == reference_decimal_string(value, places) == expected
+
+    @pytest.mark.parametrize("value", [Fraction(-1, 2000000), Fraction(-1, 3000000), Fraction(-1, 10**9)])
+    def test_negative_rounding_to_zero_keeps_sign(self, value):
+        assert decimal_string(value) == reference_decimal_string(value) == "-0.000000"
+
+    @pytest.mark.parametrize("places", range(9))
+    def test_places(self, places):
+        values = [Fraction(94, 101), Fraction(-64, 61), Fraction(5), Fraction(0), Fraction(1, 8), Fraction(10**12 + 1, 3)]
+        values += [Fraction(n, 2 * 10**places) for n in range(-25, 26)]  # ties at the last place
+        for value in values:
+            assert decimal_string(value, places) == reference_decimal_string(value, places)
+
+    def test_scan_ratios(self):
+        ratios = [r.ratio for r in scan(ScanQuery(3, 6, 1, 6)) if r.ratio is not None]
+        assert len(ratios) == 8050
+        assert [decimal_string(x) for x in ratios] == [reference_decimal_string(x) for x in ratios]
 
 
 def solve(matrix, rhs):

@@ -116,6 +116,19 @@ class TestQueryLimits:
         q = ScanQuery(3, 4, 2, 4)
         assert estimate_candidates(q) >= sum(1 for _ in enumerate_arrays(q))
 
+    @pytest.mark.parametrize("box", [(3, 3, 1, 1), (3, 4, 2, 4), (3, 8, 1, 8), (5, 9, 3, 6), (3, 40, 1, 2)])
+    def test_refusal_matches_estimate(self, box):
+        # the refusal stops summing once past the budget; it must agree with
+        # the full estimate on either side of the budget
+        total = estimate_candidates(ScanQuery(*box))
+        for budget in (total - 1, total, total + 1, 1, 0):
+            query = ScanQuery(*box, budget=budget)
+            if total > budget:
+                with pytest.raises(QueryTooLarge, match="exceeds the raw candidate budget"):
+                    enumerate_arrays(query)
+            else:
+                enumerate_arrays(query)
+
     def test_low_valency_rejected(self):
         with pytest.raises(ValueError):
             ScanQuery(2, 3, 1, 2)
@@ -281,8 +294,8 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return [fn(item) for item in items]
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
 
         monkeypatch.setattr(scanner.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(scanner, "Pool", RecordingPool)
