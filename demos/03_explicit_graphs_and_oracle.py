@@ -8,7 +8,7 @@ same resistance as the array formula, at every distance.
 """
 
 from drglab import (
-    build_distance_partition,
+    bfs_distances,
     build_harmonic_function,
     check_harmonicity,
     construct_named_graph,
@@ -25,11 +25,18 @@ cube = construct_named_graph("hypercube", (3,))
 arr = verify_distance_regular(cube)
 print("cube:", cube, "verifies as", arr)
 
-# The distance partition for the adjacent pair (0, 1).
-part = build_distance_partition(cube, 0, 1)
+# The distance partition for the adjacent pair (0, 1): vertex z sits in the
+# block of its distance pair (d(0,z), d(1,z)), read from two BFS rows.
+du, dv = bfs_distances(cube, 0), bfs_distances(cube, 1)
+
+
+def block(a, b):
+    return [z for z in range(cube.n) if (du[z], dv[z]) == (a, b)]
+
+
 print("\npartition blocks (u side / equidistant / v side):")
-for i, block in enumerate(part.u_side):
-    print(f"  level {i}: closer to u {sorted(block)}, tied {sorted(part.same_level[i])}, closer to v {sorted(part.v_side[i])}")
+for i in range(max(du)):
+    print(f"  level {i}: closer to u {block(i, i + 1)}, tied {block(i, i)}, closer to v {block(i + 1, i)}")
 
 # The harmonic voltage function, one value per block.
 p = potentials_recursive(arr)

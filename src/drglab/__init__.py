@@ -26,11 +26,8 @@ from .arrays import (
 from .catalog import CatalogEntry, catalog, entry_by_name, recompute_entry
 from .circuits import (
     ArrayMismatch,
-    DistancePartition,
     NotAdjacent,
-    PartitionGap,
     PotentialAssignment,
-    build_distance_partition,
     build_harmonic_function,
     check_harmonicity,
     effective_resistance_oracle,

@@ -100,7 +100,10 @@ def parse_intersection_array(text: str) -> IntersectionArray:
         for t in tokens:
             if not _TOKEN.match(t):
                 raise MalformedInput(f"bad token {t!r} in {text!r}")
-            value = int(t)
+            try:
+                value = int(t)
+            except ValueError as exc:  # past the interpreter's digit limit for str -> int
+                raise MalformedInput(f"entry of {len(t)} digits is too long to read") from exc
             if value < 1:
                 raise MalformedInput(f"non-positive entry {t!r} in {text!r}")
             values.append(value)

@@ -1,12 +1,14 @@
-"""Circuit checks on explicit graphs: the adjacent-pair distance partition,
-the piecewise-constant voltage function built from a potential sequence, and
-two independent numerical routes (exact Laplacian solve, Jacobi spectrum).
+"""Circuit checks on explicit graphs: the piecewise-constant voltage function
+built from a potential sequence, and two independent numerical routes (exact
+Laplacian solve, Jacobi spectrum).
 
-The resistance oracle grounds the Laplacian at vertex 0 and runs one
+For an adjacent terminal pair u ~ v the voltage at z depends only on the
+distance pair (d(u,z), d(v,z)), read from two breadth-first rows.  The
+resistance oracle grounds the Laplacian at vertex 0 and runs one
 fraction-free integer elimination per graph for all requested pairs, so
 agreement with the array formulas is literal equality.  The eigensolver is
-the single floating-point computation in the package, with a stated
-convergence threshold.
+the single floating-point computation in the package, with the fixed
+thresholds below.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from .graphs import ExplicitGraph, bfs_distances, verify_distance_regular
 from .potentials import PotentialSequence
 from .rational import solve_exact
 
+JACOBI_OFF_TOL = 1e-10  # stop once the off-diagonal Frobenius norm is this small
+JACOBI_MAX_SWEEPS = 100
+ZERO_EIGENVALUE_TOL = 1e-8  # |eigenvalue| at most this counts as zero
+
 
 class NotAdjacent(ValueError):
     """The chosen terminal pair is not an edge."""
-
-
-class PartitionGap(RuntimeError):
-    """A vertex whose two terminal distances differ by more than one;
-    impossible in a connected graph, so it can only signal a bug."""
 
 
 class ArrayMismatch(ValueError):
@@ -41,65 +42,6 @@ class NotConverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DistancePartition:
-    """Vertices classified by the distance pair (d(u,z), d(v,z)) for an
-    adjacent terminal pair u ~ v.
-
-    same_level[i] holds the (i,i) vertices for 0 <= i <= D;
-    u_side[i] the (i, i+1) vertices (closer to u) for 0 <= i <= D-1;
-    v_side[i] the (i+1, i) vertices (closer to v).  u itself sits in
-    u_side[0] and v in v_side[0].
-    """
-
-    u: int
-    v: int
-    same_level: tuple[frozenset, ...]
-    u_side: tuple[frozenset, ...]
-    v_side: tuple[frozenset, ...]
-
-    def level_of(self, z: int) -> tuple[str, int]:
-        for i, block in enumerate(self.same_level):
-            if z in block:
-                return ("same", i)
-        for i, block in enumerate(self.u_side):
-            if z in block:
-                return ("u", i)
-        for i, block in enumerate(self.v_side):
-            if z in block:
-                return ("v", i)
-        raise KeyError(z)
-
-
-def build_distance_partition(g: ExplicitGraph, u: int, v: int) -> DistancePartition:
-    """Split the vertex set by distances to the adjacent pair (u, v)."""
-    if v not in g.adjacency[u]:
-        raise NotAdjacent(f"{u} and {v} are not adjacent")
-    du = bfs_distances(g, u)
-    dv = bfs_distances(g, v)
-    D = max(max(du), max(dv))
-    same = [set() for _ in range(D + 1)]
-    u_side = [set() for _ in range(D)]
-    v_side = [set() for _ in range(D)]
-    for z in range(g.n):
-        gap = du[z] - dv[z]
-        if gap == 0:
-            same[du[z]].add(z)
-        elif gap == -1:
-            u_side[du[z]].add(z)
-        elif gap == 1:
-            v_side[dv[z]].add(z)
-        else:
-            raise PartitionGap(f"vertex {z}: |d(u,z) - d(v,z)| = {abs(gap)}")
-    return DistancePartition(
-        u,
-        v,
-        tuple(frozenset(s) for s in same),
-        tuple(frozenset(s) for s in u_side),
-        tuple(frozenset(s) for s in v_side),
-    )
-
-
-@dataclass(frozen=True)
 class PotentialAssignment:
     """A full vertex-to-voltage map for the adjacent terminal pair."""
 
@@ -107,9 +49,6 @@ class PotentialAssignment:
     u: int
     v: int
     expected_current: int
-
-    def __getitem__(self, z: int) -> Fraction:
-        return self.values[z]
 
 
 def build_harmonic_function(
@@ -127,19 +66,13 @@ def build_harmonic_function(
         raise ArrayMismatch(
             f"graph verifies as {verified}, potential sequence belongs to {p.array}"
         )
-    partition = build_distance_partition(g, u, v)
-    values = [Fraction(0)] * g.n
-    for i, block in enumerate(partition.u_side):
-        for z in block:
-            values[z] = p.phi[i]
-    for i, block in enumerate(partition.v_side):
-        for z in block:
-            values[z] = -p.phi[i]
-    n = sum(len(b) for b in partition.same_level) + sum(
-        len(b) for b in partition.u_side
-    ) + sum(len(b) for b in partition.v_side)
-    assert n == g.n, "partition must cover every vertex"
-    return PotentialAssignment(tuple(values), u, v, g.n * p.array.k)
+    if v not in g.adjacency[u]:
+        raise NotAdjacent(f"{u} and {v} are not adjacent")
+    du = bfs_distances(g, u)
+    dv = bfs_distances(g, v)
+    # u ~ v puts every |d(u,z) - d(v,z)| <= 1, so a < b means b = a + 1
+    values = tuple(p.phi[a] if a < b else -p.phi[b] if b < a else Fraction(0) for a, b in zip(du, dv))
+    return PotentialAssignment(values, u, v, g.n * p.array.k)
 
 
 def check_harmonicity(g: ExplicitGraph, assignment: PotentialAssignment) -> Fraction:
@@ -215,19 +148,19 @@ def laplacian_matrix(g: ExplicitGraph) -> np.ndarray:
 
 # a vanishing a[p, q] overflows theta to inf, which gives t = 0: no rotation
 @np.errstate(over="ignore")
-def jacobi_eigenvalues(matrix: np.ndarray, off_tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm drops below `off_tol`.
+    Sweeps until the off-diagonal Frobenius norm drops below `JACOBI_OFF_TOL`.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # cancellation can push the difference a hair below zero
         off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= off_tol:
+        if off <= JACOBI_OFF_TOL:
             return np.sort(np.diag(a))
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -245,17 +178,17 @@ def jacobi_eigenvalues(matrix: np.ndarray, off_tol: float = 1e-10, max_sweeps: i
                 col_p, col_q = a[:, p].copy(), a[:, q].copy()
                 a[:, p] = c * col_p - s * col_q
                 a[:, q] = s * col_p + c * col_q
-    raise NotConverged(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    raise NotConverged(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
-def laplacian_spectral_gap(g: ExplicitGraph, off_tol: float = 1e-10, zero_tol: float = 1e-8) -> float:
+def laplacian_spectral_gap(g: ExplicitGraph) -> float:
     """Smallest nonzero Laplacian eigenvalue.
 
-    Exactly one eigenvalue may sit inside [-zero_tol, zero_tol]; more would
-    mean a disconnected graph, which the graph type already excludes.
+    Exactly one eigenvalue may lie within `ZERO_EIGENVALUE_TOL` of zero;
+    more would mean a disconnected graph, which the graph type excludes.
     """
-    eigenvalues = jacobi_eigenvalues(laplacian_matrix(g), off_tol=off_tol)
-    near_zero = int(np.sum(np.abs(eigenvalues) <= zero_tol))
+    eigenvalues = jacobi_eigenvalues(laplacian_matrix(g))
+    near_zero = int(np.sum(np.abs(eigenvalues) <= ZERO_EIGENVALUE_TOL))
     if near_zero != 1:
         raise RuntimeError(f"expected exactly one zero eigenvalue, found {near_zero}")
     return float(eigenvalues[1])

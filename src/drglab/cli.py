@@ -68,10 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fr(value) -> str:
-    return str(Fraction(value))
-
-
 def _num(value: Fraction):
     """Whole rationals as JSON numbers, everything else as 'p/q' strings."""
     f = Fraction(value)
@@ -112,7 +108,7 @@ def _emit(args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> 
 def _verdict_json(verdict) -> dict:
     return {
         "array": str(verdict.array),
-        "ratio_fraction": _fr(verdict.ratio),
+        "ratio_fraction": str(verdict.ratio),
         "ratio_decimal": decimal_string(verdict.ratio),
         "class": verdict.category.value,
         "matched_extremal": verdict.matched_extremal,
@@ -183,27 +179,27 @@ def _cmd_analyze(args) -> int:
         return {
             **screens_payload(),
             "potentials": {
-                "fractions": [_fr(x) for x in p.phi],
+                "fractions": [str(x) for x in p.phi],
                 "decimals": [decimal_string(x) for x in p.phi],
                 "source": p.source,
             },
             "resistance": {
-                "d": [_fr(x) for x in profile.d],
+                "d": [str(x) for x in profile.d],
                 "d_decimals": [decimal_string(x) for x in profile.d],
-                "ratio": _fr(profile.ratio),
+                "ratio": str(profile.ratio),
                 "ratio_decimal": decimal_string(profile.ratio),
-                "K_factor": _fr(profile.K_factor),
+                "K_factor": str(profile.K_factor),
             },
             "verdict": _verdict_json(verdict),
             "walk_bounds": {
                 "array": str(arr),
                 "n": bounds.n,
                 "m": _num(bounds.m),
-                "commute_times": [_fr(x) for x in bounds.commute_times],
+                "commute_times": [str(x) for x in bounds.commute_times],
                 "hitting_bound": bounds.hitting_bound,
                 "commute_bound": bounds.commute_bound,
                 "cover_bound_dominant": bounds.cover_bound_dominant,
-                "spectral_lower_bound": _fr(bounds.spectral_lower_bound),
+                "spectral_lower_bound": str(bounds.spectral_lower_bound),
             },
         }
 
@@ -350,7 +346,7 @@ def _cmd_catalog(args) -> int:
             }
             if recomputed is not None:
                 item["recomputed_n"] = recomputed.n
-                item["recomputed_ratio"] = _fr(recomputed.ratio)
+                item["recomputed_ratio"] = str(recomputed.ratio)
                 item["recomputed_ratio_rendered"] = recomputed.ratio_rendered
                 item["matches"] = recomputed.matches
             entries.append(item)
@@ -424,7 +420,7 @@ def _cmd_verify(args) -> int:
         checked = list(representative_pairs(graph).items())
     measured = effective_resistances(graph, [pair for _, pair in checked])
     oracle_rows = [
-        {"distance": j, "pair": list(pair), "oracle": _fr(value), "formula": _fr(profile.at(j)), "equal": value == profile.at(j)}
+        {"distance": j, "pair": list(pair), "oracle": str(value), "formula": str(profile.at(j)), "equal": value == profile.at(j)}
         for (j, pair), value in zip(checked, measured)
     ]
 
@@ -443,17 +439,17 @@ def _cmd_verify(args) -> int:
             "array": str(verified),
             "harmonic": {
                 "pair": [u, v],
-                "max_residual": _fr(residual),
+                "max_residual": str(residual),
                 "residual_zero": harmonic_ok,
-                "current": _fr(current),
+                "current": str(current),
                 "expected_current": assignment.expected_current,
                 "current_matches": current_ok,
             },
             "oracle": oracle_rows,
             "spectral": {
                 "sigma": spectral.sigma,
-                "resistance_gap_bound": _fr(spectral.resistance_gap_bound),
-                "spectral_lower_bound": _fr(spectral.spectral_lower_bound),
+                "resistance_gap_bound": str(spectral.resistance_gap_bound),
+                "spectral_lower_bound": str(spectral.spectral_lower_bound),
                 "sigma_holds": spectral.sigma_holds,
                 "middle_holds": spectral.middle_holds,
             },
@@ -518,7 +514,7 @@ def _cmd_walk(args) -> int:
             "seed": estimate.seed,
             "mean": estimate.mean,
             "stderr": estimate.stderr,
-            "expected": _fr(expected),
+            "expected": str(expected),
             "expected_decimal": decimal_string(expected),
             "within_3_stderr": within,
         }

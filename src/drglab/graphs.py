@@ -45,6 +45,9 @@ class ExplicitGraph:
             if edge in normalized:
                 raise ValueError(f"parallel edge ({a},{b})")
             normalized.add(edge)
+        # connecting n vertices takes n - 1 edges; refuse before sizing anything by n
+        if len(normalized) < n - 1:
+            raise NotConnected(f"graph on {n} vertices is not connected")
         self.n = n
         self.edges = frozenset(normalized)
         neighbors: list[list[int]] = [[] for _ in range(n)]
@@ -52,7 +55,7 @@ class ExplicitGraph:
             neighbors[a].append(b)
             neighbors[b].append(a)
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
-        if n > 1 and self._reach_count() != n:
+        if -1 in bfs_distances(self, 0):
             raise NotConnected(f"graph on {n} vertices is not connected")
 
     @property
@@ -61,20 +64,6 @@ class ExplicitGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def _reach_count(self) -> int:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y in self.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    queue.append(y)
-        return count
 
     def __repr__(self) -> str:
         return f"ExplicitGraph(n={self.n}, m={self.m})"

@@ -33,6 +33,8 @@ from .circuits import laplacian_spectral_gap
 from .graphs import ExplicitGraph, verify_distance_regular
 from .resistance import ResistanceProfile, ValencyError, resistance_profile
 
+SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
+
 
 @dataclass(frozen=True)
 class WalkBoundsReport:
@@ -203,17 +205,16 @@ class SpectralCheckReport:
     sigma: float
     resistance_gap_bound: Fraction
     spectral_lower_bound: Fraction
-    sigma_holds: bool  # sigma >= 1/(n d_D) within the eigensolver tolerance
+    sigma_holds: bool  # sigma >= 1/(n d_D) within SIGMA_TOL
     middle_holds: bool  # exact rational comparison
-    tolerance: float
 
 
-def spectral_check(g: ExplicitGraph, arr: IntersectionArray, tolerance: float = 1e-8) -> SpectralCheckReport:
+def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckReport:
     """Verify the spectral-gap chain on an explicit graph.
 
     The graph must verify as distance-regular with exactly `arr`; the two
     rational bounds are compared exactly, the eigensolver side within
-    `tolerance`.
+    `SIGMA_TOL`.
     """
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray) or verified != arr:
@@ -224,7 +225,6 @@ def spectral_check(g: ExplicitGraph, arr: IntersectionArray, tolerance: float = 
         sigma=sigma,
         resistance_gap_bound=gap_bound,
         spectral_lower_bound=spectral_floor,
-        sigma_holds=sigma >= float(gap_bound) - tolerance,
+        sigma_holds=sigma >= float(gap_bound) - SIGMA_TOL,
         middle_holds=gap_bound >= spectral_floor,
-        tolerance=tolerance,
     )

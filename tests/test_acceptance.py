@@ -186,7 +186,7 @@ def test_criterion_8_spectral_chain():
     for family, params in CONSTRUCTED:
         graph = construct_named_graph(family, params)
         arr = verify_distance_regular(graph)
-        report = spectral_check(graph, arr, tolerance=1e-8)
+        report = spectral_check(graph, arr)
         assert report.sigma_holds, (family, params)
         assert report.middle_holds, (family, params)
     for entry in catalog():

@@ -57,6 +57,11 @@ class TestParsing:
         with pytest.raises(MalformedInput):
             parse_intersection_array(text)
 
+    def test_entry_past_the_digit_limit_is_malformed(self):
+        # int() refuses strings over 4300 digits with a bare ValueError
+        with pytest.raises(MalformedInput, match="5000 digits"):
+            parse_intersection_array("(" + "9" * 5000 + ";1)")
+
     def test_whitespace_tolerated_parens_optional(self):
         assert parse_intersection_array(" 3 ,2, 1 ; 1,2 ,3 ") == parse_intersection_array("(3,2,1;1,2,3)")
 

@@ -1,4 +1,4 @@
-"""Distance partitions, the harmonic assignment, and both numeric oracles."""
+"""The harmonic assignment and both numeric oracles."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +10,6 @@ from drglab import (
     ArrayMismatch,
     NotAdjacent,
     PotentialAssignment,
-    build_distance_partition,
     build_harmonic_function,
     check_harmonicity,
     construct_named_graph,
@@ -36,43 +35,6 @@ def harmonic_setup(g):
     p = potentials_recursive(arr)
     u, v = 0, g.adjacency[0][0]
     return arr, build_harmonic_function(g, u, v, p)
-
-
-class TestPartition:
-    def test_cube_block_sizes(self):
-        part = build_distance_partition(CUBE, 0, 1)
-        assert [len(s) for s in part.same_level] == [0, 0, 0, 0]
-        assert [len(s) for s in part.u_side] == [1, 2, 1]
-        assert [len(s) for s in part.v_side] == [1, 2, 1]
-        assert part.u_side[0] == frozenset({0})
-        assert part.v_side[0] == frozenset({1})
-
-    def test_k4_middle_block(self):
-        part = build_distance_partition(K4, 0, 1)
-        assert [len(s) for s in part.same_level] == [0, 2]
-        assert [len(s) for s in part.u_side] == [1]
-        assert [len(s) for s in part.v_side] == [1]
-
-    def test_petersen_blocks(self):
-        part = build_distance_partition(PETERSEN, 0, PETERSEN.adjacency[0][0])
-        assert [len(s) for s in part.same_level] == [0, 0, 4]
-        assert [len(s) for s in part.u_side] == [1, 2]
-        assert [len(s) for s in part.v_side] == [1, 2]
-
-    def test_partition_covers_everything(self):
-        for g in (CUBE, PETERSEN, K4):
-            part = build_distance_partition(g, 0, g.adjacency[0][0])
-            total = sum(len(s) for s in part.same_level + part.u_side + part.v_side)
-            assert total == g.n
-
-    def test_level_of(self):
-        part = build_distance_partition(CUBE, 0, 1)
-        assert part.level_of(0) == ("u", 0)
-        assert part.level_of(1) == ("v", 0)
-
-    def test_requires_adjacent(self):
-        with pytest.raises(NotAdjacent):
-            build_distance_partition(CUBE, 0, 7)
 
 
 class TestHarmonicFunction:
@@ -114,6 +76,14 @@ class TestHarmonicFunction:
         wrong = potentials_recursive(parse_intersection_array("(3,2;1,1)"))
         with pytest.raises(ArrayMismatch):
             build_harmonic_function(CUBE, 0, 1, wrong)
+        # the array is checked before adjacency
+        with pytest.raises(ArrayMismatch):
+            build_harmonic_function(CUBE, 0, 7, wrong)
+
+    def test_requires_adjacent(self):
+        p = potentials_recursive(verify_distance_regular(CUBE))
+        with pytest.raises(NotAdjacent):
+            build_harmonic_function(CUBE, 0, 7, p)
 
 
 class TestCurrent:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,14 @@ import pytest
 
 from drglab import construct_named_graph, to_edge_list
 from drglab.cli import main
+
+
+MEMORY_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from drglab.cli import main
+sys.exit(main(["verify", "--edges", sys.argv[1]]))
+"""
 
 
 def run_json(tmp_path, argv):
@@ -47,6 +56,13 @@ class TestAnalyze:
     def test_malformed_exits_one(self, capsys):
         assert main(["analyze", "(3,2,1;1,2)"]) == 1
         assert "error" in capsys.readouterr().err or True
+
+    def test_huge_entry_exits_one(self, capsys):
+        assert main(["analyze", "(" + "9" * 5000 + ";1)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("analyze: ")
 
     def test_low_valency_exits_one(self):
         assert main(["analyze", "(2,1,1;1,1,2)"]) == 1
@@ -178,6 +194,24 @@ class TestVerify:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("verify: ")
+
+    def test_huge_vertex_count_refused_under_memory_cap(self, tmp_path):
+        # a 13-byte file naming 10^9 vertices and no edges must be refused
+        # before any per-vertex storage exists; the cap turns a regression
+        # into a MemoryError here instead of exhausting the host
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", MEMORY_CAP, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            # OpenBLAS reserves address space per thread; one keeps the cap clear of it
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "verify: graph on 1000000000 vertices is not connected\n"
 
     def test_edge_list_import(self, tmp_path):
         path = tmp_path / "petersen.txt"

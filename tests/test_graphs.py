@@ -97,6 +97,14 @@ class TestExplicitGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(NotConnected):
             ExplicitGraph(4, [(0, 1), (2, 3)])
+        # n - 1 edges, but a triangle and a separate edge
+        with pytest.raises(NotConnected, match="graph on 5 vertices is not connected"):
+            ExplicitGraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+
+    def test_too_few_edges_refused(self):
+        # fewer than n - 1 distinct edges cannot connect n vertices
+        with pytest.raises(NotConnected, match="graph on 1000000 vertices is not connected"):
+            from_edge_list("1000000 0\n")
 
     def test_parallel_edges_rejected(self):
         with pytest.raises(ValueError, match="parallel edge"):
