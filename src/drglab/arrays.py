@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 
 class MalformedInput(ValueError):
@@ -229,6 +229,22 @@ def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistributio
     )
 
 
+def _clique_order(b: Sequence[int], c: Sequence[int]) -> Optional[int]:
+    """a1 + 1, the order of the neighborhood cliques, for the halves
+    b = (b0, ..., b_{D-1}) and c = (c1, ..., cD) when the divisibility screen
+    applies (c2 = 1 and b1 in {3, 4}, so D >= 2); None when it does not."""
+    if len(b) < 2 or c[1] != 1 or b[1] not in (3, 4):
+        return None
+    return b[0] - b[1] - c[0] + 1
+
+
+def _divisibility_holds(b: Sequence[int], c: Sequence[int]) -> bool:
+    """The divisibility screen on the halves: not applicable, or (a1 + 1) | k.
+    An order of 0 (a1 = -1, which validate_basic rejects) divides nothing."""
+    order = _clique_order(b, c)
+    return order is None or (order != 0 and b[0] % order == 0)
+
+
 def check_divisibility(arr: IntersectionArray) -> CheckResult:
     """Neighborhood-clique divisibility screen.
 
@@ -237,14 +253,12 @@ def check_divisibility(arr: IntersectionArray) -> CheckResult:
     b1 in {3, 4} range where the valency classification leans on it, and
     passes as not-applicable otherwise.
     """
-    b1 = arr.b_at(1)
-    c2 = arr.c_at(2) if arr.D >= 2 else 1
-    if c2 != 1 or b1 not in (3, 4):
+    order = _clique_order(arr.b, arr.c)
+    if order is None:
         return CheckResult("divisibility", True, "not applicable (needs c2 = 1 and b1 in {3,4})")
-    a1 = arr.a_at(1)
-    if arr.k % (a1 + 1) == 0:
-        return CheckResult("divisibility", True, f"(a1+1) = {a1 + 1} divides k = {arr.k}")
-    return CheckResult("divisibility", False, f"(a1+1) = {a1 + 1} does not divide k = {arr.k}")
+    if _divisibility_holds(arr.b, arr.c):
+        return CheckResult("divisibility", True, f"(a1+1) = {order} divides k = {arr.k}")
+    return CheckResult("divisibility", False, f"(a1+1) = {order} does not divide k = {arr.k}")
 
 
 class HeadBound(NamedTuple):
@@ -253,13 +267,28 @@ class HeadBound(NamedTuple):
     passed: bool
 
 
+def _crossing(b: Sequence[int], c: Sequence[int]) -> tuple[int, int]:
+    """(j, cap) for the halves: the first crossing index j = min{i : c_i >= b_i}
+    and the diameter cap it sets, 2j - 1 for a strict crossing, 3j - 1 for a
+    tie.  The convention b_D = 0 makes j = D a strict crossing, cap 2D - 1."""
+    D = len(b)
+    for j in range(1, D):
+        c_j, b_j = c[j - 1], b[j]
+        if c_j >= b_j:
+            return j, 2 * j - 1 if c_j > b_j else 3 * j - 1
+    return D, 2 * D - 1
+
+
+def _head_bound_holds(b: Sequence[int], c: Sequence[int]) -> bool:
+    """The diameter head bound on the halves: D at most the crossing cap."""
+    return len(b) <= _crossing(b, c)[1]
+
+
 def diameter_head_bound(arr: IntersectionArray) -> HeadBound:
     """Diameter cap from the first crossing index j = min{i : c_i >= b_i}.
 
     A strict crossing caps D at 2j - 1, a tie at 3j - 1.  The convention
     b_D = 0 guarantees the index exists; when j = D the cap is vacuous.
     """
-    b = arr.b[1:] + (0,)  # b_1 ... b_D, beside c_1 ... c_D
-    j, c_j, b_j = next((i, c_i, b_i) for i, (c_i, b_i) in enumerate(zip(arr.c, b), 1) if c_i >= b_i)
-    bound = 2 * j - 1 if c_j > b_j else 3 * j - 1
-    return HeadBound(j, bound, arr.D <= bound)
+    j, bound = _crossing(arr.b, arr.c)
+    return HeadBound(j, bound, _head_bound_holds(arr.b, arr.c))

@@ -8,21 +8,23 @@ resistance oracle grounds the Laplacian at vertex 0 and runs one
 fraction-free integer elimination per graph for all requested pairs, so
 agreement with the array formulas is literal equality.  The eigensolver is
 the single floating-point computation in the package, with the fixed
-thresholds below.
+thresholds below.  numpy is imported inside the functions that use it, so
+commands that never take a spectrum never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .arrays import IntersectionArray
 from .graphs import ExplicitGraph, bfs_distances, verify_distance_regular
 from .potentials import PotentialSequence
 from .rational import solve_exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 JACOBI_OFF_TOL = 1e-10  # stop once the off-diagonal Frobenius norm is this small
 JACOBI_MAX_SWEEPS = 100
@@ -137,6 +139,8 @@ def effective_resistance_oracle(g: ExplicitGraph, u: int, v: int) -> Fraction:
 
 
 def laplacian_matrix(g: ExplicitGraph) -> np.ndarray:
+    import numpy as np
+
     lap = np.zeros((g.n, g.n))
     for a, b in g.edges:
         lap[a, a] += 1.0
@@ -146,38 +150,40 @@ def laplacian_matrix(g: ExplicitGraph) -> np.ndarray:
     return lap
 
 
-# a vanishing a[p, q] overflows theta to inf, which gives t = 0: no rotation
-@np.errstate(over="ignore")
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below `JACOBI_OFF_TOL`.
     """
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # cancellation can push the difference a hair below zero
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= JACOBI_OFF_TOL:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t /= abs(theta) + np.hypot(theta, 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
+    # a vanishing a[p, q] overflows theta to inf, which gives t = 0: no rotation
+    with np.errstate(over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            # cancellation can push the difference a hair below zero
+            off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
+            if off <= JACOBI_OFF_TOL:
+                return np.sort(np.diag(a))
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    if apq == 0.0:
+                        continue
+                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    t = np.sign(theta) if theta != 0 else 1.0
+                    t /= abs(theta) + np.hypot(theta, 1.0)
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                    a[p, :] = c * row_p - s * row_q
+                    a[q, :] = s * row_p + c * row_q
+                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                    a[:, p] = c * col_p - s * col_q
+                    a[:, q] = s * col_p + c * col_q
     raise NotConverged(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
@@ -187,6 +193,8 @@ def laplacian_spectral_gap(g: ExplicitGraph) -> float:
     Exactly one eigenvalue may lie within `ZERO_EIGENVALUE_TOL` of zero;
     more would mean a disconnected graph, which the graph type excludes.
     """
+    import numpy as np
+
     eigenvalues = jacobi_eigenvalues(laplacian_matrix(g))
     near_zero = int(np.sum(np.abs(eigenvalues) <= ZERO_EIGENVALUE_TOL))
     if near_zero != 1:

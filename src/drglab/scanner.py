@@ -6,10 +6,15 @@ rational computations, so "ruled out by the resistance bound alone" always
 means every earlier screen passed; n_max applies only under a vertex cap.
 Enumeration is a deterministic generator in lexicographic (k, D, b, c)
 order that only yields arrays passing the structural battery, so `scan`
-runs the stages after `basic` alone.  Those stages are an integer kernel:
-shell sizes and the resistance ratio stay in exact ints until one
-`Fraction` is reduced, and tests check every record of it against the
-`Fraction` route (distance distribution, closed-form potentials,
+runs the stages after `basic` alone.  Those stages are an integer kernel
+fused into the enumerator: the recursion carries the whole shell sizes
+k_{j+1} = k_j b_j / c_{j+1} down as it fills each c slot, the kernel reads
+divisibility and the head bound through the integer predicates that
+`check_divisibility` and `diameter_head_bound` report from, and the
+resistance ratio stays in exact ints until one `Fraction` is reduced.
+`_evaluate_valid` computes the sizes of a single array for the same kernel
+(`evaluate_array`, the `--jobs` workers).  Tests check every record against
+the `Fraction` route (distance distribution, closed-form potentials,
 `classify_ratio`) that `analyze`, `resistance_profile` and the catalog use.
 Records stream: `_records` yields them one at a time in canonical order,
 which the CLI writes as it goes, and `scan` is its list form.  Parallel
@@ -27,9 +32,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
-from .arrays import IntersectionArray, check_divisibility, diameter_head_bound, validate_basic
+from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, validate_basic
 from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
@@ -92,43 +98,64 @@ def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
     while extending the c sequence.  Raises QueryTooLarge at the call,
     before yielding anything, if the raw search space exceeds the budget.
     """
+    return map(itemgetter(0), _candidates(query))
+
+
+_Leaf = tuple[IntersectionArray, Optional[tuple[int, ...]]]
+
+
+def _candidates(query: ScanQuery) -> Iterator[_Leaf]:
+    """`enumerate_arrays` with each array's whole shell sizes beside it."""
     if _exceeds_budget(query):
         raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {query.budget}")
     return _generate(query)
 
 
-def _generate(query: ScanQuery) -> Iterator[IntersectionArray]:
+def _generate(query: ScanQuery) -> Iterator[_Leaf]:
     for k in range(query.k_min, query.k_max + 1):
         for D in range(query.d_min, query.d_max + 1):
             yield from _arrays_for(k, D)
 
 
-def _arrays_for(k: int, D: int) -> Iterator[IntersectionArray]:
+def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
+    """The candidates of one (k, D) cell in (b, c) order, each with its
+    shell sizes (k_0, ..., k_D) when all are whole, else None.
+
+    The sizes k_{j+1} = k_j b_j / c_{j+1} are carried down the recursion as
+    each c slot is filled, so a prefix that does not divide is found once
+    for all the arrays below it.
+    """
     b = [k] + [0] * (D - 1)
     c = [1] + [0] * (D - 1)
+    sizes = [1, k] + [0] * (D - 1)  # k_0 = 1 and k_1 = k b_0 / c_1 = k
 
-    def extend_c(j: int) -> Iterator[IntersectionArray]:
+    def extend_c(j: int, whole: bool) -> Iterator[_Leaf]:
         # slot j holds c_{j+1}: at least the previous entry, at most
         # b_{D-j-1} (cross condition, binding at the largest b index) and
         # k - b_{j+1} (a_{j+1} >= 0); the final slot is capped at k alone
-        # (a_D = k - c_D >= 0).
-        if j == D:
-            yield IntersectionArray(tuple(b), tuple(c))
-            return
-        if j < D - 1:
-            high = min(b[D - j - 1], k - b[j + 1])
-        else:
-            high = k
+        # (a_D = k - c_D >= 0).  `whole`: k_0 ... k_j are ints in `sizes`.
+        last = j == D - 1
+        high = k if last else min(b[D - j - 1], k - b[j + 1])
+        edges = sizes[j] * b[j]
         for value in range(c[j - 1], high + 1):
             c[j] = value
-            yield from extend_c(j + 1)
+            divides = False
+            if whole:
+                size, rem = divmod(edges, value)
+                if not rem:
+                    sizes[j + 1] = size
+                    divides = True
+            if last:
+                yield IntersectionArray(tuple(b), tuple(c)), tuple(sizes) if divides else None
+            else:
+                yield from extend_c(j + 1, divides)
 
-    def extend_b(i: int) -> Iterator[IntersectionArray]:
+    def extend_b(i: int) -> Iterator[_Leaf]:
         if i == D:
             if D >= 2:
-                yield from extend_c(1)
+                yield from extend_c(1, True)
             else:
-                yield IntersectionArray(tuple(b), tuple(c))
+                yield IntersectionArray(tuple(b), tuple(c)), tuple(sizes)
             return
         top = (k - 1) if i == 1 else b[i - 1]
         for value in range(1, top + 1):
@@ -168,39 +195,47 @@ def _vertex_count(arr: IntersectionArray) -> Fraction:
 
 
 def _evaluate_valid(arr: IntersectionArray, n_max: Optional[int]) -> ScanRecord:
-    """The stages after `basic`, in exact integers, for an array that passes
-    `validate_basic` (every array `enumerate_arrays` yields does).
-
-    Shell sizes k_{i+1} = k_i b_i / c_{i+1} stay whole ints until the first
-    one that does not divide.  The ratio (phi_1 + ... + phi_{D-1}) / phi_0
-    is k * sum_{i=1}^{D-1} S_i / (k_i b_i) over n - 1, with S_i the shell
-    total beyond i, summed over one integer denominator and reduced once.
-    The `Fraction` route (compute_distance_distribution, then
-    potentials_closed_form) is the reference it is tested against.
-    """
-    b, c = arr.b, arr.c
+    """The stages after `basic` for an array that passes `validate_basic`
+    (every array `enumerate_arrays` yields does): its shell sizes, then
+    `_evaluate_leaf`."""
     sizes = [1]
-    for b_i, c_next in zip(b, c):
+    for b_i, c_next in zip(arr.b, arr.c):
         size, rem = divmod(sizes[-1] * b_i, c_next)
         if rem:
-            # shells only: a half-integral edge count (odd n times odd k)
-            # still reaches the resistance classification, mirroring how
-            # the known non-realizable examples are presented
-            return ScanRecord(arr, _vertex_count(arr), None, "integrality", None)
+            return _evaluate_leaf(n_max, arr, None)
         sizes.append(size)
+    return _evaluate_leaf(n_max, arr, sizes)
+
+
+def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> ScanRecord:
+    """The stages after `basic`, in exact integers, from the array's shell
+    sizes k_0 ... k_D, or None if one of them is not whole.
+
+    Integrality screens shell sizes only: a half-integral edge count (odd n
+    times odd k) still reaches the resistance classification, mirroring how
+    the known non-realizable examples are presented.  The ratio
+    (phi_1 + ... + phi_{D-1}) / phi_0 is k * sum_{i=1}^{D-1} S_i / (k_i b_i)
+    over n - 1, with S_i the shell total beyond i, summed over one integer
+    denominator and reduced once.  The `Fraction` route
+    (compute_distance_distribution, then potentials_closed_form) is the
+    reference it is tested against.
+    """
+    if sizes is None:
+        return ScanRecord(arr, _vertex_count(arr), None, "integrality", None)
     n = sum(sizes)
     if n_max is not None and n > n_max:
         return ScanRecord(arr, Fraction(n), None, "n_max", None)
-    if not check_divisibility(arr).passed:
+    b, c = arr.b, arr.c
+    if not _divisibility_holds(b, c):
         return ScanRecord(arr, Fraction(n), None, "divisibility", None)
-    if not diameter_head_bound(arr).passed:
+    if not _head_bound_holds(b, c):
         return ScanRecord(arr, Fraction(n), None, "head_bound", None)
     num, den, beyond = 0, 1, 0
-    for i in range(arr.D - 1, 0, -1):
+    for i in range(len(b) - 1, 0, -1):
         beyond += sizes[i + 1]
         edges = sizes[i] * b[i]
         num, den = num * edges + beyond * den, den * edges
-    verdict = classify_ratio(arr, Fraction(arr.k * num, den * (n - 1)))
+    verdict = classify_ratio(arr, Fraction(b[0] * num, den * (n - 1)))
     failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
     return ScanRecord(arr, Fraction(n), verdict.ratio, failing, verdict)
 
@@ -215,12 +250,12 @@ def _records(query: ScanQuery, jobs: int = 1) -> Iterator[ScanRecord]:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     # the enumerator enforces the structural battery, so the `basic`
-    # stage is skipped
-    candidates = enumerate_arrays(query)
-    evaluate = functools.partial(_evaluate_valid, n_max=query.n_max)
+    # stage is skipped; serially, each leaf is evaluated from the shell
+    # sizes the enumerator carried down to it
     if jobs == 1:
-        return map(evaluate, candidates)
-    return _pooled(evaluate, candidates, jobs)
+        return itertools.starmap(functools.partial(_evaluate_leaf, query.n_max), _candidates(query))
+    evaluate = functools.partial(_evaluate_valid, n_max=query.n_max)
+    return _pooled(evaluate, enumerate_arrays(query), jobs)
 
 
 def _pooled(evaluate, candidates: Iterator[IntersectionArray], jobs: int) -> Iterator[ScanRecord]:

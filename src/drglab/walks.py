@@ -26,8 +26,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator
 
-import numpy as np
-
 from .arrays import IntersectionArray
 from .circuits import laplacian_spectral_gap
 from .graphs import ExplicitGraph, verify_distance_regular
@@ -115,6 +113,8 @@ def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEs
 
 def _choices(seed: int, degree: int) -> Iterator[int]:
     """The `random.Random(seed).randrange(degree)` stream, drawn in bulk; degree >= 1."""
+    import numpy as np
+
     rng = random.Random(seed)
     shift = 32 - degree.bit_length()
 

@@ -55,7 +55,9 @@ class TestAnalyze:
 
     def test_malformed_exits_one(self, capsys):
         assert main(["analyze", "(3,2,1;1,2)"]) == 1
-        assert "error" in capsys.readouterr().err or True
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["analyze: halves of '(3,2,1;1,2)' have lengths 3 and 2"]
 
     def test_huge_entry_exits_one(self, capsys):
         assert main(["analyze", "(" + "9" * 5000 + ";1)"]) == 1
@@ -63,6 +65,13 @@ class TestAnalyze:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("analyze: ")
+
+    def test_clique_order_zero_reports_infeasible(self, tmp_path):
+        # a1 = -1 makes the clique order a1 + 1 = 0, which divides nothing
+        code, payload = run_json(tmp_path, ["analyze", "(4,4;1,1)"])
+        assert code == 2
+        assert payload["divisibility"] == {"passed": False, "detail": "(a1+1) = 0 does not divide k = 4"}
+        assert payload["verdict"] is None
 
     def test_low_valency_exits_one(self):
         assert main(["analyze", "(2,1,1;1,1,2)"]) == 1
@@ -388,6 +397,37 @@ class TestScanStreaming:
         assert captured.out == ""
         assert captured.err == err
         assert not path.exists()
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import drglab
+print("numpy" in sys.modules)
+from drglab.cli import main
+for argv in (
+    ["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"],
+    ["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"],
+    ["catalog", "--recompute"],
+    ["verify", "petersen"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--format", "json"])
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_graph_commands():
+    # numpy is over half of the start-up time and ~12 MB of resident memory;
+    # only the Jacobi spectrum and the walk's bulk draws use it
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "False",
+        "scan 0 False",
+        "analyze 0 False",
+        "catalog 0 False",
+        "verify 0 True",
+    ]
 
 
 class TestEntryPoints:

@@ -5,7 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drglab.arrays as arrays
 import drglab.scanner as scanner
 from drglab import (
     BiggsClass,
@@ -248,6 +251,106 @@ class TestIntegerKernel:
         monkeypatch.setattr(scanner, "validate_basic", refuse)
         records = scan(ScanQuery(3, 4, 1, 4))
         assert len(records) == sum(1 for _ in enumerate_arrays(ScanQuery(3, 4, 1, 4)))
+
+
+@st.composite
+def scan_queries(draw):
+    """A sub-box of k 3..6, D 1..7, with no vertex cap or one in 1..500."""
+    k_min = draw(st.integers(3, 6))
+    d_min = draw(st.integers(1, 7))
+    return ScanQuery(
+        k_min,
+        draw(st.integers(k_min, 6)),
+        d_min,
+        draw(st.integers(d_min, 7)),
+        n_max=draw(st.none() | st.integers(1, 500)),
+    )
+
+
+def reference_divisibility(arr: IntersectionArray) -> bool:
+    """The clique screen from the accessors: (a1 + 1) | k when c2 = 1 and b1 in {3, 4}."""
+    c2 = arr.c_at(2) if arr.D >= 2 else 1
+    if c2 != 1 or arr.b_at(1) not in (3, 4):
+        return True
+    return arr.a_at(1) + 1 != 0 and arr.k % (arr.a_at(1) + 1) == 0
+
+
+def reference_head_bound(arr: IntersectionArray) -> bool:
+    """D <= 2j - 1 (strict crossing) or 3j - 1 (tie), j the first i with c_i >= b_i."""
+    j = next(i for i in range(1, arr.D + 1) if arr.c_at(i) >= arr.b_at(i))
+    return arr.D <= (2 * j - 1 if arr.c_at(j) > arr.b_at(j) else 3 * j - 1)
+
+
+class TestFusedKernel:
+    # the enumerator carries whole shell sizes down to each leaf, and the
+    # kernel reads the screens through the integer predicates of `arrays`;
+    # `_evaluate_valid` recomputes the sizes per array and is the check
+    @given(scan_queries())
+    @settings(max_examples=10, deadline=None)
+    def test_scan_matches_per_array_route(self, query):
+        records = scan(query)
+        expected = [scanner._evaluate_valid(arr, query.n_max) for arr in enumerate_arrays(query)]
+        assert [repr(r) for r in records] == [repr(r) for r in expected]
+
+    @pytest.mark.parametrize("n_max", [None, 300])
+    def test_diameter_eight_matches_fraction_reference(self, n_max):
+        query = ScanQuery(3, 4, 1, 8, n_max=n_max)
+        records = scan(query)
+        reference = [reference_record(arr, n_max) for arr in enumerate_arrays(query)]
+        assert len(records) == 1888
+        assert [repr(r) for r in records] == [repr(r) for r in reference]
+
+    def test_parallel_matches_serial_on_deep_integrality_failures(self):
+        query = ScanQuery(3, 4, 6, 8)
+        serial = scan(query)
+        # some arrays have whole shells up to k_5 and a fractional k_6 or later
+        depths = [
+            next(i for i, size in enumerate(compute_distance_distribution(r.array).k_sizes) if size.denominator != 1)
+            for r in serial
+            if r.first_failing_check == "integrality"
+        ]
+        assert max(depths) >= 6
+        assert scan(query, jobs=2) == serial
+
+    def test_predicates_match_reports(self):
+        hand_built = [
+            "(3;1)",  # D = 1
+            "(5;2)",
+            "(7,4,4;1,2,7)",  # c2 != 1
+            "(7,4,4;1,1,7)",  # b1 = 4, 3 does not divide 7
+            "(6,4,4;1,1,3)",  # b1 = 4, 3 divides 6
+            "(5,3;1,1)",  # b1 = 3, 2 does not divide 5
+            "(4,3;1,1)",  # b1 = 3, a1 = 0
+            "(4,4;1,1)",  # a1 = -1: clique order 0
+            "(4,4;2,1)",  # a1 = -2: clique order -1
+            "(4,2,2;1,2,4)",  # tie c2 = b2 at the crossing, cap 5
+            "(4,2,2,2,2;1,2,4,4,4)",  # the same tie at D = 5 = 3j - 1
+            "(4,2,2,2,2,2;1,2,4,4,4,4)",  # one past the tie's cap
+            "(4,1,1,1;1,1,1,1)",  # tie at j = 1, cap 2
+            "(3,2,1;1,2,3)",  # strict crossing at j = 2
+        ]
+        candidates = itertools.chain(
+            enumerate_arrays(ScanQuery(3, 6, 1, 6)), map(parse_intersection_array, hand_built)
+        )
+        outcomes = set()
+        for arr in candidates:
+            divisible = arrays._divisibility_holds(arr.b, arr.c)
+            headed = arrays._head_bound_holds(arr.b, arr.c)
+            assert divisible == check_divisibility(arr).passed == reference_divisibility(arr), arr
+            assert headed == diameter_head_bound(arr).passed == reference_head_bound(arr), arr
+            outcomes.add((divisible, headed))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_scan_builds_no_report_objects(self, monkeypatch):
+        def refuse(arr):
+            raise AssertionError("the scan built a report object")
+
+        for module in (scanner, arrays):
+            for name in ("check_divisibility", "diameter_head_bound", "validate_basic"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        records = scan(ScanQuery(3, 5, 1, 6))
+        assert len(records) == 3434
+        assert {r.first_failing_check for r in records} >= {"integrality", "divisibility", "head_bound", "pass"}
 
 
 class TestScan:
