@@ -22,10 +22,10 @@ class IntersectionArray:
     """The parameter pair (b0,...,b_{D-1}; c1,...,cD) of a candidate graph.
 
     Construction only enforces shape (equal-length halves of positive
-    integers).  Whether the entries satisfy the monotonicity and cross
-    conditions of an actual distance-regular graph is a separate question,
-    answered by `validate_basic`, so that bad candidates can be inspected
-    instead of rejected at the door.
+    integers, `bool` excluded).  Whether the entries satisfy the
+    monotonicity and cross conditions of an actual distance-regular graph
+    is a separate question, answered by `validate_basic`, so that bad
+    candidates can be inspected instead of rejected at the door.
     """
 
     b: tuple[int, ...]
@@ -38,7 +38,7 @@ class IntersectionArray:
             raise MalformedInput("empty array")
         for seq, label in ((self.b, "b"), (self.c, "c")):
             for i, value in enumerate(seq):
-                if not isinstance(value, int) or value < 1:
+                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                     raise MalformedInput(f"{label}[{i}] = {value!r} is not a positive integer")
 
     @property
@@ -69,12 +69,25 @@ class IntersectionArray:
         return format_intersection_array(self)
 
 
+def _unchecked_array(b: tuple[int, ...], c: tuple[int, ...]) -> IntersectionArray:
+    """An `IntersectionArray` from halves the caller guarantees are
+    equal-length tuples of positive ints, without `__post_init__`: the
+    enumerator builds only such halves, and the checks would be most of
+    the cost of each candidate."""
+    arr = object.__new__(IntersectionArray)
+    fields = arr.__dict__
+    fields["b"] = b
+    fields["c"] = c
+    return arr
+
+
 def format_intersection_array(arr: IntersectionArray) -> str:
     """Canonical text form: parenthesized, comma-separated, no spaces."""
     return "({};{})".format(",".join(map(str, arr.b)), ",".join(map(str, arr.c)))
 
 
-_TOKEN = re.compile(r"^\d+$")
+# ASCII digits only: `\d` and `int` also read other scripts' digits
+_TOKEN = re.compile(r"[0-9]+")
 
 
 def parse_intersection_array(text: str) -> IntersectionArray:
@@ -98,7 +111,7 @@ def parse_intersection_array(text: str) -> IntersectionArray:
             raise MalformedInput(f"empty {label} half in {text!r}")
         values = []
         for t in tokens:
-            if not _TOKEN.match(t):
+            if not _TOKEN.fullmatch(t):
                 raise MalformedInput(f"bad token {t!r} in {text!r}")
             try:
                 value = int(t)

@@ -254,18 +254,19 @@ def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: boo
     ruled_out = []
     sep = ""
     for record in records:
-        array = encode_basestring_ascii(str(record.array))
+        # the canonical array text is ASCII digits and punctuation: no escapes
+        array = f'"{record.array}"'
         if record.ruled_out_by_biggs_alone:
             ruled_out.append(array)
         elif only_biggs:
             continue
         n = record.n
-        n_text = str(n.numerator) if n.denominator == 1 else f'"{n.numerator}/{n.denominator}"'
+        n_text = str(n) if n.denominator == 1 else f'"{n}"'
         ratio = record.ratio
         if ratio is None:
             ratio_text = decimal = "null"
         else:
-            ratio_text = f'"{ratio.numerator}"' if ratio.denominator == 1 else f'"{ratio.numerator}/{ratio.denominator}"'
+            ratio_text = f'"{ratio}"'
             decimal = f'"{decimal_string(ratio)}"'
         verdict = record.verdict
         if verdict is None:

@@ -4,6 +4,7 @@ and intersection-array verification by direct counting."""
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -149,13 +150,26 @@ def to_edge_list(g: ExplicitGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a sign and ASCII digits: `int` alone also reads `_` separators and the
+# digits of other scripts
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integers(line: str) -> tuple[int, ...]:
+    fields = line.split()
+    for field in fields:
+        if not _INTEGER.fullmatch(field):
+            raise ValueError(f"{field!r} is not a decimal integer")
+    return tuple(map(int, fields))
+
+
 def from_edge_list(text: str) -> ExplicitGraph:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
     try:
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, line.split())) for line in lines[1:]]
+        n, m = _integers(lines[0])
+        edges = [_integers(line) for line in lines[1:]]
     except ValueError as exc:
         raise ValueError(f"bad edge-list line: {exc}") from exc
     if len(edges) != m:

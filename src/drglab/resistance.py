@@ -137,8 +137,7 @@ def biggs_ratio(arr: IntersectionArray) -> Fraction:
     return potentials_recursive(arr).ratio()
 
 
-@dataclass(frozen=True)
-class BiggsVerdict:
+class BiggsVerdict(NamedTuple):
     array: IntersectionArray
     category: BiggsClass
     ratio: Fraction
@@ -161,7 +160,8 @@ def classify_ratio(arr: IntersectionArray, ratio: Fraction) -> BiggsVerdict:
     """
     if arr.k <= 2:
         raise ValencyError(f"classification needs valency >= 3, got k = {arr.k}")
-    if ratio < BIGGS_THRESHOLD:
+    # ratio < BIGGS_THRESHOLD, cross-multiplied over the positive denominators
+    if ratio.numerator * BIGGS_THRESHOLD.denominator < BIGGS_THRESHOLD.numerator * ratio.denominator:
         return BiggsVerdict(arr, BiggsClass.PASS_STRICT, ratio)
     for entry in _EXTREMAL:
         if arr == entry.array:

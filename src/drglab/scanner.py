@@ -6,8 +6,10 @@ rational computations, so "ruled out by the resistance bound alone" always
 means every earlier screen passed; n_max applies only under a vertex cap.
 Enumeration is a deterministic generator in lexicographic (k, D, b, c)
 order that only yields arrays passing the structural battery, so `scan`
-runs the stages after `basic` alone.  Those stages are an integer kernel
-fused into the enumerator: the recursion carries the whole shell sizes
+runs the stages after `basic` alone; it builds those arrays without the
+constructor's entry checks, since their halves are positive ints by
+construction.  Those stages are an integer kernel fused into the
+enumerator: the recursion carries the whole shell sizes
 k_{j+1} = k_j b_j / c_{j+1} down as it fills each c slot, the kernel reads
 divisibility and the head bound through the integer predicates that
 `check_divisibility` and `diameter_head_bound` report from, and the
@@ -17,10 +19,12 @@ resistance ratio stays in exact ints until one `Fraction` is reduced.
 the `Fraction` route (distance distribution, closed-form potentials,
 `classify_ratio`) that `analyze`, `resistance_profile` and the catalog use.
 Records stream: `_records` yields them one at a time in canonical order,
-which the CLI writes as it goes, and `scan` is its list form.  Parallel
-scans fan the pure per-array evaluation out over at most os.cpu_count()
-workers and hand results back in input order, so job count never changes
-output.
+which the CLI writes as it goes, and `scan` is its list form.  A record
+(`ScanRecord`, with its `BiggsVerdict`) is a named tuple, the cheapest
+immutable record to build once per candidate.  Parallel scans fan the pure
+per-array evaluation out over at most os.cpu_count() workers and hand
+results back in input order, so job count never changes output;
+`multiprocessing` is imported only then.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, validate_basic
+from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _unchecked_array, validate_basic
 from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
@@ -146,7 +149,7 @@ def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
                     sizes[j + 1] = size
                     divides = True
             if last:
-                yield IntersectionArray(tuple(b), tuple(c)), tuple(sizes) if divides else None
+                yield _unchecked_array(tuple(b), tuple(c)), tuple(sizes) if divides else None
             else:
                 yield from extend_c(j + 1, divides)
 
@@ -155,7 +158,7 @@ def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
             if D >= 2:
                 yield from extend_c(1, True)
             else:
-                yield IntersectionArray(tuple(b), tuple(c)), tuple(sizes)
+                yield _unchecked_array(tuple(b), tuple(c)), tuple(sizes)
             return
         top = (k - 1) if i == 1 else b[i - 1]
         for value in range(1, top + 1):
@@ -165,8 +168,7 @@ def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
     yield from extend_b(1)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     array: IntersectionArray
     n: Fraction
     ratio: Optional[Fraction]
@@ -259,6 +261,9 @@ def _records(query: ScanQuery, jobs: int = 1) -> Iterator[ScanRecord]:
 
 
 def _pooled(evaluate, candidates: Iterator[IntersectionArray], jobs: int) -> Iterator[ScanRecord]:
+    # imported here: only --jobs >= 2 needs it, and it slows every start-up
+    from multiprocessing import Pool
+
     with Pool(jobs) as pool:
         yield from pool.imap(evaluate, candidates, chunksize=64)
 

@@ -62,6 +62,25 @@ class TestParsing:
         with pytest.raises(MalformedInput, match="5000 digits"):
             parse_intersection_array("(" + "9" * 5000 + ";1)")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(\u0663,\u0662,\u0661;\u0661,\u0662,\u0663)",  # Arabic-Indic digits
+            "(\uff13,2,1;1,2,3)",  # a fullwidth 3
+            "(3,2,1;1,2,\u00b3)",  # a superscript 3
+            "(3_0;1)",  # an int() digit separator
+        ],
+    )
+    def test_only_ascii_digits_are_read(self, text):
+        with pytest.raises(MalformedInput, match="bad token"):
+            parse_intersection_array(text)
+
+    @pytest.mark.parametrize("b, c", [((True,), (True,)), ((3, True), (1, 1)), ((3, 2), (True, 2))])
+    def test_bool_entries_rejected(self, b, c):
+        # bool is an int subclass; True would print as "True" and pass validate_basic
+        with pytest.raises(MalformedInput, match="is not a positive integer"):
+            IntersectionArray(b, c)
+
     def test_whitespace_tolerated_parens_optional(self):
         assert parse_intersection_array(" 3 ,2, 1 ; 1,2 ,3 ") == parse_intersection_array("(3,2,1;1,2,3)")
 

@@ -66,6 +66,14 @@ class TestAnalyze:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("analyze: ")
 
+    def test_non_ascii_digits_exit_one(self, capsys):
+        # int() would read the Arabic-Indic digits as the cube (3,2,1;1,2,3)
+        text = "(\u0663,\u0662,\u0661;\u0661,\u0662,\u0663)"
+        assert main(["analyze", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"analyze: bad token '\u0663' in '{text}'\n"
+
     def test_clique_order_zero_reports_infeasible(self, tmp_path):
         # a1 = -1 makes the clique order a1 + 1 = 0, which divides nothing
         code, payload = run_json(tmp_path, ["analyze", "(4,4;1,1)"])
@@ -191,6 +199,23 @@ class TestVerify:
         path.write_text("3 4\n0 1\n1 2\n2 0\n1 0\n", encoding="utf-8")
         assert main(["verify", "--edges", str(path)]) == 1
         assert "parallel edge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, err",
+        [
+            ("3 0_0", "verify: bad edge-list line: '0_0' is not a decimal integer\n"),
+            ("\u0663 0", "verify: bad edge-list line: '\u0663' is not a decimal integer\n"),
+            ("-1 0", "verify: edge (-1,0) outside vertex range 0..3\n"),
+        ],
+    )
+    def test_unreadable_edge_entry_exits_one(self, line, err, tmp_path, capsys):
+        # the first two would otherwise read as the last edge of the 4-cycle
+        path = tmp_path / "square.txt"
+        path.write_text(f"4 4\n0 1\n1 2\n2 3\n{line}\n", encoding="utf-8")
+        assert main(["verify", "--edges", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
     def test_eigensolver_failure_exits_one(self):
         # C5's Jacobi off-diagonal norm stalls above the threshold
@@ -427,6 +452,34 @@ def test_numpy_loads_only_for_graph_commands():
         "analyze 0 False",
         "catalog 0 False",
         "verify 0 True",
+    ]
+
+
+MULTIPROCESSING_PROBE = """
+import contextlib, io, sys
+import drglab
+print("multiprocessing" in sys.modules)
+from drglab.cli import main
+for argv in (
+    ["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"],
+    ["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"],
+    ["catalog", "--recompute"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--format", "json"])
+    print(argv[0], code, "multiprocessing" in sys.modules)
+"""
+
+
+def test_multiprocessing_loads_only_for_parallel_scans():
+    # only scan --jobs >= 2 starts a pool, and the import slows every start-up
+    result = subprocess.run([sys.executable, "-c", MULTIPROCESSING_PROBE], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "False",
+        "scan 0 False",
+        "analyze 0 False",
+        "catalog 0 False",
     ]
 
 

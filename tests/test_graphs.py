@@ -167,3 +167,13 @@ class TestEdgeListIO:
     def test_empty(self):
         with pytest.raises(ValueError):
             from_edge_list("   \n")
+
+    @pytest.mark.parametrize("line", ["3 0_0", "\u0663 0", "3 \uff10"])
+    def test_only_ascii_digits_are_read(self, line):
+        # int() alone would read each of these as the edge (3, 0) of the 4-cycle
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            from_edge_list(f"4 4\n0 1\n1 2\n2 3\n{line}\n")
+
+    def test_negative_vertex_is_out_of_range(self):
+        with pytest.raises(ValueError, match=r"edge \(-1,0\) outside vertex range 0\.\.3"):
+            from_edge_list("4 4\n0 1\n1 2\n2 3\n-1 0\n")

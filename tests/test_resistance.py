@@ -8,14 +8,17 @@ from drglab import (
     BIGGS_THRESHOLD,
     SHARP_RATIO,
     BiggsClass,
+    ScanQuery,
     ValencyError,
     biggs_ratio,
     classify_biggs,
     extremal_set,
     parse_intersection_array,
     resistance_profile,
+    scan,
 )
 from drglab.rational import decimal_string
+from drglab.resistance import classify_ratio
 
 CUBE = parse_intersection_array("(3,2,1;1,2,3)")
 PETERSEN = parse_intersection_array("(3,2;1,1)")
@@ -104,6 +107,31 @@ class TestClassification:
     def test_threshold_is_exact(self):
         assert BIGGS_THRESHOLD == Fraction(87, 100)
         assert SHARP_RATIO == Fraction(94, 101)
+
+
+class TestIntegerThreshold:
+    # classify_ratio cross-multiplies against 87/100 instead of comparing
+    # Fractions; these pin it to the Fraction comparison
+
+    def test_at_threshold_is_not_strict(self):
+        assert classify_ratio(CUBE, BIGGS_THRESHOLD).category is BiggsClass.VIOLATION
+        assert classify_ratio(TWELVE_CAGE, BIGGS_THRESHOLD).category is BiggsClass.EXTREMAL
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_one_trillionth_either_side(self, offset):
+        ratio = BIGGS_THRESHOLD + Fraction(offset, 10**12)
+        strict = classify_ratio(CUBE, ratio).category is BiggsClass.PASS_STRICT
+        assert strict == (ratio < BIGGS_THRESHOLD) == (offset < 0)
+
+    def test_agrees_with_fraction_comparison_over_a_scan(self):
+        sides = set()
+        for record in scan(ScanQuery(3, 6, 1, 6)):
+            if record.ratio is None:
+                continue
+            strict = classify_ratio(record.array, record.ratio).category is BiggsClass.PASS_STRICT
+            assert strict == (record.ratio < BIGGS_THRESHOLD), record.array
+            sides.add(strict)
+        assert sides == {True, False}
 
 
 class TestExtremalSet:

@@ -2,6 +2,8 @@
 
 import importlib
 import itertools
+import multiprocessing
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ import drglab.arrays as arrays
 import drglab.scanner as scanner
 from drglab import (
     BiggsClass,
+    BiggsVerdict,
     IntersectionArray,
     QueryTooLarge,
     ScanQuery,
@@ -353,6 +356,48 @@ class TestFusedKernel:
         assert {r.first_failing_check for r in records} >= {"integrality", "divisibility", "head_bound", "pass"}
 
 
+class TestLeanRecords:
+    # the enumerator builds its arrays without the constructor's checks, and
+    # records are named tuples: the same values and repr text, built cheaper
+
+    def test_unchecked_arrays_equal_checked_ones(self):
+        seen = 0
+        for k in range(3, 7):
+            for D in range(1, 7):
+                for arr, _ in scanner._arrays_for(k, D):
+                    assert arr == IntersectionArray(arr.b, arr.c)
+                    assert type(arr.b) is tuple and type(arr.c) is tuple
+                    assert all(type(x) is int for x in arr.b + arr.c), arr
+                    seen += 1
+        assert seen == 14651
+
+    def test_repr_text(self):
+        record = evaluate_array(parse_intersection_array("(3,2,1;1,1,2)"))
+        assert repr(record) == (
+            "ScanRecord(array=IntersectionArray(b=(3, 2, 1), c=(1, 1, 2)), n=Fraction(13, 1), "
+            "ratio=Fraction(1, 2), first_failing_check='pass', "
+            "verdict=BiggsVerdict(array=IntersectionArray(b=(3, 2, 1), c=(1, 1, 2)), "
+            "category=<BiggsClass.PASS_STRICT: 'PASS_STRICT'>, ratio=Fraction(1, 2), matched_extremal=None))"
+        )
+
+    def test_records_are_tuples_of_their_fields(self):
+        record = evaluate_array(parse_intersection_array("(3,2,1;1,1,2)"))
+        array, n, ratio, failing, verdict = record
+        assert record == (array, n, ratio, failing, verdict)
+        assert verdict == BiggsVerdict(array, BiggsClass.PASS_STRICT, ratio) == (array, BiggsClass.PASS_STRICT, ratio, None)
+        assert not record.ruled_out_by_biggs_alone
+
+    def test_records_survive_pickle(self):
+        # the --jobs workers ship records back to the parent this way
+        records = scan(ScanQuery(3, 4, 1, 7))
+        assert "Biggs-Smith Graph" in {r.verdict.matched_extremal for r in records if r.verdict}
+        back = pickle.loads(pickle.dumps(records))
+        assert back == records
+        assert [repr(r) for r in back] == [repr(r) for r in records]
+        assert all(type(r) is ScanRecord for r in back)
+        assert all(type(r.verdict) is BiggsVerdict for r in back if r.verdict is not None)
+
+
 class TestScan:
     def test_scan_finds_section5_arrays(self):
         records = scan(ScanQuery(3, 3, 7, 7))
@@ -401,7 +446,7 @@ class TestScan:
                 return map(fn, items)
 
         monkeypatch.setattr(scanner.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(scanner, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         q = ScanQuery(3, 3, 2, 3)
         serial = scan(q)
         assert scan(q, jobs=2) == serial
@@ -413,7 +458,7 @@ class TestScan:
             raise AssertionError("a pool was started on one CPU")
 
         monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(scanner, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         q = ScanQuery(3, 3, 2, 3)
         assert scan(q, jobs=4) == scan(q)
 
