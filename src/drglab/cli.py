@@ -51,6 +51,7 @@ from .graphs import (
     bfs_distances,
     construct_named_graph,
     from_edge_list,
+    integer,
     verify_distance_regular,
 )
 from .potentials import potentials_recursive
@@ -77,9 +78,9 @@ def _num(value: Fraction):
 def _range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) == 1:
-        lo = hi = int(parts[0])
+        lo = hi = integer(parts[0])
     elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = integer(parts[0]), integer(parts[1])
     else:
         raise ValueError(text)
     return lo, hi
@@ -553,10 +554,10 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", parents=[common], help="enumerate candidates and run the feasibility pipeline")
     p_scan.add_argument("--k", required=True, metavar="A..B", help="valency range (lower bound >= 3)")
     p_scan.add_argument("--diameter", required=True, metavar="C..E", help="diameter range")
-    p_scan.add_argument("--n-max", type=int, default=None, help="drop candidates above this vertex count, at least 1")
+    p_scan.add_argument("--n-max", type=integer, default=None, help="drop candidates above this vertex count, at least 1")
     p_scan.add_argument("--only-biggs", action="store_true", help="print only arrays ruled out by the resistance bound alone")
-    p_scan.add_argument("--jobs", type=int, default=1, help="parallel workers, at least 1, capped at the CPU count (output identical regardless)")
-    p_scan.add_argument("--budget", type=int, default=10**8, help="raw candidate budget before refusing")
+    p_scan.add_argument("--jobs", type=integer, default=1, help="accepted for compatibility, at least 1; the scan always runs in one process")
+    p_scan.add_argument("--budget", type=integer, default=10**8, help="raw candidate budget before refusing")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_catalog = sub.add_parser("catalog", parents=[common], help="print the embedded catalog")
@@ -565,18 +566,18 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="construct or load a graph and ground every formula on it")
     p_verify.add_argument("family", nargs="?", default=None)
-    p_verify.add_argument("params", nargs="*", type=int)
+    p_verify.add_argument("params", nargs="*", type=integer)
     p_verify.add_argument("--edges", metavar="FILE", default=None, help="edge-list file: 'n m' then one 'a b' line per edge")
     p_verify.add_argument("--exhaustive", action="store_true", help="check every pair, not one per distance")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_walk = sub.add_parser("walk", parents=[common], help="Monte Carlo hitting time against the exact formula")
     p_walk.add_argument("family", nargs="?", default=None)
-    p_walk.add_argument("params", nargs="*", type=int)
+    p_walk.add_argument("params", nargs="*", type=integer)
     p_walk.add_argument("--edges", metavar="FILE", default=None)
-    p_walk.add_argument("--from-distance", type=int, required=True, metavar="J")
-    p_walk.add_argument("--trials", type=int, default=100000)
-    p_walk.add_argument("--seed", type=int, default=0, help="seed of the walks' random.Random stream, at least 0")
+    p_walk.add_argument("--from-distance", type=integer, required=True, metavar="J")
+    p_walk.add_argument("--trials", type=integer, default=100000)
+    p_walk.add_argument("--seed", type=integer, default=0, help="seed of the walks' random.Random stream, at least 0")
     p_walk.set_defaults(func=_cmd_walk)
 
     return parser

@@ -4,6 +4,7 @@ and intersection-array verification by direct counting."""
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -150,17 +151,20 @@ def to_edge_list(g: ExplicitGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# a sign and ASCII digits: `int` alone also reads `_` separators and the
-# digits of other scripts
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def integer(text: str) -> int:
+    """An optional sign, then ASCII decimal digits, read as an int; raises
+    ValueError on anything else.  `int` alone also reads `_` separators,
+    surrounding blanks and the digits of other scripts."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _integers(line: str) -> tuple[int, ...]:
-    fields = line.split()
-    for field in fields:
-        if not _INTEGER.fullmatch(field):
-            raise ValueError(f"{field!r} is not a decimal integer")
-    return tuple(map(int, fields))
+    return tuple(map(integer, line.split()))
 
 
 def from_edge_list(text: str) -> ExplicitGraph:
@@ -182,11 +186,25 @@ def from_edge_list(text: str) -> ExplicitGraph:
 # ---------------------------------------------------------------------------
 # named families; each docstring states the vertex labeling
 
+# the most edges a family builds: construction takes ~200 bytes per edge
+MAX_EDGES = 1 << 20
+# q**e > 2 * MAX_EDGES for every base q >= 2, so sizes are computed with
+# exponents cut here and a huge parameter costs nothing to refuse
+_EXPONENT_CUT = (2 * MAX_EDGES).bit_length()
+
+
+def _refuse_oversized(label: str, n: int, degree: int) -> None:
+    """Raise BadParams, before anything is built, when a graph of n vertices
+    and this degree has more than MAX_EDGES edges."""
+    if n * degree > 2 * MAX_EDGES:
+        raise BadParams(f"{label} has more than {MAX_EDGES} edges, too many to build")
+
 
 def _complete(n: int) -> ExplicitGraph:
     """K_n on vertices 0..n-1."""
     if n < 2:
         raise BadParams("complete(n) needs n >= 2")
+    _refuse_oversized(f"complete({n})", n, n - 1)
     return ExplicitGraph(n, itertools.combinations(range(n), 2))
 
 
@@ -194,6 +212,7 @@ def _cycle(n: int) -> ExplicitGraph:
     """C_n with vertex i adjacent to i+1 mod n."""
     if n < 3:
         raise BadParams("cycle(n) needs n >= 3")
+    _refuse_oversized(f"cycle({n})", n, 2)
     return ExplicitGraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
@@ -201,6 +220,7 @@ def _hypercube(d: int) -> ExplicitGraph:
     """Q_d on bitstrings; vertex label is the integer value of the string."""
     if d < 1:
         raise BadParams("hypercube(d) needs d >= 1")
+    _refuse_oversized(f"hypercube({d})", 2 ** min(d, _EXPONENT_CUT), d)
     n = 1 << d
     return ExplicitGraph(n, ((x, x ^ (1 << i)) for x in range(n) for i in range(d) if x < x ^ (1 << i)))
 
@@ -209,6 +229,7 @@ def _complete_bipartite(k: int) -> ExplicitGraph:
     """K_{k,k} with parts 0..k-1 and k..2k-1."""
     if k < 1:
         raise BadParams("complete_bipartite(k) needs k >= 1")
+    _refuse_oversized(f"complete_bipartite({k})", 2 * k, k)
     return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k)))
 
 
@@ -216,6 +237,7 @@ def _complete_bipartite_minus_matching(k: int) -> ExplicitGraph:
     """K_{k,k} minus the perfect matching i -- k+i (the crown graph)."""
     if k < 3:
         raise BadParams("complete_bipartite_minus_matching(k) needs k >= 3 to stay connected")
+    _refuse_oversized(f"complete_bipartite_minus_matching({k})", 2 * k, k - 1)
     return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k) if i != j))
 
 
@@ -223,6 +245,7 @@ def _cocktail_party(parts: int) -> ExplicitGraph:
     """K_{parts x 2}: vertices 2p and 2p+1 form part p; parts are fully joined."""
     if parts < 2:
         raise BadParams("cocktail_party(parts) needs parts >= 2")
+    _refuse_oversized(f"cocktail_party({parts})", 2 * parts, 2 * parts - 2)
     n = 2 * parts
     return ExplicitGraph(n, ((a, b) for a, b in itertools.combinations(range(n), 2) if a // 2 != b // 2))
 
@@ -231,6 +254,7 @@ def _hamming(d: int, q: int) -> ExplicitGraph:
     """H(d,q) on words w in [0,q)^d; label = sum of w_i * q^i."""
     if d < 1 or q < 2:
         raise BadParams("hamming(d,q) needs d >= 1 and q >= 2")
+    _refuse_oversized(f"hamming({d},{q})", q ** min(d, _EXPONENT_CUT), d * (q - 1))
     n = q**d
     edges = []
     for x in range(n):
@@ -249,6 +273,8 @@ def _johnson(n: int, k: int) -> ExplicitGraph:
     """J(n,k) on k-subsets of 0..n-1 in lexicographic order of sorted tuples."""
     if n < 2 or not 1 <= k <= n - 1:
         raise BadParams("johnson(n,k) needs n >= 2 and 1 <= k <= n-1")
+    # C(n, j) grows with j up to n/2, and C(n, j) >= 2**j there
+    _refuse_oversized(f"johnson({n},{k})", math.comb(n, min(k, n - k, _EXPONENT_CUT)), k * (n - k))
     subsets = list(itertools.combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     edges = []

@@ -14,17 +14,15 @@ k_{j+1} = k_j b_j / c_{j+1} down as it fills each c slot, the kernel reads
 divisibility and the head bound through the integer predicates that
 `check_divisibility` and `diameter_head_bound` report from, and the
 resistance ratio stays in exact ints until one `Fraction` is reduced.
-`_evaluate_valid` computes the sizes of a single array for the same kernel
-(`evaluate_array`, the `--jobs` workers).  Tests check every record against
-the `Fraction` route (distance distribution, closed-form potentials,
-`classify_ratio`) that `analyze`, `resistance_profile` and the catalog use.
-Records stream: `_records` yields them one at a time in canonical order,
-which the CLI writes as it goes, and `scan` is its list form.  A record
-(`ScanRecord`, with its `BiggsVerdict`) is a named tuple, the cheapest
-immutable record to build once per candidate.  Parallel scans fan the pure
-per-array evaluation out over at most os.cpu_count() workers and hand
-results back in input order, so job count never changes output;
-`multiprocessing` is imported only then.
+`evaluate_array` computes the sizes of a single array for the same kernel.
+Tests check every record against the `Fraction` route (distance
+distribution, closed-form potentials, `classify_ratio`) that `analyze`,
+`resistance_profile` and the catalog use.  Records stream: `_records` yields
+them one at a time in canonical order, which the CLI writes as it goes, and
+`scan` is its list form.  A record (`ScanRecord`, with its `BiggsVerdict`)
+is a named tuple, the cheapest immutable record to build once per candidate.
+The scan runs in one process: shipping an array to a worker and its record
+back costs the parent more than evaluating it.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -182,10 +179,16 @@ class ScanRecord(NamedTuple):
 
 def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanRecord:
     """Run one candidate through the pipeline, stopping at the first failure:
-    the structural battery, then the integer kernel."""
+    the structural battery, then its shell sizes and the integer kernel."""
     if not validate_basic(arr).overall:
         return ScanRecord(arr, _vertex_count(arr), None, "basic", None)
-    return _evaluate_valid(arr, n_max)
+    sizes = [1]
+    for b_i, c_next in zip(arr.b, arr.c):
+        size, rem = divmod(sizes[-1] * b_i, c_next)
+        if rem:
+            return _evaluate_leaf(n_max, arr, None)
+        sizes.append(size)
+    return _evaluate_leaf(n_max, arr, sizes)
 
 
 def _vertex_count(arr: IntersectionArray) -> Fraction:
@@ -194,19 +197,6 @@ def _vertex_count(arr: IntersectionArray) -> Fraction:
     for b, c in zip(reversed(arr.b), reversed(arr.c)):
         num, den = c * den + b * num, c * den
     return Fraction(num, den)
-
-
-def _evaluate_valid(arr: IntersectionArray, n_max: Optional[int]) -> ScanRecord:
-    """The stages after `basic` for an array that passes `validate_basic`
-    (every array `enumerate_arrays` yields does): its shell sizes, then
-    `_evaluate_leaf`."""
-    sizes = [1]
-    for b_i, c_next in zip(arr.b, arr.c):
-        size, rem = divmod(sizes[-1] * b_i, c_next)
-        if rem:
-            return _evaluate_leaf(n_max, arr, None)
-        sizes.append(size)
-    return _evaluate_leaf(n_max, arr, sizes)
 
 
 def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> ScanRecord:
@@ -244,28 +234,16 @@ def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional
 
 def _records(query: ScanQuery, jobs: int = 1) -> Iterator[ScanRecord]:
     """The records of every candidate in the query box, one at a time, in
-    enumeration order, which is canonical and which `Pool.imap` keeps, so
-    worker count never changes the output.  `jobs` must be at least 1 and
-    is capped at os.cpu_count().  A bad `jobs` and an over-budget box raise
-    here, at the call, before any record is produced."""
+    enumeration order, which is canonical.  `jobs` must be at least 1 and
+    selects nothing: the scan always runs in one process.  A bad `jobs` and
+    an over-budget box raise here, at the call, before any record is
+    produced."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    # the enumerator enforces the structural battery, so the `basic`
-    # stage is skipped; serially, each leaf is evaluated from the shell
-    # sizes the enumerator carried down to it
-    if jobs == 1:
-        return itertools.starmap(functools.partial(_evaluate_leaf, query.n_max), _candidates(query))
-    evaluate = functools.partial(_evaluate_valid, n_max=query.n_max)
-    return _pooled(evaluate, enumerate_arrays(query), jobs)
-
-
-def _pooled(evaluate, candidates: Iterator[IntersectionArray], jobs: int) -> Iterator[ScanRecord]:
-    # imported here: only --jobs >= 2 needs it, and it slows every start-up
-    from multiprocessing import Pool
-
-    with Pool(jobs) as pool:
-        yield from pool.imap(evaluate, candidates, chunksize=64)
+    # the enumerator enforces the structural battery, so the `basic` stage
+    # is skipped, and each leaf is evaluated from the shell sizes the
+    # enumerator carried down to it
+    return itertools.starmap(functools.partial(_evaluate_leaf, query.n_max), _candidates(query))
 
 
 def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:

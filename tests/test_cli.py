@@ -16,7 +16,7 @@ MEMORY_CAP = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from drglab.cli import main
-sys.exit(main(["verify", "--edges", sys.argv[1]]))
+sys.exit(main(sys.argv[1:]))
 """
 
 
@@ -149,6 +149,23 @@ class TestScan:
         assert captured.out == ""
         assert captured.err == f"scan: jobs must be >= 1, got {jobs}\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--k", "\u0663", "--diameter", "2"], "scan: ranges look like A..B or a single integer\n"),
+            (["--k", "3", "--diameter", "1_0"], "scan: ranges look like A..B or a single integer\n"),
+            (["--k", "3", "--diameter", "2", "--n-max", "\u0661\u0660"], "drglab scan: error: argument --n-max: invalid integer value: '\u0661\u0660'\n"),
+            (["--k", "3", "--diameter", "2", "--jobs", " 2"], "drglab scan: error: argument --jobs: invalid integer value: ' 2'\n"),
+            (["--k", "3", "--diameter", "2", "--budget", "1_000"], "drglab scan: error: argument --budget: invalid integer value: '1_000'\n"),
+        ],
+    )
+    def test_integer_arguments_read_ascii_decimals_only(self, argv, err, capsys):
+        # int() would read each of these as a number
+        assert main(["scan", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_n_max_below_one_exits_one(self, capsys):
         assert main(["scan", "--k", "3", "--diameter", "2", "--n-max", "-4"]) == 1
         captured = capsys.readouterr()
@@ -236,7 +253,7 @@ class TestVerify:
         path = tmp_path / "huge.txt"
         path.write_text("1000000000 0\n", encoding="utf-8")
         result = subprocess.run(
-            [sys.executable, "-c", MEMORY_CAP, str(path)],
+            [sys.executable, "-c", MEMORY_CAP, "verify", "--edges", str(path)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -269,6 +286,38 @@ class TestVerify:
     def test_unknown_family_exits_one(self):
         assert main(["verify", "tutte_coxeter"]) == 1
 
+    def test_non_ascii_family_parameter_exits_one(self, capsys):
+        # int() would read it as 3 and verify the cube
+        assert main(["verify", "hypercube", "\u0663"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "drglab verify: error: argument params: invalid integer value: '\u0663'\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["verify", "hypercube", "40"], "verify: hypercube(40) has more than 1048576 edges, too many to build\n"),
+            (["walk", "johnson", "60", "30", "--from-distance", "1"], "walk: johnson(60,30) has more than 1048576 edges, too many to build\n"),
+            (["verify", "hamming", "1000000000000", "2"], "verify: hamming(1000000000000,2) has more than 1048576 edges, too many to build\n"),
+            (["verify", "johnson", "1000000000000", "500000000000"], "verify: johnson(1000000000000,500000000000) has more than 1048576 edges, too many to build\n"),
+        ],
+    )
+    def test_oversized_family_refused_under_memory_cap(self, argv, err):
+        # ~10^13 edges for the 40-cube, ~10^17 vertices for J(60,30), and
+        # vertex counts too large to compute for the last two: the refusal
+        # comes before anything is built, and the cap turns a regression
+        # into a MemoryError here instead of exhausting the host
+        result = subprocess.run(
+            [sys.executable, "-c", MEMORY_CAP, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == err
+
     def test_missing_graph_exits_one(self):
         assert main(["verify"]) == 1
 
@@ -293,6 +342,21 @@ class TestWalk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "walk: trials must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["hypercube", "\u0663", "--from-distance", "1"], "drglab walk: error: argument params: invalid integer value: '\u0663'\n"),
+            (["petersen", "--from-distance", "1", "--trials", "1_000"], "drglab walk: error: argument --trials: invalid integer value: '1_000'\n"),
+            (["petersen", "--from-distance", "\u0661"], "drglab walk: error: argument --from-distance: invalid integer value: '\u0661'\n"),
+            (["petersen", "--from-distance", "1", "--seed", "7_0"], "drglab walk: error: argument --seed: invalid integer value: '7_0'\n"),
+        ],
+    )
+    def test_integer_arguments_read_ascii_decimals_only(self, argv, err, capsys):
+        assert main(["walk", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
     def test_negative_seed_exits_one(self, capsys):
         # random.Random(-7) would silently replay the seed-7 stream
@@ -462,6 +526,7 @@ print("multiprocessing" in sys.modules)
 from drglab.cli import main
 for argv in (
     ["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"],
+    ["scan", "--k", "3..4", "--diameter", "1..4", "--jobs", "2"],
     ["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"],
     ["catalog", "--recompute"],
 ):
@@ -472,11 +537,13 @@ for argv in (
 
 
 def test_multiprocessing_loads_only_for_parallel_scans():
-    # only scan --jobs >= 2 starts a pool, and the import slows every start-up
+    # every scan runs in one process, whatever --jobs says, and the import
+    # slows every start-up
     result = subprocess.run([sys.executable, "-c", MULTIPROCESSING_PROBE], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "False",
+        "scan 0 False",
         "scan 0 False",
         "analyze 0 False",
         "catalog 0 False",

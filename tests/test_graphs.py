@@ -2,6 +2,7 @@
 
 import pytest
 
+import drglab.graphs as graphs
 from drglab import (
     BadParams,
     ExplicitGraph,
@@ -65,6 +66,16 @@ class TestConstructions:
     )
     def test_bad_params(self, family, params):
         with pytest.raises(BadParams):
+            construct_named_graph(family, params)
+
+    @pytest.mark.parametrize("family,params,n,m,array_text", [row for row in KNOWN if row[1]])
+    def test_edge_cap_counts_each_family_exactly(self, family, params, n, m, array_text, monkeypatch):
+        # each builder sizes its graph from its parameters alone: a cap of
+        # exactly m edges builds it, one less refuses it before building
+        monkeypatch.setattr(graphs, "MAX_EDGES", m)
+        assert construct_named_graph(family, params).m == m
+        monkeypatch.setattr(graphs, "MAX_EDGES", m - 1)
+        with pytest.raises(BadParams, match=f"has more than {m - 1} edges, too many to build"):
             construct_named_graph(family, params)
 
     def test_registry_is_complete(self):
@@ -173,6 +184,15 @@ class TestEdgeListIO:
         # int() alone would read each of these as the edge (3, 0) of the 4-cycle
         with pytest.raises(ValueError, match="is not a decimal integer"):
             from_edge_list(f"4 4\n0 1\n1 2\n2 3\n{line}\n")
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("+3", 3), ("-12", -12), ("007", 7)])
+    def test_integer_reads_signed_ascii_decimals(self, text, value):
+        assert graphs.integer(text) == value
+
+    @pytest.mark.parametrize("text", ["", "+", "1_0", " 3", "3\n", "\u0663", "\uff13", "3.0", "x"])
+    def test_integer_refuses_everything_else(self, text):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            graphs.integer(text)
 
     def test_negative_vertex_is_out_of_range(self):
         with pytest.raises(ValueError, match=r"edge \(-1,0\) outside vertex range 0\.\.3"):

@@ -2,7 +2,6 @@
 
 import importlib
 import itertools
-import multiprocessing
 import pickle
 from fractions import Fraction
 
@@ -287,12 +286,13 @@ def reference_head_bound(arr: IntersectionArray) -> bool:
 class TestFusedKernel:
     # the enumerator carries whole shell sizes down to each leaf, and the
     # kernel reads the screens through the integer predicates of `arrays`;
-    # `_evaluate_valid` recomputes the sizes per array and is the check
+    # `evaluate_array` recomputes the sizes per array and is the check
+    # (enumerated arrays pass `validate_basic`, so its first stage holds)
     @given(scan_queries())
     @settings(max_examples=10, deadline=None)
     def test_scan_matches_per_array_route(self, query):
         records = scan(query)
-        expected = [scanner._evaluate_valid(arr, query.n_max) for arr in enumerate_arrays(query)]
+        expected = [evaluate_array(arr, query.n_max) for arr in enumerate_arrays(query)]
         assert [repr(r) for r in records] == [repr(r) for r in expected]
 
     @pytest.mark.parametrize("n_max", [None, 300])
@@ -313,6 +313,7 @@ class TestFusedKernel:
             if r.first_failing_check == "integrality"
         ]
         assert max(depths) >= 6
+        assert [evaluate_array(r.array) for r in serial] == serial
         assert scan(query, jobs=2) == serial
 
     def test_predicates_match_reports(self):
@@ -388,7 +389,6 @@ class TestLeanRecords:
         assert not record.ruled_out_by_biggs_alone
 
     def test_records_survive_pickle(self):
-        # the --jobs workers ship records back to the parent this way
         records = scan(ScanQuery(3, 4, 1, 7))
         assert "Biggs-Smith Graph" in {r.verdict.matched_extremal for r in records if r.verdict}
         back = pickle.loads(pickle.dumps(records))
@@ -428,39 +428,6 @@ class TestScan:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             scan(ScanQuery(3, 3, 2, 2), jobs=jobs)
-
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        q = ScanQuery(3, 3, 2, 3)
-        serial = scan(q)
-        assert scan(q, jobs=2) == serial
-        assert scan(q, jobs=1000) == serial
-        assert asked == [2, 3]
-
-    def test_single_cpu_runs_serial(self, monkeypatch):
-        def no_pool(processes):
-            raise AssertionError("a pool was started on one CPU")
-
-        monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        q = ScanQuery(3, 3, 2, 3)
-        assert scan(q, jobs=4) == scan(q)
 
     def test_biggs_alone_records(self):
         records = scan(ScanQuery(3, 3, 6, 6))
