@@ -242,6 +242,14 @@ def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistributio
     )
 
 
+def _vertex_count(arr: IntersectionArray) -> Fraction:
+    """n = 1 + (b0/c1)(1 + (b1/c2)(1 + ...)), over the one denominator c1...cD."""
+    num = den = 1
+    for b, c in zip(reversed(arr.b), reversed(arr.c)):
+        num, den = c * den + b * num, c * den
+    return Fraction(num, den)
+
+
 def _clique_order(b: Sequence[int], c: Sequence[int]) -> Optional[int]:
     """a1 + 1, the order of the neighborhood cliques, for the halves
     b = (b0, ..., b_{D-1}) and c = (c1, ..., cD) when the divisibility screen

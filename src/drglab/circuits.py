@@ -3,7 +3,8 @@ built from a potential sequence, and two independent numerical routes (exact
 Laplacian solve, Jacobi spectrum).
 
 For an adjacent terminal pair u ~ v the voltage at z depends only on the
-distance pair (d(u,z), d(v,z)), read from two breadth-first rows.  The
+distance pair (d(u,z), d(v,z)), read from two breadth-first rows; a caller
+that has verified the graph itself builds it with `_harmonic_function`.  The
 resistance oracle grounds the Laplacian at vertex 0 and runs one
 fraction-free integer elimination per graph for all requested pairs, so
 agreement with the array formulas is literal equality.  The eigensolver is
@@ -68,6 +69,11 @@ def build_harmonic_function(
         raise ArrayMismatch(
             f"graph verifies as {verified}, potential sequence belongs to {p.array}"
         )
+    return _harmonic_function(g, u, v, p)
+
+
+def _harmonic_function(g: ExplicitGraph, u: int, v: int, p: PotentialSequence) -> PotentialAssignment:
+    """`build_harmonic_function` on a graph already verified with `p.array`."""
     if v not in g.adjacency[u]:
         raise NotAdjacent(f"{u} and {v} are not adjacent")
     du = bfs_distances(g, u)
@@ -203,14 +209,9 @@ def laplacian_spectral_gap(g: ExplicitGraph) -> float:
 
 
 def representative_pairs(g: ExplicitGraph) -> dict[int, tuple[int, int]]:
-    """One vertex pair per distance class, measured from vertex 0."""
+    """One vertex pair per distance class: 0 and the first vertex at each distance."""
     dist = bfs_distances(g, 0)
-    pairs: dict[int, tuple[int, int]] = {}
-    for z in range(1, g.n):
-        j = dist[z]
-        if j not in pairs:
-            pairs[j] = (0, z)
-    return dict(sorted(pairs.items()))
+    return {j: (0, dist.index(j)) for j in range(1, max(dist) + 1)}
 
 
 def all_pairs_by_distance(g: ExplicitGraph) -> dict[int, list[tuple[int, int]]]:

@@ -36,14 +36,15 @@ from .arrays import (
 from .catalog import catalog, recompute_entry
 from .circuits import (
     NotConverged,
+    _harmonic_function,
     all_pairs_by_distance,
-    build_harmonic_function,
     check_harmonicity,
     effective_resistances,
     measure_current,
     representative_pairs,
 )
 from .graphs import (
+    MAX_EDGES,
     BadParams,
     ExplicitGraph,
     NotConnected,
@@ -58,7 +59,7 @@ from .potentials import potentials_recursive
 from .rational import decimal_string
 from .resistance import BiggsClass, classify_ratio, profile_from_distribution, resistance_profile
 from .scanner import ScanQuery, ScanRecord, _records
-from .walks import commute_time, simulate_hitting_time, spectral_check, walk_bounds_from_profile
+from .walks import _spectral_report, commute_time, simulate_hitting_time, walk_bounds_from_profile
 
 SCHEMA = 1
 
@@ -371,6 +372,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _load_graph(args) -> tuple[ExplicitGraph, dict]:
+    if args.edges and args.family:
+        raise BadParams("give a family name or --edges FILE, not both")
     if args.edges:
         with open(args.edges, encoding="utf-8") as handle:
             graph = from_edge_list(handle.read())
@@ -382,6 +385,10 @@ def _load_graph(args) -> tuple[ExplicitGraph, dict]:
         raise BadParams("give a family name or --edges FILE")
     if graph.n < 2:
         raise BadParams("need at least two vertices")
+    # the all-pairs regularity count and the dense n x n matrices of the
+    # oracle and the eigensolver grow as n^2, which the edge cap bounds too
+    if graph.n * graph.n > MAX_EDGES:
+        raise BadParams(f"graph on {graph.n} vertices is too large to check: n^2 exceeds {MAX_EDGES}")
     return graph, origin
 
 
@@ -409,7 +416,7 @@ def _cmd_verify(args) -> int:
     p = potentials_recursive(verified)
     u = 0
     v = graph.adjacency[0][0]
-    assignment = build_harmonic_function(graph, u, v, p)
+    assignment = _harmonic_function(graph, u, v, p)
     residual = check_harmonicity(graph, assignment)
     current = measure_current(graph, assignment)
     harmonic_ok = residual == 0
@@ -427,7 +434,7 @@ def _cmd_verify(args) -> int:
     ]
 
     try:
-        spectral = spectral_check(graph, verified)
+        spectral = _spectral_report(graph, profile)
     except NotConverged as exc:
         print(f"verify: spectral check failed: {exc}", file=sys.stderr)
         return 1

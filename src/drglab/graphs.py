@@ -84,10 +84,6 @@ def bfs_distances(g: ExplicitGraph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def all_distances(g: ExplicitGraph) -> tuple[tuple[int, ...], ...]:
-    return tuple(bfs_distances(g, s) for s in range(g.n))
-
-
 @dataclass(frozen=True)
 class RegularityFailure:
     """First witness that neighbor counts do not depend on distance alone."""
@@ -106,19 +102,17 @@ class RegularityFailure:
 
 
 def verify_distance_regular(g: ExplicitGraph):
-    """Check distance-regularity by counting over every ordered pair.
+    """Check distance-regularity by counting over every ordered pair, one BFS row at a time.
 
     Returns the IntersectionArray on success, or a RegularityFailure naming
     the first offending pair.
     """
     if g.n < 2:
         raise ValueError("a single vertex has no intersection array")
-    dist = all_distances(g)
-    D = max(max(row) for row in dist)
     b_counts: dict[int, int] = {}
     c_counts: dict[int, int] = {}
     for x in range(g.n):
-        row = dist[x]
+        row = bfs_distances(g, x)
         for y in range(g.n):
             i = row[y]
             forward = 0
@@ -135,6 +129,8 @@ def verify_distance_regular(g: ExplicitGraph):
                 return RegularityFailure((x, y), i, "b", b_counts[i], forward)
             elif c_counts[i] != backward:
                 return RegularityFailure((x, y), i, "c", c_counts[i], backward)
+    # a connected graph has every distance 0..D, so D + 1 classes were counted
+    D = len(b_counts) - 1
     return IntersectionArray(
         tuple(b_counts[i] for i in range(D)),
         tuple(c_counts[i] for i in range(1, D + 1)),

@@ -4,11 +4,11 @@ Two independent routes to the same numbers: the downward recursion
 phi_0 = n - 1, phi_i = (c_i phi_{i-1} - k) / b_i, and the closed form
 phi_i = k * (sum of shell sizes beyond i) / e_i.  They must agree exactly;
 keeping both alive is a permanent self-check.  The closed form reuses the
-distance distribution its caller already holds, so the scanner's biggs
-stage, `resistance_profile` and the catalog recomputation take it; the
-recursion is the reference route behind `biggs_ratio` and `classify_biggs`;
-`drglab analyze` prints it and `drglab verify` builds its harmonic function
-from it.
+distance distribution its caller already holds (`resistance_profile`, the
+catalog recomputation); the recursion reads n from the array alone and
+builds no distribution, so the two routes share nothing.  The recursion is
+the reference behind `biggs_ratio` and `classify_biggs`; `drglab analyze`
+prints it and `drglab verify` builds its harmonic function from it.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrays import (
-    CheckResult,
-    DistanceDistribution,
-    IntersectionArray,
-    compute_distance_distribution,
-)
+from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _vertex_count
 
 RECURSIVE = "recursive"
 CLOSED_FORM = "closed-form"
@@ -62,8 +57,7 @@ class PotentialSequence:
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:
     """Evaluate the recursion phi_i = (c_i phi_{i-1} - k) / b_i."""
-    dist = compute_distance_distribution(arr)
-    phi = [dist.n - 1]
+    phi = [_vertex_count(arr) - 1]
     for i in range(1, arr.D):
         phi.append((arr.c[i - 1] * phi[-1] - arr.k) / arr.b[i])
     phi.append(Fraction(0))
@@ -92,9 +86,9 @@ def check_potential_properties(p: PotentialSequence, arr: IntersectionArray) -> 
     if len(p.phi) != D + 1 or p.phi[-1] != 0:
         raise PropertyViolation(D, "sequence must end with phi_D = 0")
 
-    dist = compute_distance_distribution(arr)
-    if p.phi[0] != dist.n - 1:
-        raise PropertyViolation(0, f"phi_0 = {p.phi[0]} but n - 1 = {dist.n - 1}")
+    n = _vertex_count(arr)
+    if p.phi[0] != n - 1:
+        raise PropertyViolation(0, f"phi_0 = {p.phi[0]} but n - 1 = {n - 1}")
     for i in range(D):
         if p.phi[i] <= p.phi[i + 1]:
             raise PropertyViolation(i, f"phi_{i} = {p.phi[i]} not above phi_{i + 1} = {p.phi[i + 1]}")

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _unchecked_array, validate_basic
+from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _unchecked_array, _vertex_count, validate_basic
 from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
@@ -189,14 +189,6 @@ def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanR
             return _evaluate_leaf(n_max, arr, None)
         sizes.append(size)
     return _evaluate_leaf(n_max, arr, sizes)
-
-
-def _vertex_count(arr: IntersectionArray) -> Fraction:
-    """n = 1 + (b0/c1)(1 + (b1/c2)(1 + ...)), over the one denominator c1...cD."""
-    num = den = 1
-    for b, c in zip(reversed(arr.b), reversed(arr.c)):
-        num, den = c * den + b * num, c * den
-    return Fraction(num, den)
 
 
 def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> ScanRecord:

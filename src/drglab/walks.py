@@ -219,7 +219,12 @@ def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckRep
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray) or verified != arr:
         raise ValueError(f"graph verifies as {verified}, expected {arr}")
-    gap_bound, spectral_floor = _gap_bounds(resistance_profile(arr))
+    return _spectral_report(g, resistance_profile(arr))
+
+
+def _spectral_report(g: ExplicitGraph, profile: ResistanceProfile) -> SpectralCheckReport:
+    """`spectral_check` on a graph already verified with the profile's array."""
+    gap_bound, spectral_floor = _gap_bounds(profile)
     sigma = laplacian_spectral_gap(g)
     return SpectralCheckReport(
         sigma=sigma,

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import sys
 
 import pytest
 
-from drglab import construct_named_graph, to_edge_list
-from drglab.cli import main
+from drglab import construct_named_graph, to_edge_list, verify_distance_regular
+from drglab.cli import _build_parser, _load_graph, main
 
 
 MEMORY_CAP = """
@@ -320,6 +321,77 @@ class TestVerify:
 
     def test_missing_graph_exits_one(self):
         assert main(["verify"]) == 1
+
+    @pytest.mark.parametrize("command", [["verify"], ["walk", "--from-distance", "1"]])
+    def test_family_and_edges_together_exit_one(self, command, tmp_path, capsys):
+        # either source alone would be checked; together one would be dropped
+        path = tmp_path / "c4.txt"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+        assert main([command[0], "petersen", "--edges", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command[0]}: give a family name or --edges FILE, not both\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["verify", "hypercube", "14"], "verify: graph on 16384 vertices is too large to check: n^2 exceeds 1048576\n"),
+            (["walk", "hypercube", "14", "--from-distance", "1"], "walk: graph on 16384 vertices is too large to check: n^2 exceeds 1048576\n"),
+        ],
+    )
+    def test_graph_too_large_to_check_refused_under_memory_cap(self, argv, err):
+        # Q14 has 114,688 edges, within the edge cap, but the all-pairs
+        # count and the dense n x n matrices grow as n^2
+        result = subprocess.run(
+            [sys.executable, "-c", MEMORY_CAP, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == err
+
+    def test_check_size_limit_is_n_squared_against_edge_cap(self, capsys):
+        # 1024^2 is exactly 2^20: C1024 loads, C1025 is refused
+        args = _build_parser().parse_args(["walk", "cycle", "1024", "--from-distance", "1"])
+        assert _load_graph(args)[0].n == 1024
+        assert main(["walk", "cycle", "1025", "--from-distance", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "walk: graph on 1025 vertices is too large to check: n^2 exceeds 1048576\n"
+
+
+class TestOneCheckPerOp:
+    # the CLI verifies distance-regularity once and hands the verified graph
+    # to the unguarded harmonic and spectral bodies
+    MODULES = ("graphs", "circuits", "walks", "cli")
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        original = verify_distance_regular
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for name in self.MODULES:
+            monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "verify_distance_regular", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "petersen"],
+            ["verify", "hypercube", "3", "--exhaustive"],
+            ["walk", "petersen", "--from-distance", "2", "--trials", "100"],
+        ],
+    )
+    def test_one_count_per_op(self, verify_calls, argv, capsys):
+        assert main(argv) == 0
+        assert len(verify_calls) == 1
 
 
 class TestWalk:

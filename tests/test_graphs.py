@@ -1,5 +1,7 @@
 """Constructions, distance-regularity verification, and edge-list IO."""
 
+import tracemalloc
+
 import pytest
 
 import drglab.graphs as graphs
@@ -18,6 +20,10 @@ from drglab import (
     to_edge_list,
     verify_distance_regular,
 )
+from drglab.circuits import NotConverged, _harmonic_function, build_harmonic_function
+from drglab.potentials import potentials_recursive
+from drglab.resistance import resistance_profile
+from drglab.walks import _spectral_report, spectral_check
 
 # (family, params, n, m, array text)
 KNOWN = [
@@ -145,6 +151,41 @@ class TestVerification:
 
     def test_returns_intersection_array_type(self):
         assert isinstance(verify_distance_regular(construct_named_graph("petersen")), IntersectionArray)
+
+    def test_counts_in_flat_memory(self):
+        # one breadth-first row at a time: an n x n table of distances on
+        # Q9 (n = 512) would take about 2 MiB
+        g = construct_named_graph("hypercube", (9,))
+        tracemalloc.start()
+        try:
+            verified = verify_distance_regular(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verified == parse_intersection_array("(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)")
+        assert peak < 64 * 1024
+
+
+def _spectral_outcome(fn, *args):
+    """A spectral report, or NotConverged where the eigensolver gives up."""
+    try:
+        return fn(*args)
+    except NotConverged:
+        return NotConverged
+
+
+class TestVerifiedForms:
+    # the CLI verifies once and calls the unguarded bodies; the public
+    # functions verify first and then run the same bodies
+    @pytest.mark.parametrize("family,params,n,m,array_text", KNOWN)
+    def test_private_forms_equal_public_ones(self, family, params, n, m, array_text):
+        g = construct_named_graph(family, params)
+        arr = verify_distance_regular(g)
+        p = potentials_recursive(arr)
+        u, v = 0, g.adjacency[0][0]
+        assert _harmonic_function(g, u, v, p) == build_harmonic_function(g, u, v, p)
+        # C5 raises NotConverged from the eigensolver on both routes
+        assert _spectral_outcome(_spectral_report, g, resistance_profile(arr)) == _spectral_outcome(spectral_check, g, arr)
 
 
 class TestDistances:

@@ -492,10 +492,10 @@ class TestOneDerivation:
         assert len(distribution_calls) == 0
 
     def test_analyze(self, distribution_calls, capsys):
-        # its own distribution and the recursion's; the profile and the walk
-        # bounds reuse the first
+        # its own; the profile and the walk bounds reuse it, and the
+        # recursion reads n without one
         assert main(["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "--format", "json"]) == 0
-        assert len(distribution_calls) == 2
+        assert len(distribution_calls) == 1
 
     def test_resistance_profile(self, distribution_calls):
         resistance_profile(parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"))
