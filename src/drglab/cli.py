@@ -87,14 +87,23 @@ def _range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+class _CannotWrite(Exception):
+    """The file --output names could not be opened or written."""
+
+
 @contextlib.contextmanager
 def _output(args) -> Iterator[TextIO]:
-    """The file --output names, opened for writing, or stdout."""
-    if args.output:
+    """The file --output names, opened for writing, or stdout.  An OS error
+    while opening or writing the file becomes `_CannotWrite`, which `main`
+    reports in one line."""
+    if not args.output:
+        yield sys.stdout
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             yield handle
-    else:
-        yield sys.stdout
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 def _emit(args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
@@ -238,12 +247,14 @@ _SCAN_HEAD = """{
     "only_biggs": %s
   },
   "records": ["""
+# a record up to its ratio_decimal, then the tail from _SCAN_TAIL
 _SCAN_RECORD = """
     {
-      "array": %s,
+      "array": "%s%s",
       "n": %s,
       "ratio": %s,
-      "ratio_decimal": %s,
+      "ratio_decimal": %s,%s"""
+_SCAN_TAIL = """
       "first_failing_check": %s,
       "class": %s,
       "matched_extremal": %s
@@ -251,33 +262,70 @@ _SCAN_RECORD = """
 _TABLE_ROW = "%-42s %6s %-14s %10s %s\n"
 
 
+class _Texts(dict):
+    """The text of each key, made by `render` at the key's first lookup and
+    kept for the lookups after it."""
+
+    def __init__(self, render: Callable[[tuple], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: tuple) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+# the canonical array text "(b0,...,b_{D-1};c1,...,cD)" in two halves: ASCII
+# digits and punctuation, so JSON needs no escapes
+def _b_half(b: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, b)) + ";"
+
+
+def _c_half(c: tuple[int, ...]) -> str:
+    return ",".join(map(str, c)) + ")"
+
+
+def _scan_tail(outcome: tuple) -> str:
+    """The lines of a JSON record after its ratio_decimal, from
+    (first_failing_check, category, matched_extremal)."""
+    failing, category, matched = outcome
+    return _SCAN_TAIL % (
+        encode_basestring_ascii(failing),
+        "null" if category is None else encode_basestring_ascii(category.value),
+        "null" if matched is None else encode_basestring_ascii(matched),
+    )
+
+
 def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
-    """The JSON after its head: the records, one write each, then the ruled-out list."""
+    """The JSON after its head: the records, one write each, then the
+    ruled-out list.
+
+    A box repeats few `b` halves, `c` halves and outcomes across its
+    records, so the text of each distinct one is rendered once per call and
+    looked up for every record after; nothing is kept between calls.
+    """
+    b_texts, c_texts, tails = _Texts(_b_half), _Texts(_c_half), _Texts(_scan_tail)
     ruled_out = []
     sep = ""
     for record in records:
-        # the canonical array text is ASCII digits and punctuation: no escapes
-        array = f'"{record.array}"'
-        if record.ruled_out_by_biggs_alone:
-            ruled_out.append(array)
-        elif only_biggs:
+        biggs_alone = record.ruled_out_by_biggs_alone
+        if only_biggs and not biggs_alone:
             continue
-        n = record.n
+        array, n, ratio, failing, verdict = record
+        b_text, c_text = b_texts[array.b], c_texts[array.c]
+        if biggs_alone:
+            ruled_out.append(f'"{b_text}{c_text}"')
         n_text = str(n) if n.denominator == 1 else f'"{n}"'
-        ratio = record.ratio
         if ratio is None:
             ratio_text = decimal = "null"
         else:
             ratio_text = f'"{ratio}"'
             decimal = f'"{decimal_string(ratio)}"'
-        verdict = record.verdict
         if verdict is None:
-            category = matched = "null"
+            tail = tails[failing, None, None]
         else:
-            category = encode_basestring_ascii(verdict.category.value)
-            matched = "null" if verdict.matched_extremal is None else encode_basestring_ascii(verdict.matched_extremal)
-        failing = encode_basestring_ascii(record.first_failing_check)
-        out.write(sep + _SCAN_RECORD % (array, n_text, ratio_text, decimal, failing, category, matched))
+            tail = tails[failing, verdict.category, verdict.matched_extremal]
+        out.write(sep + _SCAN_RECORD % (b_text, c_text, n_text, ratio_text, decimal, tail))
         sep = ","
     listed = ",\n    ".join(ruled_out)
     out.write(
@@ -289,6 +337,10 @@ def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: boo
 
 
 def _write_scan_table(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
+    """The table: a header row, one row per record, then the totals line.
+    The array column is joined from its halves' texts, each rendered once
+    per call as in `_write_scan_json`."""
+    b_texts, c_texts = _Texts(_b_half), _Texts(_c_half)
     out.write(_TABLE_ROW % ("array", "n", "first_failing", "ratio", "class"))
     shown = ruled_out = 0
     for record in records:
@@ -297,9 +349,10 @@ def _write_scan_table(out: TextIO, records: Iterator[ScanRecord], only_biggs: bo
         elif only_biggs:
             continue
         shown += 1
-        ratio = "-" if record.ratio is None else decimal_string(record.ratio)
-        category = "-" if record.verdict is None else record.verdict.category.value
-        out.write(_TABLE_ROW % (record.array, record.n, record.first_failing_check, ratio, category))
+        array, n, ratio, failing, verdict = record
+        ratio_text = "-" if ratio is None else decimal_string(ratio)
+        category = "-" if verdict is None else verdict.category.value
+        out.write(_TABLE_ROW % (b_texts[array.b] + c_texts[array.c], n, failing, ratio_text, category))
     out.write(f"total {shown} record(s); {ruled_out} ruled out by the resistance bound alone\n")
 
 
@@ -596,7 +649,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CannotWrite as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

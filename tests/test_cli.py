@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
+import errno
 import hashlib
 import importlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from drglab import construct_named_graph, to_edge_list, verify_distance_regular
 from drglab.cli import _build_parser, _load_graph, main
+from drglab.scanner import ScanQuery, scan
 
 
 MEMORY_CAP = """
@@ -469,6 +471,11 @@ GOLDEN = [
     (["scan", "--k", "3", "--diameter", "1..2", "--only-biggs", "--format", "json"], "113c92f7e7cdd85597b176c4eb68f4cc866fbb2e0333086b63107cff0c3a74e7"),
     (["scan", "--k", "3", "--diameter", "1..2", "--only-biggs"], "1622180613845ec6a49dd55c3b311655b1aa9b8948025cdc9f2c3f39852bb4c5"),
     (["scan", "--k", "3..8", "--diameter", "1", "--n-max", "3", "--format", "json"], "27c2f80e779c1bfdeceb95a5b0ba4bd93ba22b470f2c61c23f5aed9b01516316"),
+    # recorded before the writers cached array halves and record tails:
+    # 12,299 records with all six outcomes, all four extremal names and 342
+    # arrays ruled out by the resistance bound alone
+    (["scan", "--k", "3..5", "--diameter", "6..8", "--n-max", "2000", "--format", "json"], "d19ed67c8e8579c9b9f9013e484fbbab887d6729d0211be4b1202c7067cc3def"),
+    (["scan", "--k", "3..5", "--diameter", "6..8", "--n-max", "2000"], "e38a7054fde7aa64c81065d558bd7324c21b1d5fb4dae41be4d1db08d9791470"),
 ]
 
 
@@ -499,6 +506,55 @@ class TestGoldenBytes:
                 assert main(["scan", "--k", "3"]) == 1
                 assert main(["scan", "--help"]) == 0
                 capsys.readouterr()
+
+
+class TestScanWriters:
+    # D = 1 and D = 8 are the shortest and longest halves the writers join;
+    # the second box has 72 arrays ruled out by the resistance bound alone
+    @pytest.mark.parametrize("box", [(3, 5, 1, 4), (3, 3, 6, 8)])
+    def test_array_text_is_the_canonical_form(self, box, tmp_path, capsys):
+        k_lo, k_hi, d_lo, d_hi = box
+        argv = ["scan", "--k", f"{k_lo}..{k_hi}", "--diameter", f"{d_lo}..{d_hi}"]
+        records = scan(ScanQuery(*box))
+        expected = [str(record.array) for record in records]
+        violations = [str(record.array) for record in records if record.ruled_out_by_biggs_alone]
+        assert {record.array.D for record in records} == set(range(d_lo, d_hi + 1))
+
+        code, payload = run_json(tmp_path, argv)
+        assert code == 0
+        assert [record["array"] for record in payload["records"]] == expected
+        assert payload["ruled_out_by_biggs_alone"] == violations
+
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows[1:-1]] == expected
+        assert rows[-1] == f"total {len(records)} record(s); {len(violations)} ruled out by the resistance bound alone"
+
+
+class TestUnwritableOutput:
+    COMMANDS = {
+        "analyze": ["analyze", "(3,2;1,3)"],
+        "scan": ["scan", "--k", "3", "--diameter", "2", "--format", "json"],
+        "catalog": ["catalog"],
+        "verify": ["verify", "petersen"],
+        "walk": ["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_directory_exits_one(self, command, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "x.json"
+        assert main([*self.COMMANDS[command], "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: cannot write {path}: {os.strerror(errno.ENOENT)}\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory_exits_one(self, command, tmp_path, capsys):
+        assert main([*self.COMMANDS[command], "--output", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 MEMORY_GUARD = """
