@@ -81,9 +81,19 @@ def _unchecked_array(b: tuple[int, ...], c: tuple[int, ...]) -> IntersectionArra
     return arr
 
 
+# the canonical text in two halves, "(b0,...,b_{D-1};" and "c1,...,cD)", so a
+# writer can render each distinct half once; ASCII digits and punctuation only
+def _b_half(b: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, b)) + ";"
+
+
+def _c_half(c: tuple[int, ...]) -> str:
+    return ",".join(map(str, c)) + ")"
+
+
 def format_intersection_array(arr: IntersectionArray) -> str:
     """Canonical text form: parenthesized, comma-separated, no spaces."""
-    return "({};{})".format(",".join(map(str, arr.b)), ",".join(map(str, arr.c)))
+    return _b_half(arr.b) + _c_half(arr.c)
 
 
 # ASCII digits only: `\d` and `int` also read other scripts' digits

@@ -27,6 +27,8 @@ from .arrays import (
     IntersectionArray,
     LengthMismatch,
     MalformedInput,
+    _b_half,
+    _c_half,
     check_divisibility,
     compute_distance_distribution,
     diameter_head_bound,
@@ -47,8 +49,6 @@ from .graphs import (
     MAX_EDGES,
     BadParams,
     ExplicitGraph,
-    NotConnected,
-    UnknownFamily,
     bfs_distances,
     construct_named_graph,
     from_edge_list,
@@ -230,23 +230,6 @@ def _cmd_analyze(args) -> int:
 # ------------------------------------------------------------------------- scan
 
 
-# the indent=2 layout of the scan payload, filled in field by field
-_SCAN_HEAD = """{
-  "schema": %d,
-  "command": "scan",
-  "query": {
-    "k": [
-      %d,
-      %d
-    ],
-    "diameter": [
-      %d,
-      %d
-    ],
-    "n_max": %s,
-    "only_biggs": %s
-  },
-  "records": ["""
 # a record up to its ratio_decimal, then the tail from _SCAN_TAIL
 _SCAN_RECORD = """
     {
@@ -275,16 +258,6 @@ class _Texts(dict):
         return text
 
 
-# the canonical array text "(b0,...,b_{D-1};c1,...,cD)" in two halves: ASCII
-# digits and punctuation, so JSON needs no escapes
-def _b_half(b: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, b)) + ";"
-
-
-def _c_half(c: tuple[int, ...]) -> str:
-    return ",".join(map(str, c)) + ")"
-
-
 def _scan_tail(outcome: tuple) -> str:
     """The lines of a JSON record after its ratio_decimal, from
     (first_failing_check, category, matched_extremal)."""
@@ -296,25 +269,26 @@ def _scan_tail(outcome: tuple) -> str:
     )
 
 
-def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
-    """The JSON after its head: the records, one write each, then the
-    ruled-out list.
+def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) -> None:
+    """The scan payload, one write per record, in the bytes
+    `json.dumps(indent=2)` gives for the whole of it: the head and the
+    ruled-out list come from `json.dumps` itself, each record from the
+    templates.
 
     A box repeats few `b` halves, `c` halves and outcomes across its
     records, so the text of each distinct one is rendered once per call and
     looked up for every record after; nothing is kept between calls.
     """
+    head = json.dumps({"schema": SCHEMA, "command": "scan", "query": query, "records": []}, indent=2)
+    out.write(head[: head.rindex("]")])
     b_texts, c_texts, tails = _Texts(_b_half), _Texts(_c_half), _Texts(_scan_tail)
     ruled_out = []
     sep = ""
     for record in records:
-        biggs_alone = record.ruled_out_by_biggs_alone
-        if only_biggs and not biggs_alone:
-            continue
         array, n, ratio, failing, verdict = record
         b_text, c_text = b_texts[array.b], c_texts[array.c]
-        if biggs_alone:
-            ruled_out.append(f'"{b_text}{c_text}"')
+        if record.ruled_out_by_biggs_alone:
+            ruled_out.append(b_text + c_text)
         n_text = str(n) if n.denominator == 1 else f'"{n}"'
         if ratio is None:
             ratio_text = decimal = "null"
@@ -327,16 +301,12 @@ def _write_scan_json(out: TextIO, records: Iterator[ScanRecord], only_biggs: boo
             tail = tails[failing, verdict.category, verdict.matched_extremal]
         out.write(sep + _SCAN_RECORD % (b_text, c_text, n_text, ratio_text, decimal, tail))
         sep = ","
-    listed = ",\n    ".join(ruled_out)
-    out.write(
-        ("\n  ]" if sep else "]")
-        + ',\n  "ruled_out_by_biggs_alone": ['
-        + (f"\n    {listed}\n  ]" if ruled_out else "]")
-        + "\n}\n"
-    )
+    # the foot's own "{" is already open in the head
+    foot = json.dumps({"ruled_out_by_biggs_alone": ruled_out}, indent=2)
+    out.write(("\n  ]," if sep else "],") + foot[1:] + "\n")
 
 
-def _write_scan_table(out: TextIO, records: Iterator[ScanRecord], only_biggs: bool) -> None:
+def _write_scan_table(out: TextIO, records: Iterator[ScanRecord]) -> None:
     """The table: a header row, one row per record, then the totals line.
     The array column is joined from its halves' texts, each rendered once
     per call as in `_write_scan_json`."""
@@ -344,11 +314,8 @@ def _write_scan_table(out: TextIO, records: Iterator[ScanRecord], only_biggs: bo
     out.write(_TABLE_ROW % ("array", "n", "first_failing", "ratio", "class"))
     shown = ruled_out = 0
     for record in records:
-        if record.ruled_out_by_biggs_alone:
-            ruled_out += 1
-        elif only_biggs:
-            continue
         shown += 1
+        ruled_out += record.ruled_out_by_biggs_alone
         array, n, ratio, failing, verdict = record
         ratio_text = "-" if ratio is None else decimal_string(ratio)
         category = "-" if verdict is None else verdict.category.value
@@ -371,13 +338,15 @@ def _cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"scan: {exc}", file=sys.stderr)
         return 1
+    if args.only_biggs:
+        records = (record for record in records if record.ruled_out_by_biggs_alone)
 
     with _output(args) as out:
         if args.format == "json":
-            out.write(_SCAN_HEAD % (SCHEMA, k_lo, k_hi, d_lo, d_hi, json.dumps(args.n_max), json.dumps(args.only_biggs)))
-            _write_scan_json(out, records, args.only_biggs)
+            box = {"k": [k_lo, k_hi], "diameter": [d_lo, d_hi], "n_max": args.n_max, "only_biggs": args.only_biggs}
+            _write_scan_json(out, box, records)
         else:
-            _write_scan_table(out, records, args.only_biggs)
+            _write_scan_table(out, records)
     return 0
 
 
@@ -448,7 +417,7 @@ def _load_graph(args) -> tuple[ExplicitGraph, dict]:
 def _cmd_verify(args) -> int:
     try:
         graph, origin = _load_graph(args)
-    except (UnknownFamily, BadParams, NotConnected, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
 
@@ -542,7 +511,7 @@ def _cmd_verify(args) -> int:
 def _cmd_walk(args) -> int:
     try:
         graph, origin = _load_graph(args)
-    except (UnknownFamily, BadParams, NotConnected, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"walk: {exc}", file=sys.stderr)
         return 1
     verified = verify_distance_regular(graph)

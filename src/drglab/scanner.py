@@ -108,13 +108,9 @@ def _candidates(query: ScanQuery) -> Iterator[_Leaf]:
     """`enumerate_arrays` with each array's whole shell sizes beside it."""
     if _exceeds_budget(query):
         raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {query.budget}")
-    return _generate(query)
-
-
-def _generate(query: ScanQuery) -> Iterator[_Leaf]:
-    for k in range(query.k_min, query.k_max + 1):
-        for D in range(query.d_min, query.d_max + 1):
-            yield from _arrays_for(k, D)
+    return itertools.chain.from_iterable(
+        _arrays_for(k, D) for k in range(query.k_min, query.k_max + 1) for D in range(query.d_min, query.d_max + 1)
+    )
 
 
 def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:

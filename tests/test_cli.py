@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from drglab import construct_named_graph, to_edge_list, verify_distance_regular
+from drglab import circuits, construct_named_graph, to_edge_list, verify_distance_regular
 from drglab.cli import _build_parser, _load_graph, main
 from drglab.scanner import ScanQuery, scan
 
@@ -237,17 +237,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == err
 
-    def test_eigensolver_failure_exits_one(self):
-        # C5's Jacobi off-diagonal norm stalls above the threshold
-        result = subprocess.run(
-            [sys.executable, "-m", "drglab", "verify", "cycle", "5"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 1
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("verify: ")
+    def test_cycle_five_passes(self, capsys):
+        # C5's off-diagonal norm, read as a difference of squares, stalls
+        # above the Jacobi tolerance; the entries' own norm settles it
+        assert main(["verify", "cycle", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "overall          pass"
+
+    def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(circuits, "JACOBI_MAX_SWEEPS", 0)
+        assert main(["verify", "petersen"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: spectral check failed: ")
 
     def test_huge_vertex_count_refused_under_memory_cap(self, tmp_path):
         # a 13-byte file naming 10^9 vertices and no edges must be refused
@@ -476,6 +478,11 @@ GOLDEN = [
     # arrays ruled out by the resistance bound alone
     (["scan", "--k", "3..5", "--diameter", "6..8", "--n-max", "2000", "--format", "json"], "d19ed67c8e8579c9b9f9013e484fbbab887d6729d0211be4b1202c7067cc3def"),
     (["scan", "--k", "3..5", "--diameter", "6..8", "--n-max", "2000"], "e38a7054fde7aa64c81065d558bd7324c21b1d5fb4dae41be4d1db08d9791470"),
+    # recorded before --only-biggs became one filter ahead of both writers
+    # and the JSON head and foot came from json.dumps: 72 records, all
+    # ruled out by the resistance bound alone
+    (["scan", "--k", "3", "--diameter", "6..8", "--only-biggs", "--format", "json"], "82f4c21dd35bd2819c056c7936ff95ee67ac8e7d308ed00c484e56da1281db5b"),
+    (["scan", "--k", "3", "--diameter", "6..8", "--only-biggs"], "e6da4bffb55a10f01118c8f54ce7e9fa75ab3772c52b491c1172b05901bc52af"),
 ]
 
 
