@@ -15,6 +15,7 @@ commands that never take a spectrum never load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -160,6 +161,9 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below `JACOBI_OFF_TOL`.
+    Each rotation updates rows p, q and columns p, q as one stacked block and
+    then sets the four entries where they cross, so every entry gets the IEEE
+    operations of rotating the rows first and the columns after.
     """
     import numpy as np
 
@@ -167,29 +171,41 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    # a vanishing a[p, q] overflows theta to inf, which gives t = 0: no rotation
-    with np.errstate(over="ignore"):
-        for _ in range(JACOBI_MAX_SWEEPS):
-            # cancellation can push the difference a hair below zero
-            off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-            if off <= JACOBI_OFF_TOL:
-                return np.sort(np.diag(a))
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t /= abs(theta) + np.hypot(theta, 1.0)
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
+    for _ in range(JACOBI_MAX_SWEEPS):
+        # cancellation can push the difference a hair below zero
+        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
+        if off <= JACOBI_OFF_TOL:
+            return np.sort(np.diag(a))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a.item(p, q)
+                if apq == 0.0:
+                    continue
+                app, aqp, aqq = a.item(p, p), a.item(q, p), a.item(q, q)
+                # a vanishing apq overflows theta to inf, which gives t = 0:
+                # no rotation.  np.hypot, because math.hypot rounds some
+                # arguments differently
+                theta = (aqq - app) / (2.0 * apq)
+                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + float(np.hypot(theta, 1.0)))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # rows p, q beside columns p, q: one 2 x 2n block
+                rows = a[p : q + 1 : q - p]
+                cols = a[:, p : q + 1 : q - p]
+                block = np.concatenate((rows, cols.T), axis=1)
+                cb = c * block
+                sb = s * block
+                np.subtract(cb[0], sb[1], out=block[0])
+                np.add(sb[0], cb[1], out=block[1])
+                rows[...] = block[:, :n]
+                cols[...] = block[:, n:].T
+                # the crossing entries: the row rotation, then the column one
+                rpp, rpq = c * app - s * aqp, c * apq - s * aqq
+                rqp, rqq = s * app + c * aqp, s * apq + c * aqq
+                a[p, p] = c * rpp - s * rpq
+                a[p, q] = s * rpp + c * rpq
+                a[q, p] = c * rqp - s * rqq
+                a[q, q] = s * rqp + c * rqq
     # the difference above loses ~sqrt(eps) * |A| to cancellation and can
     # stall over the tolerance (C5, C14); the off-diagonal entries' own norm
     # decides before giving up

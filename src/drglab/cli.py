@@ -59,7 +59,7 @@ from .potentials import potentials_recursive
 from .rational import decimal_string
 from .resistance import BiggsClass, classify_ratio, profile_from_distribution, resistance_profile
 from .scanner import ScanQuery, ScanRecord, _records
-from .walks import _spectral_report, commute_time, simulate_hitting_time, walk_bounds_from_profile
+from .walks import _spectral_report, _walk_degree, commute_time, simulate_hitting_time, walk_bounds_from_profile
 
 SCHEMA = 1
 
@@ -106,14 +106,12 @@ def _output(args) -> Iterator[TextIO]:
         raise _CannotWrite(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
-def _emit(args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
+def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
     """Write the output in the format asked for, calling only that format's function."""
     if args.format == "json":
-        text = json.dumps(payload(), indent=2) + "\n"
+        out.write(json.dumps(payload(), indent=2) + "\n")
     else:
-        text = "\n".join(table()) + "\n"
-    with _output(args) as out:
-        out.write(text)
+        out.write("\n".join(table()) + "\n")
 
 
 def _verdict_json(verdict) -> dict:
@@ -139,92 +137,94 @@ def _cmd_analyze(args) -> int:
         print("analyze: the resistance classification covers valency >= 3 only", file=sys.stderr)
         return 1
 
-    report = validate_basic(arr)
-    dist = compute_distance_distribution(arr)
-    divisibility = check_divisibility(arr)
-    head = diameter_head_bound(arr)
+    with _output(args) as out:
+        report = validate_basic(arr)
+        dist = compute_distance_distribution(arr)
+        divisibility = check_divisibility(arr)
+        head = diameter_head_bound(arr)
 
-    def screens_payload() -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": "analyze",
-            "array": str(arr),
-            "validation": {
-                "overall": report.overall,
-                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
-            },
-            "distribution": {
-                "shells": [_num(x) for x in dist.k_sizes],
-                "n": _num(dist.n),
-                "m": _num(dist.m),
-                "edge_counts": [_num(x) for x in dist.e],
-                "integral": dist.integral,
-            },
-            "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
-            "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
-        }
-
-    def screens_table() -> list[str]:
-        return [
-            f"array            {arr}",
-            f"validation       {'pass' if report.overall else 'FAIL: ' + '; '.join(c.detail for c in report.failed())}",
-            f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
-            f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
-            f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
-        ]
-
-    if not (report.overall and dist.shells_integral):
-        _emit(
-            args,
-            lambda: {**screens_payload(), "verdict": None, "realizable": False},
-            lambda: screens_table() + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"],
-        )
-        return 2
-
-    p = potentials_recursive(arr)
-    profile = profile_from_distribution(arr, dist)
-    verdict = classify_ratio(arr, profile.ratio)
-    bounds = walk_bounds_from_profile(arr, profile)
-
-    def payload() -> dict:
-        return {
-            **screens_payload(),
-            "potentials": {
-                "fractions": [str(x) for x in p.phi],
-                "decimals": [decimal_string(x) for x in p.phi],
-                "source": p.source,
-            },
-            "resistance": {
-                "d": [str(x) for x in profile.d],
-                "d_decimals": [decimal_string(x) for x in profile.d],
-                "ratio": str(profile.ratio),
-                "ratio_decimal": decimal_string(profile.ratio),
-                "K_factor": str(profile.K_factor),
-            },
-            "verdict": _verdict_json(verdict),
-            "walk_bounds": {
+        def screens_payload() -> dict:
+            return {
+                "schema": SCHEMA,
+                "command": "analyze",
                 "array": str(arr),
-                "n": bounds.n,
-                "m": _num(bounds.m),
-                "commute_times": [str(x) for x in bounds.commute_times],
-                "hitting_bound": bounds.hitting_bound,
-                "commute_bound": bounds.commute_bound,
-                "cover_bound_dominant": bounds.cover_bound_dominant,
-                "spectral_lower_bound": str(bounds.spectral_lower_bound),
-            },
-        }
+                "validation": {
+                    "overall": report.overall,
+                    "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
+                },
+                "distribution": {
+                    "shells": [_num(x) for x in dist.k_sizes],
+                    "n": _num(dist.n),
+                    "m": _num(dist.m),
+                    "edge_counts": [_num(x) for x in dist.e],
+                    "integral": dist.integral,
+                },
+                "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
+                "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
+            }
 
-    def table() -> list[str]:
-        return screens_table() + [
-            f"potentials       {[str(x) for x in p.phi]}",
-            f"resistances      {[str(x) for x in profile.d]}",
-            f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
-            f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
-            f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
-        ]
+        def screens_table() -> list[str]:
+            return [
+                f"array            {arr}",
+                f"validation       {'pass' if report.overall else 'FAIL: ' + '; '.join(c.detail for c in report.failed())}",
+                f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+                f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
+                f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
+            ]
 
-    _emit(args, payload, table)
-    return 2 if verdict.category is BiggsClass.VIOLATION else 0
+        if not (report.overall and dist.shells_integral):
+            _emit(
+                out,
+                args,
+                lambda: {**screens_payload(), "verdict": None, "realizable": False},
+                lambda: screens_table() + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"],
+            )
+            return 2
+
+        p = potentials_recursive(arr)
+        profile = profile_from_distribution(arr, dist)
+        verdict = classify_ratio(arr, profile.ratio)
+        bounds = walk_bounds_from_profile(arr, profile)
+
+        def payload() -> dict:
+            return {
+                **screens_payload(),
+                "potentials": {
+                    "fractions": [str(x) for x in p.phi],
+                    "decimals": [decimal_string(x) for x in p.phi],
+                    "source": p.source,
+                },
+                "resistance": {
+                    "d": [str(x) for x in profile.d],
+                    "d_decimals": [decimal_string(x) for x in profile.d],
+                    "ratio": str(profile.ratio),
+                    "ratio_decimal": decimal_string(profile.ratio),
+                    "K_factor": str(profile.K_factor),
+                },
+                "verdict": _verdict_json(verdict),
+                "walk_bounds": {
+                    "array": str(arr),
+                    "n": bounds.n,
+                    "m": _num(bounds.m),
+                    "commute_times": [str(x) for x in bounds.commute_times],
+                    "hitting_bound": bounds.hitting_bound,
+                    "commute_bound": bounds.commute_bound,
+                    "cover_bound_dominant": bounds.cover_bound_dominant,
+                    "spectral_lower_bound": str(bounds.spectral_lower_bound),
+                },
+            }
+
+        def table() -> list[str]:
+            return screens_table() + [
+                f"potentials       {[str(x) for x in p.phi]}",
+                f"resistances      {[str(x) for x in profile.d]}",
+                f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
+                f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
+                f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
+            ]
+
+        _emit(out, args, payload, table)
+        return 2 if verdict.category is BiggsClass.VIOLATION else 0
 
 
 # ------------------------------------------------------------------------- scan
@@ -354,40 +354,42 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    rows = [(entry, recompute_entry(entry) if args.recompute else None) for entry in catalog()]
+    entries = catalog()
+    with _output(args) as out:
+        rows = [(entry, recompute_entry(entry) if args.recompute else None) for entry in entries]
 
-    def payload() -> dict:
-        entries = []
-        for entry, recomputed in rows:
-            item = {
-                "table": entry.table,
-                "name": entry.name,
-                "aliases": list(entry.aliases),
-                "array": str(entry.array),
-                "vertices": entry.vertices,
-                "ratio": entry.printed_ratio,
-                "extremal": entry.extremal,
-                "has_explicit_construction": entry.has_explicit_construction,
-            }
-            if recomputed is not None:
-                item["recomputed_n"] = recomputed.n
-                item["recomputed_ratio"] = str(recomputed.ratio)
-                item["recomputed_ratio_rendered"] = recomputed.ratio_rendered
-                item["matches"] = recomputed.matches
-            entries.append(item)
-        return {"schema": SCHEMA, "command": "catalog", "recompute": bool(args.recompute), "entries": entries}
+        def payload() -> dict:
+            entries = []
+            for entry, recomputed in rows:
+                item = {
+                    "table": entry.table,
+                    "name": entry.name,
+                    "aliases": list(entry.aliases),
+                    "array": str(entry.array),
+                    "vertices": entry.vertices,
+                    "ratio": entry.printed_ratio,
+                    "extremal": entry.extremal,
+                    "has_explicit_construction": entry.has_explicit_construction,
+                }
+                if recomputed is not None:
+                    item["recomputed_n"] = recomputed.n
+                    item["recomputed_ratio"] = str(recomputed.ratio)
+                    item["recomputed_ratio_rendered"] = recomputed.ratio_rendered
+                    item["matches"] = recomputed.matches
+                entries.append(item)
+            return {"schema": SCHEMA, "command": "catalog", "recompute": bool(args.recompute), "entries": entries}
 
-    def table() -> list[str]:
-        lines = [f"{'name':34s} {'array':42s} {'n':>5s} {'ratio':>9s}  table"]
-        for entry, recomputed in rows:
-            mark = "  MISMATCH" if recomputed is not None and not recomputed.matches else ""
-            lines.append(
-                f"{entry.name:34s} {str(entry.array):42s} {entry.vertices:>5d} {entry.printed_ratio:>9s}  {entry.table}{mark}"
-            )
-        return lines
+        def table() -> list[str]:
+            lines = [f"{'name':34s} {'array':42s} {'n':>5s} {'ratio':>9s}  table"]
+            for entry, recomputed in rows:
+                mark = "  MISMATCH" if recomputed is not None and not recomputed.matches else ""
+                lines.append(
+                    f"{entry.name:34s} {str(entry.array):42s} {entry.vertices:>5d} {entry.printed_ratio:>9s}  {entry.table}{mark}"
+                )
+            return lines
 
-    _emit(args, payload, table)
-    return 2 if any(recomputed is not None and not recomputed.matches for _, recomputed in rows) else 0
+        _emit(out, args, payload, table)
+        return 2 if any(recomputed is not None and not recomputed.matches for _, recomputed in rows) else 0
 
 
 # ----------------------------------------------------------------------- verify
@@ -426,83 +428,85 @@ def _cmd_verify(args) -> int:
 
     graph_line = f"graph            n={graph.n} m={graph.m}"
 
-    verified = verify_distance_regular(graph)
-    if not isinstance(verified, IntersectionArray):
-        _emit(
-            args,
-            lambda: {**graph_payload(), "distance_regular": False, "failure": str(verified)},
-            lambda: [graph_line, f"distance-regular NO: {verified}"],
-        )
-        return 2
+    with _output(args) as out:
+        verified = verify_distance_regular(graph)
+        if not isinstance(verified, IntersectionArray):
+            _emit(
+                out,
+                args,
+                lambda: {**graph_payload(), "distance_regular": False, "failure": str(verified)},
+                lambda: [graph_line, f"distance-regular NO: {verified}"],
+            )
+            return 2
 
-    p = potentials_recursive(verified)
-    u = 0
-    v = graph.adjacency[0][0]
-    assignment = _harmonic_function(graph, u, v, p)
-    residual = check_harmonicity(graph, assignment)
-    current = measure_current(graph, assignment)
-    harmonic_ok = residual == 0
-    current_ok = current == assignment.expected_current
+        p = potentials_recursive(verified)
+        u = 0
+        v = graph.adjacency[0][0]
+        assignment = _harmonic_function(graph, u, v, p)
+        residual = check_harmonicity(graph, assignment)
+        current = measure_current(graph, assignment)
+        harmonic_ok = residual == 0
+        current_ok = current == assignment.expected_current
 
-    profile = resistance_profile(verified)
-    if args.exhaustive:
-        checked = [(j, pair) for j, pairs in all_pairs_by_distance(graph).items() for pair in pairs]
-    else:
-        checked = list(representative_pairs(graph).items())
-    measured = effective_resistances(graph, [pair for _, pair in checked])
-    oracle_rows = [
-        {"distance": j, "pair": list(pair), "oracle": str(value), "formula": str(profile.at(j)), "equal": value == profile.at(j)}
-        for (j, pair), value in zip(checked, measured)
-    ]
-
-    try:
-        spectral = _spectral_report(graph, profile)
-    except NotConverged as exc:
-        print(f"verify: spectral check failed: {exc}", file=sys.stderr)
-        return 1
-    spectral_ok = spectral.sigma_holds and spectral.middle_holds
-    overall = harmonic_ok and current_ok and all(row["equal"] for row in oracle_rows) and spectral_ok
-
-    def payload() -> dict:
-        return {
-            **graph_payload(),
-            "distance_regular": True,
-            "array": str(verified),
-            "harmonic": {
-                "pair": [u, v],
-                "max_residual": str(residual),
-                "residual_zero": harmonic_ok,
-                "current": str(current),
-                "expected_current": assignment.expected_current,
-                "current_matches": current_ok,
-            },
-            "oracle": oracle_rows,
-            "spectral": {
-                "sigma": spectral.sigma,
-                "resistance_gap_bound": str(spectral.resistance_gap_bound),
-                "spectral_lower_bound": str(spectral.spectral_lower_bound),
-                "sigma_holds": spectral.sigma_holds,
-                "middle_holds": spectral.middle_holds,
-            },
-            "overall": overall,
-        }
-
-    def table() -> list[str]:
-        return [
-            graph_line,
-            f"array            {verified}",
-            f"harmonic         residual={residual} current={current}/{assignment.expected_current}",
-            *(
-                f"resistance d_{row['distance']}   pair {tuple(row['pair'])} oracle={row['oracle']} formula={row['formula']} {'ok' if row['equal'] else 'MISMATCH'}"
-                for row in oracle_rows
-            ),
-            f"spectral         sigma={spectral.sigma:.8f} >= {spectral.resistance_gap_bound} >= {spectral.spectral_lower_bound}"
-            f" {'ok' if spectral_ok else 'MISMATCH'}",
-            f"overall          {'pass' if overall else 'FAIL'}",
+        profile = resistance_profile(verified)
+        if args.exhaustive:
+            checked = [(j, pair) for j, pairs in all_pairs_by_distance(graph).items() for pair in pairs]
+        else:
+            checked = list(representative_pairs(graph).items())
+        measured = effective_resistances(graph, [pair for _, pair in checked])
+        oracle_rows = [
+            {"distance": j, "pair": list(pair), "oracle": str(value), "formula": str(profile.at(j)), "equal": value == profile.at(j)}
+            for (j, pair), value in zip(checked, measured)
         ]
 
-    _emit(args, payload, table)
-    return 0 if overall else 2
+        try:
+            spectral = _spectral_report(graph, profile)
+        except NotConverged as exc:
+            print(f"verify: spectral check failed: {exc}", file=sys.stderr)
+            return 1
+        spectral_ok = spectral.sigma_holds and spectral.middle_holds
+        overall = harmonic_ok and current_ok and all(row["equal"] for row in oracle_rows) and spectral_ok
+
+        def payload() -> dict:
+            return {
+                **graph_payload(),
+                "distance_regular": True,
+                "array": str(verified),
+                "harmonic": {
+                    "pair": [u, v],
+                    "max_residual": str(residual),
+                    "residual_zero": harmonic_ok,
+                    "current": str(current),
+                    "expected_current": assignment.expected_current,
+                    "current_matches": current_ok,
+                },
+                "oracle": oracle_rows,
+                "spectral": {
+                    "sigma": spectral.sigma,
+                    "resistance_gap_bound": str(spectral.resistance_gap_bound),
+                    "spectral_lower_bound": str(spectral.spectral_lower_bound),
+                    "sigma_holds": spectral.sigma_holds,
+                    "middle_holds": spectral.middle_holds,
+                },
+                "overall": overall,
+            }
+
+        def table() -> list[str]:
+            return [
+                graph_line,
+                f"array            {verified}",
+                f"harmonic         residual={residual} current={current}/{assignment.expected_current}",
+                *(
+                    f"resistance d_{row['distance']}   pair {tuple(row['pair'])} oracle={row['oracle']} formula={row['formula']} {'ok' if row['equal'] else 'MISMATCH'}"
+                    for row in oracle_rows
+                ),
+                f"spectral         sigma={spectral.sigma:.8f} >= {spectral.resistance_gap_bound} >= {spectral.spectral_lower_bound}"
+                f" {'ok' if spectral_ok else 'MISMATCH'}",
+                f"overall          {'pass' if overall else 'FAIL'}",
+            ]
+
+        _emit(out, args, payload, table)
+        return 0 if overall else 2
 
 
 # ------------------------------------------------------------------------- walk
@@ -524,43 +528,47 @@ def _cmd_walk(args) -> int:
 
     dist = bfs_distances(graph, 0)
     target = dist.index(args.from_distance)
+    # the simulation's own argument checks, run before --output is opened
     try:
-        estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
+        _walk_degree(graph, (0, target), args.trials, args.seed)
     except ValueError as exc:
         print(f"walk: {exc}", file=sys.stderr)
         return 1
-    expected = commute_time(verified, args.from_distance) / 2
-    gap = abs(estimate.mean - float(expected))
-    within = gap <= 3 * estimate.stderr
 
-    def payload() -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": "walk",
-            "graph": origin,
-            "array": str(verified),
-            "from_distance": args.from_distance,
-            "pair": [0, target],
-            "trials": estimate.trials,
-            "seed": estimate.seed,
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "expected": str(expected),
-            "expected_decimal": decimal_string(expected),
-            "within_3_stderr": within,
-        }
+    with _output(args) as out:
+        estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
+        expected = commute_time(verified, args.from_distance) / 2
+        gap = abs(estimate.mean - float(expected))
+        within = gap <= 3 * estimate.stderr
 
-    def table() -> list[str]:
-        return [
-            f"graph            {origin}",
-            f"pair             (0, {target}) at distance {args.from_distance}",
-            f"estimate         mean={estimate.mean:.4f} stderr={estimate.stderr:.4f} ({estimate.trials} trials, seed {estimate.seed})",
-            f"expected         {expected} = {decimal_string(expected)}",
-            f"within 3 stderr  {'yes' if within else 'NO'}",
-        ]
+        def payload() -> dict:
+            return {
+                "schema": SCHEMA,
+                "command": "walk",
+                "graph": origin,
+                "array": str(verified),
+                "from_distance": args.from_distance,
+                "pair": [0, target],
+                "trials": estimate.trials,
+                "seed": estimate.seed,
+                "mean": estimate.mean,
+                "stderr": estimate.stderr,
+                "expected": str(expected),
+                "expected_decimal": decimal_string(expected),
+                "within_3_stderr": within,
+            }
 
-    _emit(args, payload, table)
-    return 0 if within else 2
+        def table() -> list[str]:
+            return [
+                f"graph            {origin}",
+                f"pair             (0, {target}) at distance {args.from_distance}",
+                f"estimate         mean={estimate.mean:.4f} stderr={estimate.stderr:.4f} ({estimate.trials} trials, seed {estimate.seed})",
+                f"expected         {expected} = {decimal_string(expected)}",
+                f"within 3 stderr  {'yes' if within else 'NO'}",
+            ]
+
+        _emit(out, args, payload, table)
+        return 0 if within else 2
 
 
 # ------------------------------------------------------------------------ parser

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drglab import (
     ArrayMismatch,
@@ -22,7 +24,15 @@ from drglab import (
     resistance_profile,
     verify_distance_regular,
 )
-from drglab.circuits import all_pairs_by_distance, effective_resistances, jacobi_eigenvalues, laplacian_matrix
+from drglab.circuits import (
+    JACOBI_MAX_SWEEPS,
+    JACOBI_OFF_TOL,
+    NotConverged,
+    all_pairs_by_distance,
+    effective_resistances,
+    jacobi_eigenvalues,
+    laplacian_matrix,
+)
 from drglab.rational import solve_exact
 
 CUBE = construct_named_graph("hypercube", (3,))
@@ -222,3 +232,139 @@ class TestEigensolver:
     )
     def test_spectral_gap(self, g, gap):
         assert abs(laplacian_spectral_gap(g) - gap) < 1e-8
+
+
+def reference_jacobi(matrix):
+    """`jacobi_eigenvalues` as it rotated before the stacked update: the rows
+    p, q, then the columns p, q, each from copies, in numpy scalars."""
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    with np.errstate(over="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
+            if off <= JACOBI_OFF_TOL:
+                return np.sort(np.diag(a))
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    if apq == 0.0:
+                        continue
+                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    t = np.sign(theta) if theta != 0 else 1.0
+                    t /= abs(theta) + np.hypot(theta, 1.0)
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                    a[p, :] = c * row_p - s * row_q
+                    a[q, :] = s * row_p + c * row_q
+                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                    a[:, p] = c * col_p - s * col_q
+                    a[:, q] = s * col_p + c * col_q
+    if np.linalg.norm(a - np.diag(np.diag(a))) <= JACOBI_OFF_TOL:
+        return np.sort(np.diag(a))
+    raise NotConverged(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def eigenvalue_bytes(solver, matrix):
+    """The eigenvalues' bytes, or the name of the exception the solver raised."""
+    try:
+        return solver(matrix).tobytes()
+    except NotConverged as exc:
+        return type(exc).__name__
+
+
+# every family spec the benchmark verifies or walks on, aliases included, and
+# C5 and C14, whose sweeps stall and end in the entries' own norm
+BENCH_SPECS = [
+    ("petersen", ()),
+    ("heawood", ()),
+    ("pappus", ()),
+    ("desargues", ()),
+    ("dodecahedron", ()),
+    ("hypercube", (3,)),
+    ("hamming", (3, 2)),
+    ("hypercube", (4,)),
+    ("hamming", (4, 2)),
+    ("hypercube", (6,)),
+    ("hamming", (6, 2)),
+    ("complete", (8,)),
+    ("hamming", (1, 8)),
+    ("johnson", (8, 1)),
+    ("johnson", (8, 7)),
+    ("complete", (9,)),
+    ("hamming", (1, 9)),
+    ("johnson", (9, 1)),
+    ("johnson", (9, 8)),
+    ("complete", (16,)),
+    ("hamming", (1, 16)),
+    ("johnson", (16, 1)),
+    ("johnson", (16, 15)),
+    ("complete", (20,)),
+    ("hamming", (1, 20)),
+    ("johnson", (20, 1)),
+    ("johnson", (20, 19)),
+    ("complete_bipartite", (5,)),
+    ("complete_bipartite", (6,)),
+    ("complete_bipartite", (10,)),
+    ("complete_bipartite", (16,)),
+    ("complete_bipartite_minus_matching", (6,)),
+    ("complete_bipartite_minus_matching", (7,)),
+    ("complete_bipartite_minus_matching", (10,)),
+    ("complete_bipartite_minus_matching", (12,)),
+    ("complete_bipartite_minus_matching", (16,)),
+    ("cocktail_party", (5,)),
+    ("cocktail_party", (9,)),
+    ("cocktail_party", (10,)),
+    ("hamming", (2, 3)),
+    ("hamming", (2, 4)),
+    ("hamming", (2, 5)),
+    ("hamming", (3, 3)),
+    ("hamming", (3, 4)),
+    ("johnson", (5, 2)),
+    ("johnson", (5, 3)),
+    ("johnson", (6, 2)),
+    ("johnson", (6, 3)),
+    ("johnson", (6, 4)),
+    ("johnson", (7, 2)),
+    ("johnson", (7, 3)),
+    ("johnson", (7, 4)),
+    ("johnson", (7, 5)),
+    ("johnson", (8, 2)),
+    ("johnson", (8, 3)),
+    ("johnson", (8, 5)),
+    ("johnson", (8, 6)),
+    ("cycle", (5,)),
+    ("cycle", (14,)),
+]
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    n = draw(st.integers(1, 12))
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    a = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            a[i, j] = a[j, i] = draw(entries)
+    return a
+
+
+class TestEigensolverBits:
+    """The stacked rotation gives every bit the row-then-column form gives."""
+
+    @pytest.mark.parametrize("family,params", BENCH_SPECS, ids=[f"{f}{list(p)}" for f, p in BENCH_SPECS])
+    def test_bench_graphs(self, family, params):
+        lap = laplacian_matrix(construct_named_graph(family, params))
+        assert eigenvalue_bytes(jacobi_eigenvalues, lap) == eigenvalue_bytes(reference_jacobi, lap)
+
+    @given(symmetric_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_symmetric_integer_matrices(self, matrix):
+        assert eigenvalue_bytes(jacobi_eigenvalues, matrix) == eigenvalue_bytes(reference_jacobi, matrix)
+
+    def test_theta_overflow_skips_the_rotation(self):
+        # (2 - 1) / (2 * 1e-320) overflows to inf, so t = 0: c = 1, s = 0
+        matrix = np.array([[1.0, 1e-320], [1e-320, 2.0]])
+        eigenvalues = jacobi_eigenvalues(matrix)
+        assert eigenvalues.tobytes() == reference_jacobi(matrix).tobytes()
+        assert eigenvalues.tolist() == [1.0, 2.0]

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from drglab import circuits, construct_named_graph, to_edge_list, verify_distance_regular
+from drglab import circuits, cli, construct_named_graph, to_edge_list, verify_distance_regular
 from drglab.cli import _build_parser, _load_graph, main
 from drglab.scanner import ScanQuery, scan
 
@@ -483,6 +483,12 @@ GOLDEN = [
     # ruled out by the resistance bound alone
     (["scan", "--k", "3", "--diameter", "6..8", "--only-biggs", "--format", "json"], "82f4c21dd35bd2819c056c7936ff95ee67ac8e7d308ed00c484e56da1281db5b"),
     (["scan", "--k", "3", "--diameter", "6..8", "--only-biggs"], "e6da4bffb55a10f01118c8f54ce7e9fa75ab3772c52b491c1172b05901bc52af"),
+    # recorded before each Jacobi rotation became one stacked update: graphs
+    # above the benchmark's n <= 32, and C14, whose sweep ends in the
+    # off-diagonal entries' own norm (exit 2: its middle inequality fails)
+    (["verify", "johnson", "8", "3", "--format", "json"], "25f3f34c4229a344f9754117dd611669baa9d4fc23d2d20b36224338c66f174f"),
+    (["verify", "hypercube", "6", "--format", "json"], "8c611c90df42411bf09754fb1c69f5ac2fce5ad5c8da2b84851a1816b47b33b4"),
+    (["verify", "cycle", "14", "--format", "json"], "f18a07b0880f1dbcf02152b856da23b2c1edd4abd677c5e7880d99e67b486ed6"),
 ]
 
 
@@ -563,12 +569,45 @@ class TestUnwritableOutput:
         assert captured.err == f"{command}: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    # each command's work, which must not start before --output is open
+    WORK = {
+        "analyze": (["analyze", "(3,2;1,3)"], ["validate_basic"]),
+        "catalog": (["catalog", "--recompute"], ["recompute_entry"]),
+        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], ["verify_distance_regular", "_spectral_report"]),
+        "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], ["simulate_hitting_time"]),
+    }
 
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_refused_before_the_work(self, command, monkeypatch, tmp_path, capsys):
+        argv, work = self.WORK[command]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} worked before opening --output")
+
+        for name in work:
+            monkeypatch.setattr(cli, name, refuse)
+        assert main([*argv, "--output", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+    @pytest.mark.parametrize("option", [["--trials", "0"], ["--seed", "-1"]])
+    def test_walk_refusal_leaves_output_alone(self, option, tmp_path, capsys):
+        path = tmp_path / "walk.json"
+        path.write_text("kept\n", encoding="utf-8")
+        assert main(["walk", "hypercube", "3", "--from-distance", "1", *option, "--output", str(path)]) == 1
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+# VmHWM is the peak RSS of this process image alone: ru_maxrss after exec
+# also carries the peak of the process that spawned it, here the test runner
 MEMORY_GUARD = """
-import resource, sys
+import sys
 from drglab.cli import main
 code = main(["scan", "--k", "3..7", "--diameter", "1..6", "--format", "json", "--output", sys.argv[1]])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
