@@ -237,6 +237,29 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == err
 
+    @pytest.mark.parametrize("header", ["3 2 7", "3"])
+    def test_edge_list_header_must_be_n_m(self, header, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text(f"{header}\n0 1\n1 2\n", encoding="utf-8")
+        assert main(["walk", "--edges", str(path), "--from-distance", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"walk: edge-list header must be 'n m', got '{header}'\n"
+
+    def test_cycle_fourteen_passes(self, tmp_path, capsys):
+        # the paper claims the middle inequality 1/(n d_D) >= k/(4(n-1)) only
+        # for k >= 3; C14's fails and is reported, but it decides nothing
+        code, payload = run_json(tmp_path, ["verify", "cycle", "14"])
+        assert code == 0
+        assert payload["overall"]
+        assert all(row["equal"] for row in payload["oracle"])
+        assert payload["spectral"]["sigma_holds"] and not payload["spectral"]["middle_holds"]
+        assert main(["verify", "cycle", "14"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "spectral         sigma=0.19806226 >= 1/49 (the middle bound 1/26 applies only for k >= 3) ok",
+            "overall          pass",
+        ]
+
     def test_cycle_five_passes(self, capsys):
         # C5's off-diagonal norm, read as a difference of squares, stalls
         # above the Jacobi tolerance; the entries' own norm settles it
@@ -267,7 +290,7 @@ class TestVerify:
         )
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == "verify: graph on 1000000000 vertices is not connected\n"
+        assert result.stderr == "verify: graph on 1000000000 vertices is too large to check: more than 1024 vertices\n"
 
     def test_edge_list_import(self, tmp_path):
         path = tmp_path / "petersen.txt"
@@ -301,17 +324,20 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            (["verify", "hypercube", "40"], "verify: hypercube(40) has more than 1048576 edges, too many to build\n"),
-            (["walk", "johnson", "60", "30", "--from-distance", "1"], "walk: johnson(60,30) has more than 1048576 edges, too many to build\n"),
-            (["verify", "hamming", "1000000000000", "2"], "verify: hamming(1000000000000,2) has more than 1048576 edges, too many to build\n"),
-            (["verify", "johnson", "1000000000000", "500000000000"], "verify: johnson(1000000000000,500000000000) has more than 1048576 edges, too many to build\n"),
+            (["verify", "hypercube", "40"], "verify: hypercube(40) is too large to check: more than 1024 vertices\n"),
+            (["walk", "johnson", "60", "30", "--from-distance", "1"], "walk: johnson(60,30) is too large to check: more than 1024 vertices\n"),
+            (["verify", "hamming", "1000000000000", "2"], "verify: hamming(1000000000000,2) is too large to check: more than 1024 vertices\n"),
+            (["verify", "johnson", "1000000000000", "500000000000"], "verify: johnson(1000000000000,500000000000) is too large to check: more than 1024 vertices\n"),
+            (["walk", "johnson", "40", "3", "--from-distance", "1"], "walk: johnson(40,3) is too large to check: more than 1024 vertices\n"),
+            (["walk", "hypercube", "16", "--from-distance", "1"], "walk: hypercube(16) is too large to check: more than 1024 vertices\n"),
         ],
     )
     def test_oversized_family_refused_under_memory_cap(self, argv, err):
-        # ~10^13 edges for the 40-cube, ~10^17 vertices for J(60,30), and
-        # vertex counts too large to compute for the last two: the refusal
-        # comes before anything is built, and the cap turns a regression
-        # into a MemoryError here instead of exhausting the host
+        # ~10^12 vertices for the 40-cube, ~10^17 for J(60,30), counts too
+        # large to compute for the next two, and 9,880 for J(40,3) and 65,536
+        # for Q16: the refusal comes before anything is built, and the cap
+        # turns a regression into a MemoryError here instead of exhausting
+        # the host
         result = subprocess.run(
             [sys.executable, "-c", MEMORY_CAP, *argv],
             capture_output=True,
@@ -339,13 +365,14 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            (["verify", "hypercube", "14"], "verify: graph on 16384 vertices is too large to check: n^2 exceeds 1048576\n"),
-            (["walk", "hypercube", "14", "--from-distance", "1"], "walk: graph on 16384 vertices is too large to check: n^2 exceeds 1048576\n"),
+            (["verify", "cycle", "1000000"], "verify: graph on 1000000 vertices is too large to check: more than 1024 vertices\n"),
+            (["walk", "cycle", "1000000", "--from-distance", "1"], "walk: graph on 1000000 vertices is too large to check: more than 1024 vertices\n"),
         ],
     )
     def test_graph_too_large_to_check_refused_under_memory_cap(self, argv, err):
-        # Q14 has 114,688 edges, within the edge cap, but the all-pairs
-        # count and the dense n x n matrices grow as n^2
+        # a million-vertex cycle has only a million edges, but the all-pairs
+        # count and the dense n x n matrices grow as n^2; the graph is
+        # refused before its first edge is read
         result = subprocess.run(
             [sys.executable, "-c", MEMORY_CAP, *argv],
             capture_output=True,
@@ -357,14 +384,14 @@ class TestVerify:
         assert result.stdout == ""
         assert result.stderr == err
 
-    def test_check_size_limit_is_n_squared_against_edge_cap(self, capsys):
-        # 1024^2 is exactly 2^20: C1024 loads, C1025 is refused
+    def test_check_size_limit_is_max_vertices(self, capsys):
+        # C1024 loads, C1025 is refused
         args = _build_parser().parse_args(["walk", "cycle", "1024", "--from-distance", "1"])
         assert _load_graph(args)[0].n == 1024
         assert main(["walk", "cycle", "1025", "--from-distance", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "walk: graph on 1025 vertices is too large to check: n^2 exceeds 1048576\n"
+        assert captured.err == "walk: graph on 1025 vertices is too large to check: more than 1024 vertices\n"
 
 
 class TestOneCheckPerOp:
@@ -485,10 +512,11 @@ GOLDEN = [
     (["scan", "--k", "3", "--diameter", "6..8", "--only-biggs"], "e6da4bffb55a10f01118c8f54ce7e9fa75ab3772c52b491c1172b05901bc52af"),
     # recorded before each Jacobi rotation became one stacked update: graphs
     # above the benchmark's n <= 32, and C14, whose sweep ends in the
-    # off-diagonal entries' own norm (exit 2: its middle inequality fails)
+    # off-diagonal entries' own norm (re-recorded when its failed middle
+    # inequality, claimed only for k >= 3, stopped deciding "overall")
     (["verify", "johnson", "8", "3", "--format", "json"], "25f3f34c4229a344f9754117dd611669baa9d4fc23d2d20b36224338c66f174f"),
     (["verify", "hypercube", "6", "--format", "json"], "8c611c90df42411bf09754fb1c69f5ac2fce5ad5c8da2b84851a1816b47b33b4"),
-    (["verify", "cycle", "14", "--format", "json"], "f18a07b0880f1dbcf02152b856da23b2c1edd4abd677c5e7880d99e67b486ed6"),
+    (["verify", "cycle", "14", "--format", "json"], "40699eaa619a4feb634a5b8ed77eb46eaf7e8ddae4492ce591f41af25092afcc"),
 ]
 
 

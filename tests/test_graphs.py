@@ -76,13 +76,32 @@ class TestConstructions:
 
     @pytest.mark.parametrize("family,params,n,m,array_text", [row for row in KNOWN if row[1]])
     def test_edge_cap_counts_each_family_exactly(self, family, params, n, m, array_text, monkeypatch):
-        # each builder sizes its graph from its parameters alone: a cap of
-        # exactly m edges builds it, one less refuses it before building
-        monkeypatch.setattr(graphs, "MAX_EDGES", m)
-        assert construct_named_graph(family, params).m == m
-        monkeypatch.setattr(graphs, "MAX_EDGES", m - 1)
-        with pytest.raises(BadParams, match=f"has more than {m - 1} edges, too many to build"):
+        # the one size rule is the vertex cap: a cap of exactly n vertices
+        # builds each family, one less refuses it before building
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n)
+        assert construct_named_graph(family, params).n == n
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n - 1)
+        with pytest.raises(BadParams, match=f"is too large to check: more than {n - 1} vertices"):
             construct_named_graph(family, params)
+
+    def test_vertex_cap_admits_c1024_and_refuses_c1025(self):
+        assert construct_named_graph("cycle", (1024,)).n == 1024
+        with pytest.raises(BadParams, match="^graph on 1025 vertices is too large to check: more than 1024 vertices$"):
+            construct_named_graph("cycle", (1025,))
+        path = "1025 1024\n" + "".join(f"{i} {i + 1}\n" for i in range(1024))
+        with pytest.raises(BadParams, match="^graph on 1025 vertices is too large to check: more than 1024 vertices$"):
+            from_edge_list(path)
+
+    def test_oversized_graph_refused_before_its_edges_are_read(self):
+        def edges():
+            raise AssertionError("edges read")
+            yield
+
+        with pytest.raises(BadParams, match="graph on 1025 vertices"):
+            ExplicitGraph(1025, edges())
+        # an edge line that does not parse comes after the header's refusal
+        with pytest.raises(BadParams, match="graph on 1025 vertices"):
+            from_edge_list("1025 1\n0 x\n")
 
     def test_registry_is_complete(self):
         assert set(family_names()) == {
@@ -120,8 +139,8 @@ class TestExplicitGraph:
 
     def test_too_few_edges_refused(self):
         # fewer than n - 1 distinct edges cannot connect n vertices
-        with pytest.raises(NotConnected, match="graph on 1000000 vertices is not connected"):
-            from_edge_list("1000000 0\n")
+        with pytest.raises(NotConnected, match="graph on 5 vertices is not connected"):
+            from_edge_list("5 1\n0 1\n")
 
     def test_parallel_edges_rejected(self):
         with pytest.raises(ValueError, match="parallel edge"):
@@ -208,6 +227,11 @@ class TestEdgeListIO:
     def test_bad_tokens(self):
         with pytest.raises(ValueError):
             from_edge_list("2 1\n0 x\n")
+
+    @pytest.mark.parametrize("header", ["3 2 7", "3"])
+    def test_header_must_be_n_m(self, header):
+        with pytest.raises(ValueError, match=f"^edge-list header must be 'n m', got '{header}'$"):
+            from_edge_list(f"{header}\n0 1\n1 2\n")
 
     def test_empty(self):
         with pytest.raises(ValueError):
