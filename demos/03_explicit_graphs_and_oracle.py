@@ -1,56 +1,43 @@
 """Grounding the formulas on explicit graphs.
 
-Build a real graph, verify distance-regularity by brute-force counting,
-lay the predicted voltage function onto the vertices, and check the two
-facts the formulas promise: the function is harmonic off the terminals
-with source current exactly n*k, and an exact Laplacian solve returns the
-same resistance as the array formula, at every distance.
+Build a real graph and verify it: `verify_graph` checks distance-regularity
+by brute-force counting, lays the predicted voltage function onto the
+vertices, and checks the two facts the formulas promise: the function is
+harmonic off the terminals with source current exactly n*k, and an exact
+Laplacian solve returns the same resistance as the array formula, at every
+distance.
 """
 
-from drglab import (
-    bfs_distances,
-    build_harmonic_function,
-    check_harmonicity,
-    construct_named_graph,
-    effective_resistance_oracle,
-    laplacian_spectral_gap,
-    measure_current,
-    potentials_recursive,
-    representative_pairs,
-    resistance_profile,
-    verify_distance_regular,
-)
+from drglab import bfs_distances, construct_named_graph, laplacian_spectral_gap, verify_graph
 
 cube = construct_named_graph("hypercube", (3,))
-arr = verify_distance_regular(cube)
-print("cube:", cube, "verifies as", arr)
+report = verify_graph(cube)
+print("cube:", cube, "verifies as", report.array)
 
-# The distance partition for the adjacent pair (0, 1): vertex z sits in the
-# block of its distance pair (d(0,z), d(1,z)), read from two BFS rows.
-du, dv = bfs_distances(cube, 0), bfs_distances(cube, 1)
+# The distance partition for the adjacent terminals u, v: vertex z sits in
+# the block of its distance pair (d(u,z), d(v,z)), read from two BFS rows.
+f = report.harmonic
+du, dv = bfs_distances(cube, f.u), bfs_distances(cube, f.v)
 
 
 def block(a, b):
     return [z for z in range(cube.n) if (du[z], dv[z]) == (a, b)]
 
 
-print("\npartition blocks (u side / equidistant / v side):")
+print(f"\npartition blocks for ({f.u}, {f.v}) (u side / equidistant / v side):")
 for i in range(max(du)):
     print(f"  level {i}: closer to u {block(i, i + 1)}, tied {block(i, i)}, closer to v {block(i + 1, i)}")
 
 # The harmonic voltage function, one value per block.
-p = potentials_recursive(arr)
-f = build_harmonic_function(cube, 0, 1, p)
 print("\nvoltages:", [str(x) for x in f.values])
-print("max residual off terminals:", check_harmonicity(cube, f))
-print("current out of u:", measure_current(cube, f), "(predicted n*k =", f.expected_current, ")")
+print("max residual off terminals:", report.residual)
+print("current out of u:", report.current, "(predicted n*k =", f.expected_current, ")")
 
 # Exact circuit solve vs the formula, one representative pair per distance.
-profile = resistance_profile(arr)
 print("\nresistance, oracle vs formula:")
-for j, pair in representative_pairs(cube).items():
-    oracle = effective_resistance_oracle(cube, *pair)
-    print(f"  distance {j}: pair {pair}  oracle {oracle}  formula {profile.at(j)}  equal {oracle == profile.at(j)}")
+for row in report.oracle:
+    print(f"  distance {row.distance}: pair {row.pair}  oracle {row.oracle}  formula {row.formula}  equal {row.equal}")
+print("every check passes:", report.overall)
 
 # The lone floating-point computation: the Laplacian spectral gap.
 for name, params in [("complete", (4,)), ("hypercube", (3,)), ("petersen", ())]:

@@ -80,12 +80,15 @@ from .scanner import (
 )
 from .walks import (
     MonteCarloEstimate,
+    OracleRow,
     SpectralCheckReport,
+    VerifyReport,
     WalkBoundsReport,
     commute_time,
     simulate_cover_time,
     simulate_hitting_time,
     spectral_check,
+    verify_graph,
     walk_bounds,
     walk_bounds_from_profile,
 )

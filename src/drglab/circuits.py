@@ -3,8 +3,9 @@ built from a potential sequence, and two independent numerical routes (exact
 Laplacian solve, Jacobi spectrum).
 
 For an adjacent terminal pair u ~ v the voltage at z depends only on the
-distance pair (d(u,z), d(v,z)), read from two breadth-first rows; a caller
-that has verified the graph itself builds it with `_harmonic_function`.  The
+distance pair (d(u,z), d(v,z)), read from two breadth-first rows;
+`walks.verify_graph` verifies the graph once and builds it with the
+unguarded `_harmonic_function`.  The
 resistance oracle grounds the Laplacian at vertex 0 and runs one
 fraction-free integer elimination per graph for all requested pairs, so
 agreement with the array formulas is literal equality.  The eigensolver is

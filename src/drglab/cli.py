@@ -36,15 +36,7 @@ from .arrays import (
     validate_basic,
 )
 from .catalog import catalog, recompute_entry
-from .circuits import (
-    NotConverged,
-    _harmonic_function,
-    all_pairs_by_distance,
-    check_harmonicity,
-    effective_resistances,
-    measure_current,
-    representative_pairs,
-)
+from .circuits import NotConverged
 from .graphs import (
     BadParams,
     ExplicitGraph,
@@ -56,9 +48,9 @@ from .graphs import (
 )
 from .potentials import potentials_recursive
 from .rational import decimal_string
-from .resistance import BiggsClass, classify_ratio, profile_from_distribution, resistance_profile
+from .resistance import BiggsClass, classify_ratio, profile_from_distribution
 from .scanner import ScanQuery, ScanRecord, _records
-from .walks import _spectral_report, _walk_degree, commute_time, simulate_hitting_time, walk_bounds_from_profile
+from .walks import VerifyReport, _walk_degree, commute_time, simulate_hitting_time, verify_graph, walk_bounds_from_profile
 
 SCHEMA = 1
 
@@ -418,65 +410,41 @@ def _cmd_verify(args) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
 
-    def graph_payload() -> dict:
-        return {"schema": SCHEMA, "command": "verify", "graph": origin, "n": graph.n, "m": graph.m}
-
-    graph_line = f"graph            n={graph.n} m={graph.m}"
-
     with _output(args) as out:
-        verified = verify_distance_regular(graph)
-        if not isinstance(verified, IntersectionArray):
-            _emit(
-                out,
-                args,
-                lambda: {**graph_payload(), "distance_regular": False, "failure": str(verified)},
-                lambda: [graph_line, f"distance-regular NO: {verified}"],
-            )
-            return 2
-
-        p = potentials_recursive(verified)
-        u = 0
-        v = graph.adjacency[0][0]
-        assignment = _harmonic_function(graph, u, v, p)
-        residual = check_harmonicity(graph, assignment)
-        current = measure_current(graph, assignment)
-        harmonic_ok = residual == 0
-        current_ok = current == assignment.expected_current
-
-        profile = resistance_profile(verified)
-        if args.exhaustive:
-            checked = [(j, pair) for j, pairs in all_pairs_by_distance(graph).items() for pair in pairs]
-        else:
-            checked = list(representative_pairs(graph).items())
-        measured = effective_resistances(graph, [pair for _, pair in checked])
-        oracle_rows = [
-            {"distance": j, "pair": list(pair), "oracle": str(value), "formula": str(profile.at(j)), "equal": value == profile.at(j)}
-            for (j, pair), value in zip(checked, measured)
-        ]
-
         try:
-            spectral = _spectral_report(graph, profile)
+            report = verify_graph(graph, args.exhaustive)
         except NotConverged as exc:
             print(f"verify: spectral check failed: {exc}", file=sys.stderr)
             return 1
-        # the paper claims the middle inequality 1/(n d_D) >= k/(4(n-1)) only for k >= 3
-        spectral_ok = spectral.sigma_holds and (spectral.middle_holds or verified.k < 3)
-        overall = harmonic_ok and current_ok and all(row["equal"] for row in oracle_rows) and spectral_ok
+        head = {"schema": SCHEMA, "command": "verify", "graph": origin, "n": graph.n, "m": graph.m}
+        graph_line = f"graph            n={graph.n} m={graph.m}"
+        if not isinstance(report, VerifyReport):
+            _emit(
+                out,
+                args,
+                lambda: {**head, "distance_regular": False, "failure": str(report)},
+                lambda: [graph_line, f"distance-regular NO: {report}"],
+            )
+            return 2
+        harmonic, spectral = report.harmonic, report.spectral
 
         def payload() -> dict:
             return {
-                **graph_payload(),
+                **head,
                 "distance_regular": True,
-                "array": str(verified),
+                "array": str(report.array),
                 "harmonic": {
-                    "pair": [u, v],
-                    "max_residual": str(residual),
-                    "residual_zero": harmonic_ok,
-                    "current": str(current),
-                    "expected_current": assignment.expected_current,
-                    "current_matches": current_ok,
+                    "pair": [harmonic.u, harmonic.v],
+                    "max_residual": str(report.residual),
+                    "residual_zero": report.residual_zero,
+                    "current": str(report.current),
+                    "expected_current": harmonic.expected_current,
+                    "current_matches": report.current_matches,
                 },
-                "oracle": oracle_rows,
+                "oracle": [
+                    {"distance": j, "pair": list(pair), "oracle": str(oracle), "formula": str(formula), "equal": equal}
+                    for j, pair, oracle, formula, equal in report.oracle
+                ],
                 "spectral": {
                     "sigma": spectral.sigma,
                     "resistance_gap_bound": str(spectral.resistance_gap_bound),
@@ -484,27 +452,27 @@ def _cmd_verify(args) -> int:
                     "sigma_holds": spectral.sigma_holds,
                     "middle_holds": spectral.middle_holds,
                 },
-                "overall": overall,
+                "overall": report.overall,
             }
 
         def table() -> list[str]:
             lower = spectral.spectral_lower_bound
-            middle = f">= {lower}" if verified.k >= 3 else f"(the middle bound {lower} applies only for k >= 3)"
+            middle = f">= {lower}" if report.middle_decides else f"(the middle bound {lower} applies only for k >= 3)"
             return [
                 graph_line,
-                f"array            {verified}",
-                f"harmonic         residual={residual} current={current}/{assignment.expected_current}",
+                f"array            {report.array}",
+                f"harmonic         residual={report.residual} current={report.current}/{harmonic.expected_current}",
                 *(
-                    f"resistance d_{row['distance']}   pair {tuple(row['pair'])} oracle={row['oracle']} formula={row['formula']} {'ok' if row['equal'] else 'MISMATCH'}"
-                    for row in oracle_rows
+                    f"resistance d_{j}   pair {pair} oracle={oracle} formula={formula} {'ok' if equal else 'MISMATCH'}"
+                    for j, pair, oracle, formula, equal in report.oracle
                 ),
                 f"spectral         sigma={spectral.sigma:.8f} >= {spectral.resistance_gap_bound} {middle}"
-                f" {'ok' if spectral_ok else 'MISMATCH'}",
-                f"overall          {'pass' if overall else 'FAIL'}",
+                f" {'ok' if report.spectral_ok else 'MISMATCH'}",
+                f"overall          {'pass' if report.overall else 'FAIL'}",
             ]
 
         _emit(out, args, payload, table)
-        return 0 if overall else 2
+        return 0 if report.overall else 2
 
 
 # ------------------------------------------------------------------------- walk

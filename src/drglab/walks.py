@@ -1,6 +1,8 @@
 """Random-walk consequences of the resistance formulas: exact commute times,
-the hitting/commute/cover bounds, the spectral-gap chain, and seeded Monte
-Carlo estimation of hitting times on explicit graphs.
+the hitting/commute/cover bounds, the spectral-gap chain, seeded Monte Carlo
+estimation of hitting times on explicit graphs, and `verify_graph`, which
+grounds every formula of a graph's verified array on the graph itself: the
+harmonic function, the exact oracle and the spectral chain, with the verdict.
 
 Seeded contract: every walk step picks the `c`-th entry of the current
 vertex's sorted adjacency list, where `c` runs through the stream that
@@ -24,11 +26,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arrays import IntersectionArray
-from .circuits import laplacian_spectral_gap
-from .graphs import ExplicitGraph, verify_distance_regular
+from .circuits import (
+    PotentialAssignment,
+    _harmonic_function,
+    all_pairs_by_distance,
+    check_harmonicity,
+    effective_resistances,
+    laplacian_spectral_gap,
+    measure_current,
+    representative_pairs,
+)
+from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
+from .potentials import potentials_recursive
 from .resistance import ResistanceProfile, ValencyError, resistance_profile
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
@@ -233,3 +245,65 @@ def _spectral_report(g: ExplicitGraph, profile: ResistanceProfile) -> SpectralCh
         sigma_holds=sigma >= float(gap_bound) - SIGMA_TOL,
         middle_holds=gap_bound >= spectral_floor,
     )
+
+
+class OracleRow(NamedTuple):
+    """One checked pair: the exact Laplacian resistance against the formula d_j."""
+
+    distance: int
+    pair: tuple[int, int]
+    oracle: Fraction
+    formula: Fraction
+    equal: bool
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Every formula of the verified array, grounded on one explicit graph."""
+
+    array: IntersectionArray
+    harmonic: PotentialAssignment  # terminals 0 and its first neighbor
+    residual: Fraction  # largest neighbor-sum residual off the terminals
+    current: Fraction  # measured current out of harmonic.u
+    oracle: tuple[OracleRow, ...]
+    spectral: SpectralCheckReport
+
+    @property
+    def residual_zero(self) -> bool:
+        return self.residual == 0
+
+    @property
+    def current_matches(self) -> bool:
+        return self.current == self.harmonic.expected_current
+
+    @property
+    def middle_decides(self) -> bool:
+        # the paper claims the middle inequality 1/(n d_D) >= k/(4(n-1)) only for k >= 3
+        return self.array.k >= 3
+
+    @property
+    def spectral_ok(self) -> bool:
+        return self.spectral.sigma_holds and (self.spectral.middle_holds or not self.middle_decides)
+
+    @property
+    def overall(self) -> bool:
+        return self.residual_zero and self.current_matches and all(row.equal for row in self.oracle) and self.spectral_ok
+
+
+def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | RegularityFailure:
+    """The graph's `RegularityFailure`, or its `VerifyReport` at one pair per
+    distance (every pair if `exhaustive`); raises `NotConverged` if the
+    eigensolver does."""
+    verified = verify_distance_regular(g)
+    if not isinstance(verified, IntersectionArray):
+        return verified
+    harmonic = _harmonic_function(g, 0, g.adjacency[0][0], potentials_recursive(verified))
+    residual, current = check_harmonicity(g, harmonic), measure_current(g, harmonic)
+    profile = resistance_profile(verified)
+    if exhaustive:
+        checked = [(j, pair) for j, pairs in all_pairs_by_distance(g).items() for pair in pairs]
+    else:
+        checked = list(representative_pairs(g).items())
+    measured = effective_resistances(g, [pair for _, pair in checked])
+    oracle = tuple(OracleRow(j, pair, r, profile.at(j), r == profile.at(j)) for (j, pair), r in zip(checked, measured))
+    return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
+import dataclasses
 import errno
 import hashlib
 import importlib
@@ -7,10 +8,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from drglab import circuits, cli, construct_named_graph, to_edge_list, verify_distance_regular
+from drglab import circuits, cli, construct_named_graph, resistance_profile, to_edge_list, verify_distance_regular, walks
 from drglab.cli import _build_parser, _load_graph, main
 from drglab.scanner import ScanQuery, scan
 
@@ -266,6 +268,30 @@ class TestVerify:
         assert main(["verify", "cycle", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "overall          pass"
 
+    def test_formula_off_the_oracle_fails(self, monkeypatch, tmp_path, capsys):
+        def d1_off_by_a_seventh(arr):
+            profile = resistance_profile(arr)
+            return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+
+        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        assert main(["verify", "petersen"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "resistance d_1   pair (0, 1) oracle=3/5 formula=26/35 MISMATCH"
+        assert lines[4] == "resistance d_2   pair (0, 2) oracle=4/5 formula=4/5 ok"
+        assert lines[-1] == "overall          FAIL"
+        code, payload = run_json(tmp_path, ["verify", "petersen"])
+        assert code == 2
+        assert [row["equal"] for row in payload["oracle"]] == [False, True]
+        assert payload["overall"] is False
+
+    def test_sigma_below_the_bound_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(walks, "laplacian_spectral_gap", lambda g: 0.0)
+        assert main(["verify", "petersen"]) == 2
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "spectral         sigma=0.00000000 >= 1/8 >= 1/12 MISMATCH",
+            "overall          FAIL",
+        ]
+
     def test_eigensolver_failure_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(circuits, "JACOBI_MAX_SWEEPS", 0)
         assert main(["verify", "petersen"]) == 1
@@ -395,8 +421,8 @@ class TestVerify:
 
 
 class TestOneCheckPerOp:
-    # the CLI verifies distance-regularity once and hands the verified graph
-    # to the unguarded harmonic and spectral bodies
+    # verify_graph and walk check distance-regularity once; verify_graph hands
+    # the verified graph to the unguarded harmonic and spectral bodies
     MODULES = ("graphs", "circuits", "walks", "cli")
 
     @pytest.fixture
@@ -601,7 +627,7 @@ class TestUnwritableOutput:
     WORK = {
         "analyze": (["analyze", "(3,2;1,3)"], ["validate_basic"]),
         "catalog": (["catalog", "--recompute"], ["recompute_entry"]),
-        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], ["verify_distance_regular", "_spectral_report"]),
+        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], ["verify_graph"]),
         "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], ["simulate_hitting_time"]),
     }
 

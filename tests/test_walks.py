@@ -1,5 +1,6 @@
 """Commute times, walk bounds, Monte Carlo estimation, spectral chain."""
 
+import dataclasses
 import math
 import os
 import random
@@ -14,16 +15,20 @@ import pytest
 import drglab
 from drglab import (
     ExplicitGraph,
+    RegularityFailure,
     ValencyError,
+    VerifyReport,
     bfs_distances,
     commute_time,
     construct_named_graph,
     from_edge_list,
     parse_intersection_array,
+    resistance_profile,
     simulate_cover_time,
     simulate_hitting_time,
     spectral_check,
     verify_distance_regular,
+    verify_graph,
     walk_bounds,
     walks,
 )
@@ -159,6 +164,53 @@ class TestSpectralCheck:
     def test_wrong_array_rejected(self):
         with pytest.raises(ValueError):
             spectral_check(CUBE, PETERSEN_ARR)
+
+
+def d1_off_by_a_seventh(arr):
+    """The array's resistance profile with d_1 raised by 1/7."""
+    profile = resistance_profile(arr)
+    return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+
+
+class TestVerifyGraph:
+    def test_petersen_passes(self):
+        report = verify_graph(PETERSEN)
+        assert isinstance(report, VerifyReport) and report.array == PETERSEN_ARR
+        assert (report.harmonic.u, report.harmonic.v) == (0, PETERSEN.adjacency[0][0])
+        assert report.residual == 0 and report.current == report.harmonic.expected_current == 30
+        assert [(row.distance, row.oracle, row.equal) for row in report.oracle] == [
+            (1, Fraction(3, 5), True),
+            (2, Fraction(4, 5), True),
+        ]
+        assert report.spectral_ok and report.overall
+
+    def test_formula_off_the_oracle_fails(self, monkeypatch):
+        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        report = verify_graph(PETERSEN)
+        assert report.oracle[0] == (1, (0, 1), Fraction(3, 5), Fraction(26, 35), False)
+        assert report.oracle[1].equal
+        assert report.residual_zero and report.current_matches and report.spectral_ok
+        assert not report.overall
+
+    def test_sigma_below_the_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(walks, "laplacian_spectral_gap", lambda g: 0.0)
+        report = verify_graph(PETERSEN)
+        assert not report.spectral.sigma_holds and report.spectral.middle_holds
+        assert all(row.equal for row in report.oracle)
+        assert not report.spectral_ok and not report.overall
+
+    def test_prism_returns_its_regularity_failure(self):
+        prism = from_edge_list("6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n")
+        failure = verify_graph(prism)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == verify_distance_regular(prism)
+
+    def test_middle_link_decides_only_for_k_at_least_three(self):
+        # C14's 1/(n d_D) = 1/49 is below k/(4(n-1)) = 1/26, a claim the paper
+        # makes only for k >= 3
+        report = verify_graph(construct_named_graph("cycle", (14,)))
+        assert not report.spectral.middle_holds and not report.middle_decides
+        assert report.spectral_ok and report.overall
 
 
 class TestVertexTransitiveIdentity:
