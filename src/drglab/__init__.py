@@ -79,11 +79,13 @@ from .scanner import (
     scan,
 )
 from .walks import (
+    AnalyzeReport,
     MonteCarloEstimate,
     OracleRow,
     SpectralCheckReport,
     VerifyReport,
     WalkBoundsReport,
+    analyze_array,
     commute_time,
     simulate_cover_time,
     simulate_hitting_time,

@@ -18,39 +18,20 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, TextIO
 
-from .arrays import (
-    IntersectionArray,
-    LengthMismatch,
-    MalformedInput,
-    _b_half,
-    _c_half,
-    check_divisibility,
-    compute_distance_distribution,
-    diameter_head_bound,
-    parse_intersection_array,
-    validate_basic,
-)
+from .arrays import IntersectionArray, LengthMismatch, MalformedInput, _b_half, _c_half, parse_intersection_array
 from .catalog import catalog, recompute_entry
-from .circuits import NotConverged
-from .graphs import (
-    BadParams,
-    ExplicitGraph,
-    bfs_distances,
-    construct_named_graph,
-    from_edge_list,
-    integer,
-    verify_distance_regular,
-)
-from .potentials import potentials_recursive
+from .circuits import NotConverged, representative_pairs
+from .graphs import BadParams, ExplicitGraph, construct_named_graph, from_edge_list, integer, verify_distance_regular
 from .rational import decimal_string
-from .resistance import BiggsClass, classify_ratio, profile_from_distribution
+from .resistance import resistance_profile
 from .scanner import ScanQuery, ScanRecord, _records
-from .walks import VerifyReport, _walk_degree, commute_time, simulate_hitting_time, verify_graph, walk_bounds_from_profile
+from .walks import VerifyReport, _walk_degree, analyze_array, simulate_hitting_time, verify_graph
 
 SCHEMA = 1
 
@@ -79,22 +60,25 @@ def _range(text: str) -> tuple[int, int]:
 
 
 class _CannotWrite(Exception):
-    """The file --output names could not be opened or written."""
+    """The output could not be opened or written; no message when a stdout
+    reader went away, which ends the command quietly."""
 
 
 @contextlib.contextmanager
 def _output(args) -> Iterator[TextIO]:
-    """The file --output names, opened for writing, or stdout.  An OS error
-    while opening or writing the file becomes `_CannotWrite`, which `main`
-    reports in one line."""
-    if not args.output:
-        yield sys.stdout
-        return
+    """The file --output names, opened for writing, or stdout, flushed when
+    the command is done.  An OS error while opening, writing or flushing
+    becomes `_CannotWrite`, which `main` reports in one line."""
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            yield handle
+        with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            yield out
+            out.flush()
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {args.output}: {exc.strerror}") from exc
+        if args.output:
+            raise _CannotWrite(f"cannot write {args.output}: {exc.strerror}") from exc
+        # what is still buffered goes to /dev/null at the interpreter's exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _CannotWrite("" if isinstance(exc, BrokenPipeError) else f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
@@ -103,16 +87,6 @@ def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], li
         out.write(json.dumps(payload(), indent=2) + "\n")
     else:
         out.write("\n".join(table()) + "\n")
-
-
-def _verdict_json(verdict) -> dict:
-    return {
-        "array": str(verdict.array),
-        "ratio_fraction": str(verdict.ratio),
-        "ratio_decimal": decimal_string(verdict.ratio),
-        "class": verdict.category.value,
-        "matched_extremal": verdict.matched_extremal,
-    }
 
 
 # ---------------------------------------------------------------------- analyze
@@ -129,19 +103,18 @@ def _cmd_analyze(args) -> int:
         return 1
 
     with _output(args) as out:
-        report = validate_basic(arr)
-        dist = compute_distance_distribution(arr)
-        divisibility = check_divisibility(arr)
-        head = diameter_head_bound(arr)
+        report = analyze_array(arr)
+        screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
+        p, profile, verdict, bounds = report.potentials, report.profile, report.verdict, report.bounds
 
-        def screens_payload() -> dict:
-            return {
+        def payload() -> dict:
+            base = {
                 "schema": SCHEMA,
                 "command": "analyze",
                 "array": str(arr),
                 "validation": {
-                    "overall": report.overall,
-                    "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks],
+                    "overall": screens.overall,
+                    "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in screens.checks],
                 },
                 "distribution": {
                     "shells": [_num(x) for x in dist.k_sizes],
@@ -153,33 +126,10 @@ def _cmd_analyze(args) -> int:
                 "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
                 "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
             }
-
-        def screens_table() -> list[str]:
-            return [
-                f"array            {arr}",
-                f"validation       {'pass' if report.overall else 'FAIL: ' + '; '.join(c.detail for c in report.failed())}",
-                f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
-                f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
-                f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
-            ]
-
-        if not (report.overall and dist.shells_integral):
-            _emit(
-                out,
-                args,
-                lambda: {**screens_payload(), "verdict": None, "realizable": False},
-                lambda: screens_table() + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"],
-            )
-            return 2
-
-        p = potentials_recursive(arr)
-        profile = profile_from_distribution(arr, dist)
-        verdict = classify_ratio(arr, profile.ratio)
-        bounds = walk_bounds_from_profile(arr, profile)
-
-        def payload() -> dict:
+            if not report.realizable:
+                return {**base, "verdict": None, "realizable": False}
             return {
-                **screens_payload(),
+                **base,
                 "potentials": {
                     "fractions": [str(x) for x in p.phi],
                     "decimals": [decimal_string(x) for x in p.phi],
@@ -192,7 +142,13 @@ def _cmd_analyze(args) -> int:
                     "ratio_decimal": decimal_string(profile.ratio),
                     "K_factor": str(profile.K_factor),
                 },
-                "verdict": _verdict_json(verdict),
+                "verdict": {
+                    "array": str(verdict.array),
+                    "ratio_fraction": str(verdict.ratio),
+                    "ratio_decimal": decimal_string(verdict.ratio),
+                    "class": verdict.category.value,
+                    "matched_extremal": verdict.matched_extremal,
+                },
                 "walk_bounds": {
                     "array": str(arr),
                     "n": bounds.n,
@@ -206,7 +162,16 @@ def _cmd_analyze(args) -> int:
             }
 
         def table() -> list[str]:
-            return screens_table() + [
+            lines = [
+                f"array            {arr}",
+                f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",
+                f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+                f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
+                f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
+            ]
+            if not report.realizable:
+                return lines + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"]
+            return lines + [
                 f"potentials       {[str(x) for x in p.phi]}",
                 f"resistances      {[str(x) for x in profile.d]}",
                 f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
@@ -215,7 +180,7 @@ def _cmd_analyze(args) -> int:
             ]
 
         _emit(out, args, payload, table)
-        return 2 if verdict.category is BiggsClass.VIOLATION else 0
+        return 0 if report.passed else 2
 
 
 # ------------------------------------------------------------------------- scan
@@ -492,8 +457,7 @@ def _cmd_walk(args) -> int:
         print(f"walk: --from-distance must lie in 1..{verified.D}", file=sys.stderr)
         return 1
 
-    dist = bfs_distances(graph, 0)
-    target = dist.index(args.from_distance)
+    target = representative_pairs(graph)[args.from_distance][1]
     # the simulation's own argument checks, run before --output is opened
     try:
         _walk_degree(graph, (0, target), args.trials, args.seed)
@@ -503,7 +467,8 @@ def _cmd_walk(args) -> int:
 
     with _output(args) as out:
         estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
-        expected = commute_time(verified, args.from_distance) / 2
+        profile = resistance_profile(verified)
+        expected = profile.m * profile.at(args.from_distance)  # half the commute time 2 m d_j
         gap = abs(estimate.mean - float(expected))
         within = gap <= 3 * estimate.stderr
 
@@ -595,7 +560,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except _CannotWrite as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        if str(exc):
+            print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,8 +1,10 @@
 """Random-walk consequences of the resistance formulas: exact commute times,
 the hitting/commute/cover bounds, the spectral-gap chain, seeded Monte Carlo
-estimation of hitting times on explicit graphs, and `verify_graph`, which
-grounds every formula of a graph's verified array on the graph itself: the
-harmonic function, the exact oracle and the spectral chain, with the verdict.
+estimation of hitting times on explicit graphs, and the two reports the CLI
+renders: `analyze_array`, every screen and formula of one array with its
+verdict, and `verify_graph`, which grounds every formula of a graph's
+verified array on the graph itself: the harmonic function, the exact oracle
+and the spectral chain, with the verdict.
 
 Seeded contract: every walk step picks the `c`-th entry of the current
 vertex's sorted adjacency list, where `c` runs through the stream that
@@ -23,12 +25,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from .arrays import IntersectionArray
+from .arrays import (
+    CheckResult,
+    DistanceDistribution,
+    FeasibilityReport,
+    HeadBound,
+    IntersectionArray,
+    check_divisibility,
+    compute_distance_distribution,
+    diameter_head_bound,
+    validate_basic,
+)
 from .circuits import (
     PotentialAssignment,
     _harmonic_function,
@@ -40,8 +52,8 @@ from .circuits import (
     representative_pairs,
 )
 from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
-from .potentials import potentials_recursive
-from .resistance import ResistanceProfile, ValencyError, resistance_profile
+from .potentials import PotentialSequence, potentials_recursive
+from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, ValencyError, classify_ratio, profile_from_distribution, resistance_profile
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
 
@@ -182,8 +194,6 @@ def simulate_cover_time(
     g: ExplicitGraph, start: int, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Sanity harness for the cover bound; no acceptance threshold attached."""
-    if g.n > 50:
-        raise ValueError("cover-time simulation is limited to n <= 50")
     degree = _walk_degree(g, (start,), trials, seed)
     if g.n == 1:  # covered before any step; degree 0 has no choice stream
         return _estimate(0, 0, trials, seed)
@@ -307,3 +317,38 @@ def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | R
     measured = effective_resistances(g, [pair for _, pair in checked])
     oracle = tuple(OracleRow(j, pair, r, profile.at(j), r == profile.at(j)) for (j, pair), r in zip(checked, measured))
     return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))
+
+
+@dataclass(frozen=True)
+class AnalyzeReport:
+    """Every screen of one intersection array and, when it is realizable,
+    its potentials, resistances, verdict and walk bounds."""
+
+    feasibility: FeasibilityReport
+    distribution: DistanceDistribution
+    divisibility: CheckResult  # reported, not gating
+    head: HeadBound  # reported, not gating
+    potentials: PotentialSequence | None = None
+    profile: ResistanceProfile | None = None
+    verdict: BiggsVerdict | None = None
+    bounds: WalkBoundsReport | None = None
+
+    @property
+    def realizable(self) -> bool:
+        return self.feasibility.overall and self.distribution.shells_integral
+
+    @property
+    def passed(self) -> bool:
+        return self.realizable and self.verdict.category is not BiggsClass.VIOLATION
+
+
+def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
+    """The `AnalyzeReport` of an array; raises `ValencyError` for a
+    realizable array of valency k <= 2, which the classification excludes."""
+    dist = compute_distance_distribution(arr)
+    report = AnalyzeReport(validate_basic(arr), dist, check_divisibility(arr), diameter_head_bound(arr))
+    if not report.realizable:
+        return report
+    profile = profile_from_distribution(arr, dist)
+    verdict = classify_ratio(arr, profile.ratio)
+    return replace(report, potentials=potentials_recursive(arr), profile=profile, verdict=verdict, bounds=walk_bounds_from_profile(arr, profile))

@@ -625,7 +625,7 @@ class TestUnwritableOutput:
 
     # each command's work, which must not start before --output is open
     WORK = {
-        "analyze": (["analyze", "(3,2;1,3)"], ["validate_basic"]),
+        "analyze": (["analyze", "(3,2;1,3)"], ["analyze_array"]),
         "catalog": (["catalog", "--recompute"], ["recompute_entry"]),
         "verify": (["verify", "johnson", "8", "3", "--exhaustive"], ["verify_graph"]),
         "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], ["simulate_hitting_time"]),
@@ -652,6 +652,37 @@ class TestUnwritableOutput:
         assert main(["walk", "hypercube", "3", "--from-distance", "1", *option, "--output", str(path)]) == 1
         assert capsys.readouterr().out == ""
         assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestUnwritableStdout:
+    def test_closed_pipe_ends_quietly(self):
+        # the reader takes one line of the ~1 MB table and goes away, as
+        # `| head -1` does
+        child = subprocess.Popen(
+            [sys.executable, "-m", "drglab", "scan", "--k", "3..6", "--diameter", "1..6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline().startswith(b"array")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert err == b""  # no traceback, and no exit-flush message either
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_full_device_is_one_line(self, fmt):
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "drglab", "catalog", "--format", fmt],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert result.returncode == 1
+        assert result.stderr == f"catalog: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 # VmHWM is the peak RSS of this process image alone: ru_maxrss after exec

@@ -462,7 +462,7 @@ class TestBulkInvariants:
 
 class TestOneDerivation:
     # each layer builds one distance distribution per array and reuses it
-    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "cli")
+    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "walks", "cli")
 
     @pytest.fixture
     def distribution_calls(self, monkeypatch):

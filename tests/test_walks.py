@@ -14,15 +14,19 @@ import pytest
 
 import drglab
 from drglab import (
+    AnalyzeReport,
+    BiggsClass,
     ExplicitGraph,
     RegularityFailure,
     ValencyError,
     VerifyReport,
+    analyze_array,
     bfs_distances,
     commute_time,
     construct_named_graph,
     from_edge_list,
     parse_intersection_array,
+    potentials_recursive,
     resistance_profile,
     simulate_cover_time,
     simulate_hitting_time,
@@ -135,8 +139,11 @@ class TestMonteCarlo:
         assert estimate.mean < 3 * bound
 
     def test_cover_time_size_guard(self):
-        with pytest.raises(ValueError):
-            simulate_cover_time(construct_named_graph("hamming", (4, 3)), 0, 1, seed=0)
+        # graphs.MAX_VERTICES is the one size rule: H(4,3), n = 81, runs
+        h43 = construct_named_graph("hamming", (4, 3))
+        assert h43.n == 81
+        estimate = simulate_cover_time(h43, 0, 1, seed=0)
+        assert estimate.trials == 1 and estimate.mean >= h43.n - 1
 
 
 class TestSpectralCheck:
@@ -211,6 +218,49 @@ class TestVerifyGraph:
         report = verify_graph(construct_named_graph("cycle", (14,)))
         assert not report.spectral.middle_holds and not report.middle_decides
         assert report.spectral_ok and report.overall
+
+
+class TestAnalyzeArray:
+    def test_cube_passes_strictly(self):
+        report = analyze_array(CUBE_ARR)
+        assert isinstance(report, AnalyzeReport) and report.feasibility.array == CUBE_ARR
+        assert report.distribution.n == 8 and report.divisibility.passed and report.head.passed
+        assert report.potentials == potentials_recursive(CUBE_ARR)
+        assert report.profile == resistance_profile(CUBE_ARR)
+        assert report.bounds == walk_bounds(CUBE_ARR)
+        assert report.verdict == (CUBE_ARR, BiggsClass.PASS_STRICT, Fraction(3, 7), None)
+        assert report.realizable and report.passed
+
+    def test_biggs_smith_is_extremal(self):
+        report = analyze_array(BIGGS_SMITH)
+        assert report.verdict == (BIGGS_SMITH, BiggsClass.EXTREMAL, Fraction(94, 101), "Biggs-Smith Graph")
+        assert report.realizable and report.passed
+
+    def test_violation_fails(self):
+        arr = parse_intersection_array("(3,2,2,1,1,1,1;1,1,1,1,1,1,3)")
+        report = analyze_array(arr)
+        assert report.verdict.category is BiggsClass.VIOLATION and report.verdict.ratio == Fraction(64, 61)
+        assert report.feasibility.overall and report.divisibility.passed and report.head.passed
+        assert report.realizable and not report.passed
+
+    @pytest.mark.parametrize("text", ["(3,2,3;1,1,3)", "(4,4;1,1)"])
+    def test_infeasible_stops_after_the_screens(self, text):
+        report = analyze_array(parse_intersection_array(text))
+        assert not report.feasibility.overall and report.distribution.shells_integral
+        assert report.potentials is report.profile is report.verdict is report.bounds is None
+        assert not report.realizable and not report.passed
+
+    def test_head_bound_failure_reported_but_not_gating(self):
+        # scan records this array as head_bound; analyze classifies it
+        arr = parse_intersection_array("(4,1,1;1,1,4)")
+        report = analyze_array(arr)
+        assert report.head == (1, 2, False)
+        assert report.verdict.category is BiggsClass.PASS_STRICT
+        assert report.realizable and report.passed
+
+    def test_valency_two_raises(self):
+        with pytest.raises(ValencyError):
+            analyze_array(parse_intersection_array("(2,1;1,1)"))
 
 
 class TestVertexTransitiveIdentity:
