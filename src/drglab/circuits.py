@@ -5,13 +5,16 @@ Laplacian solve, Jacobi spectrum).
 For an adjacent terminal pair u ~ v the voltage at z depends only on the
 distance pair (d(u,z), d(v,z)), read from two breadth-first rows;
 `walks.verify_graph` verifies the graph once and builds it with the
-unguarded `_harmonic_function`.  The
-resistance oracle grounds the Laplacian at vertex 0 and runs one
-fraction-free integer elimination per graph for all requested pairs, so
-agreement with the array formulas is literal equality.  The eigensolver is
-the single floating-point computation in the package, with the fixed
-thresholds below.  numpy is imported inside the functions that use it, so
-commands that never take a spectrum never load it.
+unguarded `_harmonic_function`.  The harmonic residual and the current are
+summed in integers, over the voltages scaled by one common denominator.  The
+resistance oracle grounds the Laplacian at vertex 0 and solves it once per
+graph for all requested pairs: a float64 solve proposes the rationals, and
+an exact integer product with the Laplacian accepts them or hands the system
+to fraction-free integer elimination, so agreement with the array formulas
+is literal equality.  The float solve decides nothing; the Jacobi spectral
+gap, with the fixed thresholds below, is the one floating-point value this
+module reports.  numpy is imported inside the functions that use it, so
+commands that never build a Laplacian never load it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ if TYPE_CHECKING:
 JACOBI_OFF_TOL = 1e-10  # stop once the off-diagonal Frobenius norm is this small
 JACOBI_MAX_SWEEPS = 100
 ZERO_EIGENVALUE_TOL = 1e-8  # |eigenvalue| at most this counts as zero
+CERTIFY_TOL = 1e-6  # an entry of q * x this close to an integer rounds to it
+DENOMINATOR_BOUND = 10**7  # largest common denominator q the float solve is read back with
 
 
 class NotAdjacent(ValueError):
@@ -85,60 +90,102 @@ def _harmonic_function(g: ExplicitGraph, u: int, v: int, p: PotentialSequence) -
     return PotentialAssignment(values, u, v, g.n * p.array.k)
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(f.denominator for f in values))
+    return [f.numerator * (den // f.denominator) for f in values], den
+
+
 def check_harmonicity(g: ExplicitGraph, assignment: PotentialAssignment) -> Fraction:
     """Largest absolute neighbor-sum residual away from the terminals.
 
     A true voltage function returns exactly 0.
     """
-    worst = Fraction(0)
-    f = assignment.values
-    for z in range(g.n):
-        if z == assignment.u or z == assignment.v:
-            continue
-        residual = sum((f[x] - f[z] for x in g.adjacency[z]), Fraction(0))
-        worst = max(worst, abs(residual))
-    return worst
+    f, den = _scaled(assignment.values)
+    terminals = (assignment.u, assignment.v)
+    worst = max(
+        (abs(sum(f[x] for x in near) - len(near) * f[z]) for z, near in enumerate(g.adjacency) if z not in terminals),
+        default=0,
+    )
+    return Fraction(worst, den)
 
 
 def measure_current(g: ExplicitGraph, assignment: PotentialAssignment, at: Optional[int] = None) -> Fraction:
     """Net current leaving a terminal; the circuit predicts n*k at u."""
     source = assignment.u if at is None else at
-    f = assignment.values
-    return sum((f[source] - f[x] for x in g.adjacency[source]), Fraction(0))
+    near = g.adjacency[source]
+    f, den = _scaled([assignment.values[x] for x in (source, *near)])
+    return Fraction(len(near) * f[0] - sum(f[1:]), den)
 
 
 def effective_resistances(g: ExplicitGraph, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
     """Two-point resistances of many pairs by direct circuit solution,
     independent of any intersection-array formula.
 
-    Grounds vertex 0 and solves the reduced Laplacian L0 once, by a single
-    fraction-free elimination, for a unit current injected at each distinct
-    endpoint other than 0.  With Y = det(L0) * inv(L0), whose row and column
-    for the ground are 0, R(a, b) = (Y_aa + Y_bb - 2 Y_ab) / det(L0).
+    Grounds vertex 0 and solves the reduced Laplacian L0 once for a unit
+    current injected at each distinct endpoint other than 0, as integer
+    columns Y = q * inv(L0) E over one denominator q, whose row and column
+    for the ground are 0; R(a, b) = (Y_aa + Y_bb - 2 Y_ab) / q.  Y is read
+    from a float64 solve and kept only if L0 Y == q E holds exactly
+    (`_certified_solve`); otherwise one fraction-free elimination gives it,
+    with q = det(L0).
     """
     for a, b in pairs:
         if a == b:
             raise ValueError("resistance needs two distinct vertices")
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise ValueError(f"pair ({a},{b}) outside vertex range 0..{g.n - 1}")
-    size = g.n - 1
+    if not pairs:
+        return []
+    import numpy as np
+
     # vertex z >= 1 sits at row z - 1 of the grounded Laplacian
-    matrix = [[0] * size for _ in range(size)]
-    for z in range(1, g.n):
-        row = matrix[z - 1]
-        row[z - 1] = g.degree(z)
-        for x in g.adjacency[z]:
-            if x:
-                row[x - 1] -= 1
+    lap = laplacian_matrix(g)[1:, 1:].astype(np.int64)
     sources = sorted({z for pair in pairs for z in pair if z})
-    units = [[int(i == z - 1) for i in range(size)] for z in sources]
-    det, solved = solve_exact(matrix, units)
+    units = np.zeros((g.n - 1, len(sources)), dtype=np.int64)
+    units[np.array(sources) - 1, np.arange(len(sources))] = 1
+    den, solved = _certified_solve(lap, units, np.linalg.solve(lap, units)) or solve_exact(lap.tolist(), units.T.tolist())
     column = dict(zip(sources, solved))
 
     def y(a: int, b: int) -> int:
         return column[b][a - 1] if a and b else 0
 
-    return [Fraction(y(a, a) + y(b, b) - 2 * y(a, b), det) for a, b in pairs]
+    return [Fraction(y(a, a) + y(b, b) - 2 * y(a, b), den) for a, b in pairs]
+
+
+def _certified_solve(lap: np.ndarray, units: np.ndarray, x: np.ndarray) -> Optional[tuple[int, list[list[int]]]]:
+    """A common denominator q and the integer columns of q * x rounded, if
+    they satisfy lap @ (q x) == q * units exactly; None otherwise.
+
+    x is only a hint (Wan 2006): q starts at 1 and takes in the denominator
+    `limit_denominator(DENOMINATOR_BOUND)` finds for the entry of q * x
+    farthest from an integer, until every entry lies within `CERTIFY_TOL`
+    of one.  lap is nonsingular, so columns that pass the integer check are
+    q * inv(lap) * units, whatever the float's error.
+    """
+    import numpy as np
+
+    if not np.isfinite(x).all():
+        return None
+    q = 1
+    while True:
+        scaled = q * x
+        off = np.abs(scaled - np.rint(scaled))
+        worst = int(off.argmax())
+        if off.flat[worst] <= CERTIFY_TOL:
+            break
+        d = Fraction(float(scaled.flat[worst])).limit_denominator(DENOMINATOR_BOUND).denominator
+        if d == 1 or q * d > DENOMINATOR_BOUND:
+            return None
+        q *= d
+    rounded = np.rint(scaled)
+    # an entry of lap @ rounded is at most 2 * max degree * max|rounded|: int64 only below overflow
+    if 2.0 * float(lap.diagonal().max()) * float(np.abs(rounded).max()) >= 2.0**62:
+        return None
+    rounded = rounded.astype(np.int64)
+    if not np.array_equal(lap @ rounded, q * units):
+        return None
+    return q, rounded.T.tolist()
 
 
 def effective_resistance_oracle(g: ExplicitGraph, u: int, v: int) -> Fraction:

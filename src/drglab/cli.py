@@ -68,7 +68,10 @@ class _CannotWrite(Exception):
 def _output(args) -> Iterator[TextIO]:
     """The file --output names, opened for writing, or stdout, flushed when
     the command is done.  An OS error while opening, writing or flushing
-    becomes `_CannotWrite`, which `main` reports in one line."""
+    becomes `_CannotWrite`, which `main` reports in one line, and so does a
+    closed stdout, which Python leaves as None."""
+    if not args.output and sys.stdout is None:
+        raise _CannotWrite("cannot write stdout: stdout is closed")
     try:
         with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as out:
             yield out

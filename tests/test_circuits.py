@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from drglab import (
     ArrayMismatch,
+    ExplicitGraph,
     NotAdjacent,
     PotentialAssignment,
     build_harmonic_function,
@@ -24,10 +25,12 @@ from drglab import (
     resistance_profile,
     verify_distance_regular,
 )
+from drglab import circuits
 from drglab.circuits import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFF_TOL,
     NotConverged,
+    _certified_solve,
     all_pairs_by_distance,
     effective_resistances,
     jacobi_eigenvalues,
@@ -152,8 +155,6 @@ class TestResistanceOracle:
 
     def test_series_law_on_path(self):
         # three unit resistors in series; no distance-regularity involved
-        from drglab import ExplicitGraph
-
         path = ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert effective_resistance_oracle(path, 0, 3) == 3
         assert effective_resistance_oracle(path, 0, 2) == 2
@@ -181,8 +182,9 @@ class TestBatchedOracle:
         with pytest.raises(ValueError):
             effective_resistances(CUBE, [(0, 8)])
 
-    def test_no_pairs(self):
+    def test_no_pairs(self, eliminations):
         assert effective_resistances(CUBE, []) == []
+        assert eliminations == []
 
 
 class TestMatrixTree:
@@ -368,3 +370,197 @@ class TestEigensolverBits:
         eigenvalues = jacobi_eigenvalues(matrix)
         assert eigenvalues.tobytes() == reference_jacobi(matrix).tobytes()
         assert eigenvalues.tolist() == [1.0, 2.0]
+
+
+def reference_residual(g, assignment):
+    """`check_harmonicity` summed in `Fraction`s."""
+    worst = Fraction(0)
+    f = assignment.values
+    for z in range(g.n):
+        if z not in (assignment.u, assignment.v):
+            worst = max(worst, abs(sum((f[x] - f[z] for x in g.adjacency[z]), Fraction(0))))
+    return worst
+
+
+def reference_current(g, assignment, at=None):
+    """`measure_current` summed in `Fraction`s."""
+    source = assignment.u if at is None else at
+    f = assignment.values
+    return sum((f[source] - f[x] for x in g.adjacency[source]), Fraction(0))
+
+
+HARMONIC_GRAPHS = [CUBE, PETERSEN, K4, construct_named_graph("heawood"), ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)])]
+
+
+@st.composite
+def assignments(draw):
+    """A graph and an arbitrary rational assignment: any terminals, adjacent
+    or not, and values of any sign and denominator."""
+    g = draw(st.sampled_from(HARMONIC_GRAPHS))
+    values = tuple(draw(st.lists(st.fractions(), min_size=g.n, max_size=g.n)))
+    u, v = draw(st.integers(0, g.n - 1)), draw(st.integers(0, g.n - 1))
+    return g, PotentialAssignment(values, u, v, draw(st.integers(-100, 100)))
+
+
+@st.composite
+def broken_harmonic(draw):
+    """A true voltage function with one value moved by a nonzero rational."""
+    g = draw(st.sampled_from(HARMONIC_GRAPHS[:4]))
+    _, f = harmonic_setup(g)
+    bumped = list(f.values)
+    bumped[draw(st.integers(0, g.n - 1))] += draw(st.fractions().filter(bool))
+    return g, PotentialAssignment(tuple(bumped), f.u, f.v, f.expected_current)
+
+
+class TestIntegerHarmonicSums:
+    """The integer sums give the `Fraction` reference's value exactly."""
+
+    @given(assignments(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_assignments(self, drawn, data):
+        g, f = drawn
+        at = data.draw(st.one_of(st.none(), st.integers(0, g.n - 1)))
+        assert check_harmonicity(g, f) == reference_residual(g, f)
+        assert measure_current(g, f, at=at) == reference_current(g, f, at)
+        assert type(check_harmonicity(g, f)) is Fraction and type(measure_current(g, f)) is Fraction
+
+    @given(broken_harmonic())
+    @settings(max_examples=100, deadline=None)
+    def test_broken_assignments(self, drawn):
+        g, f = drawn
+        assert check_harmonicity(g, f) == reference_residual(g, f)
+        for at in (None, f.v):
+            assert measure_current(g, f, at=at) == reference_current(g, f, at)
+
+    def test_true_voltages_stay_exact(self):
+        for g in HARMONIC_GRAPHS[:4]:
+            _, f = harmonic_setup(g)
+            assert check_harmonicity(g, f) == reference_residual(g, f) == 0
+            assert measure_current(g, f) == reference_current(g, f) == f.expected_current
+
+
+def bareiss_resistances(g, pairs):
+    """The oracle as one fraction-free elimination, with no float solve."""
+    size = g.n - 1
+    matrix = [[0] * size for _ in range(size)]
+    for z in range(1, g.n):
+        matrix[z - 1][z - 1] = g.degree(z)
+        for x in g.adjacency[z]:
+            if x:
+                matrix[z - 1][x - 1] -= 1
+    sources = sorted({z for pair in pairs for z in pair if z})
+    det, solved = solve_exact(matrix, [[int(i == z - 1) for i in range(size)] for z in sources])
+    column = dict(zip(sources, solved))
+
+    def y(a, b):
+        return column[b][a - 1] if a and b else 0
+
+    return [Fraction(y(a, a) + y(b, b) - 2 * y(a, b), det) for a, b in pairs]
+
+
+def every_pair(g):
+    return [pair for pairs in all_pairs_by_distance(g).values() for pair in pairs]
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the certified route fell back to elimination")
+
+    monkeypatch.setattr(circuits, "solve_exact", refuse)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_exact(*args)
+
+    monkeypatch.setattr(circuits, "solve_exact", counted)
+    return calls
+
+
+# the benchmark's graphs above, the other constructions the suite verifies,
+# and a path and a prism, which are not distance-regular
+CERTIFIED_SPECS = BENCH_SPECS + [
+    ("complete", (4,)),
+    ("complete", (5,)),
+    ("cocktail_party", (3,)),
+    ("complete_bipartite_minus_matching", (5,)),
+    ("cycle", (6,)),
+    ("hamming", (4, 3)),
+]
+EDGE_LIST_GRAPHS = {
+    "path": ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)]),
+    "prism": ExplicitGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+}
+
+
+class TestCertifiedOracle:
+    """The float route's values are elimination's, and only the exact
+    integer check lets them through."""
+
+    @pytest.mark.parametrize("family,params", CERTIFIED_SPECS, ids=[f"{f}{list(p)}" for f, p in CERTIFIED_SPECS])
+    def test_every_pair_equals_elimination(self, family, params, no_fallback):
+        g = construct_named_graph(family, params)
+        pairs = every_pair(g)
+        assert effective_resistances(g, pairs) == bareiss_resistances(g, pairs)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_LIST_GRAPHS))
+    def test_edge_list_graphs(self, name, no_fallback):
+        g = EDGE_LIST_GRAPHS[name]
+        assert effective_resistances(g, every_pair(g)) == bareiss_resistances(g, every_pair(g))
+
+    @pytest.mark.parametrize("family,params", [("johnson", (8, 3)), ("hypercube", (6,)), ("hypercube", (7,))], ids=["J83", "Q6", "Q7"])
+    def test_larger_graphs(self, family, params, no_fallback):
+        g = construct_named_graph(family, params)
+        pairs = list(representative_pairs(g).values())
+        if g.n <= 64:
+            pairs = every_pair(g)
+        assert effective_resistances(g, pairs) == bareiss_resistances(g, pairs)
+
+    def test_forced_fallback_is_elimination(self, monkeypatch, eliminations):
+        # no denominator fits under 1, so every read-back gives up
+        monkeypatch.setattr(circuits, "DENOMINATOR_BOUND", 1)
+        pairs = every_pair(PETERSEN)
+        assert effective_resistances(PETERSEN, pairs) == bareiss_resistances(PETERSEN, pairs)
+        assert len(eliminations) == 1
+
+    def test_default_route_runs_no_elimination(self, eliminations):
+        effective_resistances(PETERSEN, every_pair(PETERSEN))
+        assert eliminations == []
+
+    @staticmethod
+    def petersen_system():
+        lap = laplacian_matrix(PETERSEN)[1:, 1:].astype(np.int64)
+        units = np.eye(9, dtype=np.int64)[:, [0, 3, 8]]
+        return lap, units, np.linalg.solve(lap, units)
+
+    def test_float_noise_is_rounded_away(self):
+        lap, units, x = self.petersen_system()
+        q, columns = _certified_solve(lap, units, x)
+        assert _certified_solve(lap, units, x + 1e-9) == (q, columns)
+        # the columns are q * inv(L0), checked here in Fractions
+        for c, column in enumerate(columns):
+            assert [sum(int(lap[r, i]) * column[i] for i in range(9)) for r in range(9)] == [q * int(e) for e in units[:, c]]
+
+    @pytest.mark.parametrize("shift", [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 1000)])
+    def test_perturbed_solution_is_rejected(self, shift):
+        lap, units, x = self.petersen_system()
+        x[4, 1] += float(shift)
+        assert _certified_solve(lap, units, x) is None
+
+    def test_perturbation_that_reads_back_is_still_rejected(self):
+        # a consistent wrong rational: the denominator is found, the check refuses it
+        lap, units, x = self.petersen_system()
+        q, _ = _certified_solve(lap, units, x)
+        x[2, 0] += 1 / q
+        assert _certified_solve(lap, units, x) is None
+
+    def test_non_finite_and_oversized_solutions_are_refused(self):
+        lap, units, x = self.petersen_system()
+        assert _certified_solve(lap, units, np.full_like(x, np.nan)) is None
+        # integers whose product with lap would leave int64
+        assert _certified_solve(lap, units, np.full_like(x, 2.0**60)) is None

@@ -684,6 +684,25 @@ class TestUnwritableStdout:
         assert result.returncode == 1
         assert result.stderr == f"catalog: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_closed_stdout_is_one_line(self, fmt):
+        # as `>&-` runs it: fd 1 is closed, so sys.stdout is None
+        result = subprocess.run(
+            [sys.executable, "-m", "drglab", "catalog", "--format", fmt],
+            preexec_fn=lambda: os.close(1),
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "catalog: cannot write stdout: stdout is closed\n"
+
+    def test_closed_stdout_still_writes_output_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        out = tmp_path / "catalog.json"
+        assert main(["catalog", "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["command"] == "catalog"
+
 
 # VmHWM is the peak RSS of this process image alone: ru_maxrss after exec
 # also carries the peak of the process that spawned it, here the test runner
