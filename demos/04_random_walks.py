@@ -6,13 +6,12 @@ resistance bound caps every round trip at 4(n-1).  Monte Carlo walks
 """
 
 from drglab import (
-    commute_time,
     construct_named_graph,
     simulate_cover_time,
-    simulate_hitting_time,
     spectral_check,
     verify_distance_regular,
     walk_bounds,
+    walk_graph,
 )
 
 cube = construct_named_graph("hypercube", (3,))
@@ -24,13 +23,15 @@ print("hitting bound 2(n-1) =", report.hitting_bound, "  commute bound 4(n-1) ="
 print(f"cover-time dominant term 4(n-1)ln n = {report.cover_bound_dominant:.2f}")
 print("spectral floor k/(4(n-1)) =", report.spectral_lower_bound)
 
-# Hitting times: start at 0, aim at an adjacent vertex, then the antipode.
-for target, j in [(1, 1), (7, 3)]:
-    estimate = simulate_hitting_time(cube, 0, target, trials=100_000, seed=20240809)
-    expected = commute_time(arr, j) / 2
+# Hitting times: `walk_graph` walks from 0 to the first vertex at distance j,
+# here an adjacent vertex, then the antipode, against the exact m d_j, half
+# the commute time.
+for j in (1, 3):
+    walk = walk_graph(cube, j, trials=100_000, seed=20240809)()
+    estimate = walk.estimate
     print(
-        f"\nhit vertex {target} (distance {j}): mean {estimate.mean:.3f} "
-        f"+- {estimate.stderr:.3f}, exact {expected}"
+        f"\nhit vertex {walk.pair[1]} (distance {j}): mean {estimate.mean:.3f} "
+        f"+- {estimate.stderr:.3f}, exact {walk.expected}, within 3 stderr: {walk.within_3_stderr}"
     )
 
 # The spectral chain sigma >= 1/(n d_D) >= k/(4(n-1)) on the graph itself.

@@ -85,6 +85,7 @@ from .walks import (
     SpectralCheckReport,
     VerifyReport,
     WalkBoundsReport,
+    WalkReport,
     analyze_array,
     commute_time,
     simulate_cover_time,
@@ -93,6 +94,7 @@ from .walks import (
     verify_graph,
     walk_bounds,
     walk_bounds_from_profile,
+    walk_graph,
 )
 
 __version__ = "0.1.0"

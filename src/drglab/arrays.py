@@ -99,11 +99,17 @@ def format_intersection_array(arr: IntersectionArray) -> str:
 # ASCII digits only: `\d` and `int` also read other scripts' digits
 _TOKEN = re.compile(r"[0-9]+")
 
+# the most digits the entries of one array may have in all: it keeps n below
+# 10^300, so the walk bounds stay in float range and every count renders
+# within the interpreter's int-to-str digit limit
+MAX_ARRAY_DIGITS = 300
+
 
 def parse_intersection_array(text: str) -> IntersectionArray:
     """Read array text like ``(3,2,1;1,2,3)``; outer parentheses optional.
 
-    Lenient about whitespace, strict about everything else.  Structural
+    Lenient about whitespace, strict about everything else; entries of more
+    than `MAX_ARRAY_DIGITS` digits in all are refused.  Structural
     invariants are not checked here.
     """
     s = text.strip()
@@ -115,7 +121,10 @@ def parse_intersection_array(text: str) -> IntersectionArray:
     if len(halves) != 2:
         raise MalformedInput(f"expected exactly one ';' in {text!r}")
 
+    digits = 0
+
     def read_half(half: str, label: str) -> tuple[int, ...]:
+        nonlocal digits
         tokens = [t.strip() for t in half.split(",")]
         if tokens == [""]:
             raise MalformedInput(f"empty {label} half in {text!r}")
@@ -123,10 +132,10 @@ def parse_intersection_array(text: str) -> IntersectionArray:
         for t in tokens:
             if not _TOKEN.fullmatch(t):
                 raise MalformedInput(f"bad token {t!r} in {text!r}")
-            try:
-                value = int(t)
-            except ValueError as exc:  # past the interpreter's digit limit for str -> int
-                raise MalformedInput(f"entry of {len(t)} digits is too long to read") from exc
+            digits += len(t)
+            if digits > MAX_ARRAY_DIGITS:
+                raise MalformedInput(f"the entries reach {digits} digits, past the limit of {MAX_ARRAY_DIGITS} in all")
+            value = int(t)
             if value < 1:
                 raise MalformedInput(f"non-positive entry {t!r} in {text!r}")
             values.append(value)

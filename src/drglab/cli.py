@@ -2,7 +2,8 @@
 
 Subcommands: analyze, scan, catalog, verify, walk.  Exit codes: 0 success,
 1 usage or unreadable input, 2 a verdict failure (non-realizable array,
-catalog mismatch, verification mismatch, walk estimate off target).
+catalog mismatch, graph not distance-regular, verification mismatch, walk
+estimate off target).
 
 JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
@@ -24,14 +25,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, TextIO
 
-from .arrays import IntersectionArray, LengthMismatch, MalformedInput, _b_half, _c_half, parse_intersection_array
+from .arrays import LengthMismatch, MalformedInput, _b_half, _c_half, parse_intersection_array
 from .catalog import catalog, recompute_entry
-from .circuits import NotConverged, representative_pairs
-from .graphs import BadParams, ExplicitGraph, construct_named_graph, from_edge_list, integer, verify_distance_regular
+from .circuits import NotConverged
+from .graphs import BadParams, ExplicitGraph, RegularityFailure, construct_named_graph, from_edge_list, integer
 from .rational import decimal_string
-from .resistance import resistance_profile
 from .scanner import ScanQuery, ScanRecord, _records
-from .walks import VerifyReport, _walk_degree, analyze_array, simulate_hitting_time, verify_graph
+from .walks import VerifyReport, analyze_array, verify_graph, walk_graph
 
 SCHEMA = 1
 
@@ -449,60 +449,46 @@ def _cmd_verify(args) -> int:
 def _cmd_walk(args) -> int:
     try:
         graph, origin = _load_graph(args)
+        run = walk_graph(graph, args.from_distance, args.trials, args.seed)
     except (OSError, ValueError) as exc:
         print(f"walk: {exc}", file=sys.stderr)
         return 1
-    verified = verify_distance_regular(graph)
-    if not isinstance(verified, IntersectionArray):
-        print(f"walk: graph is not distance-regular: {verified}", file=sys.stderr)
+    if isinstance(run, RegularityFailure):
+        print(f"walk: graph is not distance-regular: {run}", file=sys.stderr)
         return 2
-    if not 1 <= args.from_distance <= verified.D:
-        print(f"walk: --from-distance must lie in 1..{verified.D}", file=sys.stderr)
-        return 1
-
-    target = representative_pairs(graph)[args.from_distance][1]
-    # the simulation's own argument checks, run before --output is opened
-    try:
-        _walk_degree(graph, (0, target), args.trials, args.seed)
-    except ValueError as exc:
-        print(f"walk: {exc}", file=sys.stderr)
-        return 1
 
     with _output(args) as out:
-        estimate = simulate_hitting_time(graph, 0, target, args.trials, args.seed)
-        profile = resistance_profile(verified)
-        expected = profile.m * profile.at(args.from_distance)  # half the commute time 2 m d_j
-        gap = abs(estimate.mean - float(expected))
-        within = gap <= 3 * estimate.stderr
+        report = run()
+        estimate, expected = report.estimate, report.expected
 
         def payload() -> dict:
             return {
                 "schema": SCHEMA,
                 "command": "walk",
                 "graph": origin,
-                "array": str(verified),
-                "from_distance": args.from_distance,
-                "pair": [0, target],
+                "array": str(report.array),
+                "from_distance": report.distance,
+                "pair": list(report.pair),
                 "trials": estimate.trials,
                 "seed": estimate.seed,
                 "mean": estimate.mean,
                 "stderr": estimate.stderr,
                 "expected": str(expected),
                 "expected_decimal": decimal_string(expected),
-                "within_3_stderr": within,
+                "within_3_stderr": report.within_3_stderr,
             }
 
         def table() -> list[str]:
             return [
                 f"graph            {origin}",
-                f"pair             (0, {target}) at distance {args.from_distance}",
+                f"pair             {report.pair} at distance {report.distance}",
                 f"estimate         mean={estimate.mean:.4f} stderr={estimate.stderr:.4f} ({estimate.trials} trials, seed {estimate.seed})",
                 f"expected         {expected} = {decimal_string(expected)}",
-                f"within 3 stderr  {'yes' if within else 'NO'}",
+                f"within 3 stderr  {'yes' if report.within_3_stderr else 'NO'}",
             ]
 
         _emit(out, args, payload, table)
-        return 0 if within else 2
+        return 0 if report.within_3_stderr else 2
 
 
 # ------------------------------------------------------------------------ parser
@@ -535,17 +521,16 @@ def _build_parser() -> _Parser:
     p_catalog.add_argument("--recompute", action="store_true", help="recompute counts and ratios; exit 2 on mismatch")
     p_catalog.set_defaults(func=_cmd_catalog)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="construct or load a graph and ground every formula on it")
-    p_verify.add_argument("family", nargs="?", default=None)
-    p_verify.add_argument("params", nargs="*", type=integer)
-    p_verify.add_argument("--edges", metavar="FILE", default=None, help="edge-list file: 'n m' then one 'a b' line per edge")
+    graph_source = _Parser(add_help=False)
+    graph_source.add_argument("family", nargs="?", default=None)
+    graph_source.add_argument("params", nargs="*", type=integer)
+    graph_source.add_argument("--edges", metavar="FILE", default=None, help="edge-list file: 'n m' then one 'a b' line per edge")
+
+    p_verify = sub.add_parser("verify", parents=[common, graph_source], help="construct or load a graph and ground every formula on it")
     p_verify.add_argument("--exhaustive", action="store_true", help="check every pair, not one per distance")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_walk = sub.add_parser("walk", parents=[common], help="Monte Carlo hitting time against the exact formula")
-    p_walk.add_argument("family", nargs="?", default=None)
-    p_walk.add_argument("params", nargs="*", type=integer)
-    p_walk.add_argument("--edges", metavar="FILE", default=None)
+    p_walk = sub.add_parser("walk", parents=[common, graph_source], help="Monte Carlo hitting time against the exact formula")
     p_walk.add_argument("--from-distance", type=integer, required=True, metavar="J")
     p_walk.add_argument("--trials", type=integer, default=100000)
     p_walk.add_argument("--seed", type=integer, default=0, help="seed of the walks' random.Random stream, at least 0")

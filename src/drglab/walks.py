@@ -1,10 +1,11 @@
 """Random-walk consequences of the resistance formulas: exact commute times,
 the hitting/commute/cover bounds, the spectral-gap chain, seeded Monte Carlo
-estimation of hitting times on explicit graphs, and the two reports the CLI
-renders: `analyze_array`, every screen and formula of one array with its
-verdict, and `verify_graph`, which grounds every formula of a graph's
-verified array on the graph itself: the harmonic function, the exact oracle
-and the spectral chain, with the verdict.
+estimation of hitting times on explicit graphs, and the three reports the
+CLI renders: `analyze_array`, every screen and formula of one array with its
+verdict, `verify_graph`, which grounds every formula of a graph's verified
+array on the graph itself: the harmonic function, the exact oracle and the
+spectral chain, with the verdict, and `walk_graph`, a seeded hitting time
+against the exact m d_j.
 
 Seeded contract: every walk step picks the `c`-th entry of the current
 vertex's sorted adjacency list, where `c` runs through the stream that
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arrays import (
     CheckResult,
@@ -218,6 +219,39 @@ def simulate_cover_time(
         total += steps
         total_sq += steps * steps
     return _estimate(total, total_sq, trials, seed)
+
+
+@dataclass(frozen=True)
+class WalkReport:
+    """A seeded hitting-time estimate between vertices at distance j against
+    the exact m d_j, half the commute time 2 m d_j."""
+
+    array: IntersectionArray
+    distance: int
+    pair: tuple[int, int]
+    expected: Fraction
+    estimate: MonteCarloEstimate
+
+    @property
+    def within_3_stderr(self) -> bool:
+        return abs(self.estimate.mean - float(self.expected)) <= 3 * self.estimate.stderr
+
+
+def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> Callable[[], WalkReport] | RegularityFailure:
+    """The graph's `RegularityFailure`, or a run that simulates the walks
+    from 0 to the first vertex at `from_distance` when called and returns
+    their `WalkReport`.  Every refusal comes at the call: a `ValueError` for
+    a distance outside 1..D, trials < 1 or seed < 0."""
+    verified = verify_distance_regular(g)
+    if not isinstance(verified, IntersectionArray):
+        return verified
+    if not 1 <= from_distance <= verified.D:
+        raise ValueError(f"--from-distance must lie in 1..{verified.D}")
+    pair = representative_pairs(g)[from_distance]
+    _walk_degree(g, pair, trials, seed)
+    profile = resistance_profile(verified)
+    expected = profile.m * profile.at(from_distance)
+    return lambda: WalkReport(verified, from_distance, pair, expected, simulate_hitting_time(g, *pair, trials, seed))
 
 
 @dataclass(frozen=True)

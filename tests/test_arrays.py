@@ -62,6 +62,12 @@ class TestParsing:
         with pytest.raises(MalformedInput, match="5000 digits"):
             parse_intersection_array("(" + "9" * 5000 + ";1)")
 
+    def test_digit_limit_counts_every_entry(self):
+        nines = "9" * 149
+        assert parse_intersection_array(f"({nines},1;1,{nines})").k == 10**149 - 1
+        with pytest.raises(MalformedInput, match="^the entries reach 301 digits, past the limit of 300 in all$"):
+            parse_intersection_array(f"({nines},1;1,{nines}9)")
+
     @pytest.mark.parametrize(
         "text",
         [

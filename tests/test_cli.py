@@ -71,6 +71,29 @@ class TestAnalyze:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("analyze: ")
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("text, reach", [(f"({'9' * 310},1;1,{'9' * 310})", 310), (f"({'9' * 4000},1;1,5)", 4000)])
+    def test_past_the_digit_limit_is_one_line(self, text, reach, fmt, tmp_path, capsys):
+        # once a traceback: the first overflowed the float in the walk bounds'
+        # 4(n-1) ln n, the second's shells passed the int-to-str digit limit
+        path = tmp_path / "never.json"
+        assert main(["analyze", text, "--format", fmt, "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"analyze: the entries reach {reach} digits, past the limit of 300 in all\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_largest_admitted_arrays_render(self, fmt, tmp_path, capsys):
+        # 300 digits in all, one realizable array and one with a fractional shell
+        nines = 10**149 - 1
+        assert main(["analyze", f"({nines},1;1,{nines})", "--format", fmt]) == 0
+        nines = 10**297 - 1
+        assert main(["analyze", f"({nines},1;1,5)", "--format", fmt]) == 2
+        assert capsys.readouterr().err == ""
+        _, payload = run_json(tmp_path, ["analyze", f"({nines},1;1,5)"])
+        assert payload["distribution"]["n"] == str(1 + nines + Fraction(nines, 5))
+
     def test_non_ascii_digits_exit_one(self, capsys):
         # int() would read the Arabic-Indic digits as the cube (3,2,1;1,2,3)
         text = "(\u0663,\u0662,\u0661;\u0661,\u0662,\u0663)"
@@ -421,9 +444,9 @@ class TestVerify:
 
 
 class TestOneCheckPerOp:
-    # verify_graph and walk check distance-regularity once; verify_graph hands
-    # the verified graph to the unguarded harmonic and spectral bodies
-    MODULES = ("graphs", "circuits", "walks", "cli")
+    # verify_graph and walk_graph check distance-regularity once; verify_graph
+    # hands the verified graph to the unguarded harmonic and spectral bodies
+    MODULES = ("graphs", "circuits", "walks")
 
     @pytest.fixture
     def verify_calls(self, monkeypatch):
@@ -464,6 +487,27 @@ class TestWalk:
 
     def test_bad_distance_exits_one(self):
         assert main(["walk", "complete", "4", "--from-distance", "2", "--trials", "10", "--seed", "1"]) == 1
+
+    def test_estimate_off_target_exits_two(self, tmp_path, capsys):
+        # a correct graph the 3-standard-error test fails by chance
+        argv = ["walk", "petersen", "--from-distance", "2", "--trials", "1000", "--seed", "107"]
+        code, payload = run_json(tmp_path, argv)
+        assert code == 2
+        assert payload["expected"] == "12"
+        assert payload["within_3_stderr"] is False
+        assert main(argv) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "within 3 stderr  NO"
+
+    def test_formula_off_the_estimate_fails(self, monkeypatch, tmp_path):
+        def d1_off_by_a_seventh(arr):
+            profile = resistance_profile(arr)
+            return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+
+        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        code, payload = run_json(tmp_path, ["walk", "petersen", "--from-distance", "1", "--trials", "2000", "--seed", "1"])
+        assert code == 2
+        assert payload["expected"] == "78/7"
+        assert payload["within_3_stderr"] is False
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_exits_one(self, trials, capsys):
@@ -623,34 +667,52 @@ class TestUnwritableOutput:
         assert captured.err == f"{command}: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
         assert list(tmp_path.iterdir()) == []
 
-    # each command's work, which must not start before --output is open
+    # each command's work, which must not start before --output is open,
+    # named where it is called
     WORK = {
-        "analyze": (["analyze", "(3,2;1,3)"], ["analyze_array"]),
-        "catalog": (["catalog", "--recompute"], ["recompute_entry"]),
-        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], ["verify_graph"]),
-        "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], ["simulate_hitting_time"]),
+        "analyze": (["analyze", "(3,2;1,3)"], cli, ["analyze_array"]),
+        "catalog": (["catalog", "--recompute"], cli, ["recompute_entry"]),
+        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], cli, ["verify_graph"]),
+        "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], walks, ["simulate_hitting_time"]),
     }
 
     @pytest.mark.parametrize("command", sorted(WORK))
     def test_refused_before_the_work(self, command, monkeypatch, tmp_path, capsys):
-        argv, work = self.WORK[command]
+        argv, module, work = self.WORK[command]
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"{command} worked before opening --output")
 
         for name in work:
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(module, name, refuse)
         assert main([*argv, "--output", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{command}: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
 
-    @pytest.mark.parametrize("option", [["--trials", "0"], ["--seed", "-1"]])
+    # (graph and options, exit code, stderr): the prism is 3-regular but not
+    # distance-regular
+    @pytest.mark.parametrize(
+        "option",
+        [
+            (["hypercube", "3", "--from-distance", "1", "--trials", "0"], 1, "walk: trials must be >= 1\n"),
+            (["hypercube", "3", "--from-distance", "1", "--seed", "-1"], 1, "walk: seed must be >= 0, got -1\n"),
+            (["hypercube", "3", "--from-distance", "9"], 1, "walk: --from-distance must lie in 1..3\n"),
+            (
+                ["--edges", "{prism}", "--from-distance", "1"],
+                2,
+                "walk: graph is not distance-regular: b-count at distance 1 is not constant: pair (0, 3) has 2, earlier pairs had 1\n",
+            ),
+        ],
+    )
     def test_walk_refusal_leaves_output_alone(self, option, tmp_path, capsys):
+        argv, code, err = option
+        prism = tmp_path / "prism.txt"
+        prism.write_text(PRISM_EDGES, encoding="utf-8")
         path = tmp_path / "walk.json"
         path.write_text("kept\n", encoding="utf-8")
-        assert main(["walk", "hypercube", "3", "--from-distance", "1", *option, "--output", str(path)]) == 1
-        assert capsys.readouterr().out == ""
+        assert main(["walk", *(arg.format(prism=prism) for arg in argv), "--output", str(path)]) == code
+        assert capsys.readouterr() == ("", err)
         assert path.read_text(encoding="utf-8") == "kept\n"
 
 

@@ -20,6 +20,7 @@ from drglab import (
     RegularityFailure,
     ValencyError,
     VerifyReport,
+    WalkReport,
     analyze_array,
     bfs_distances,
     commute_time,
@@ -34,6 +35,7 @@ from drglab import (
     verify_distance_regular,
     verify_graph,
     walk_bounds,
+    walk_graph,
     walks,
 )
 
@@ -45,6 +47,8 @@ BIGGS_SMITH = parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)")
 CUBE = construct_named_graph("hypercube", (3,))
 PETERSEN = construct_named_graph("petersen")
 K4 = construct_named_graph("complete", (4,))
+# 3-regular, not distance-regular
+PRISM = from_edge_list("6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n")
 
 
 class TestCommuteTime:
@@ -207,10 +211,9 @@ class TestVerifyGraph:
         assert not report.spectral_ok and not report.overall
 
     def test_prism_returns_its_regularity_failure(self):
-        prism = from_edge_list("6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n")
-        failure = verify_graph(prism)
+        failure = verify_graph(PRISM)
         assert isinstance(failure, RegularityFailure)
-        assert failure == verify_distance_regular(prism)
+        assert failure == verify_distance_regular(PRISM)
 
     def test_middle_link_decides_only_for_k_at_least_three(self):
         # C14's 1/(n d_D) = 1/49 is below k/(4(n-1)) = 1/26, a claim the paper
@@ -218,6 +221,63 @@ class TestVerifyGraph:
         report = verify_graph(construct_named_graph("cycle", (14,)))
         assert not report.spectral.middle_holds and not report.middle_decides
         assert report.spectral_ok and report.overall
+
+
+class TestWalkGraph:
+    # the walk command's JSON payloads before the command rendered this report
+    @pytest.mark.parametrize(
+        "graph, distance, trials, seed, payload",
+        [
+            (CUBE, 3, 2000, 1, ("(3,2,1;1,2,3)", (0, 7), 10.337, 0.18600675997763813, Fraction(10), True)),
+            (PETERSEN, 2, 1000, 107, ("(3,2;1,1)", (0, 2), 10.976, 0.30771433523986513, Fraction(12), False)),
+        ],
+    )
+    def test_report_is_the_command_payload(self, graph, distance, trials, seed, payload):
+        report = walk_graph(graph, distance, trials, seed)()
+        assert isinstance(report, WalkReport) and report.distance == distance
+        assert (report.estimate.trials, report.estimate.seed) == (trials, seed)
+        estimate = report.estimate
+        assert (str(report.array), report.pair, estimate.mean, estimate.stderr, report.expected, report.within_3_stderr) == payload
+
+    def test_expected_is_half_the_commute_time(self):
+        for j in (1, 2, 3):
+            assert walk_graph(CUBE, j, 10, 0)().expected == commute_time(CUBE_ARR, j) / 2
+
+    def test_formula_off_the_estimate_fails(self, monkeypatch):
+        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        report = walk_graph(PETERSEN, 1, 2000, 1)()
+        assert report.expected == Fraction(78, 7)
+        assert not report.within_3_stderr
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before every refusal was made")
+
+        monkeypatch.setattr(walks, "simulate_hitting_time", refuse)
+
+    @pytest.mark.parametrize(
+        "distance, trials, seed, message",
+        [
+            (0, 10, 1, "^--from-distance must lie in 1..3$"),
+            (4, 10, 1, "^--from-distance must lie in 1..3$"),
+            (1, 0, 1, "^trials must be >= 1$"),
+            (1, 10, -1, "^seed must be >= 0, got -1$"),
+        ],
+    )
+    def test_refusals_raise_before_the_simulation(self, no_simulation, distance, trials, seed, message):
+        with pytest.raises(ValueError, match=message):
+            walk_graph(CUBE, distance, trials, seed)
+
+    def test_prism_returns_its_regularity_failure_unsimulated(self, no_simulation):
+        failure = walk_graph(PRISM, 1, 10, 1)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == verify_distance_regular(PRISM)
+
+    def test_simulates_only_when_run(self, no_simulation):
+        run = walk_graph(CUBE, 1, 10, 1)
+        with pytest.raises(AssertionError, match="simulated before"):
+            run()
 
 
 class TestAnalyzeArray:
