@@ -39,7 +39,9 @@ for row in report.oracle:
     print(f"  distance {row.distance}: pair {row.pair}  oracle {row.oracle}  formula {row.formula}  equal {row.equal}")
 print("every check passes:", report.overall)
 
-# The lone floating-point computation: the Laplacian spectral gap.
+# A floating-point result: the Laplacian spectral gap, by cyclic Jacobi.
+# (The oracle above also solves in float64, but only as a hint that an exact
+# integer check accepts or rejects.)
 for name, params in [("complete", (4,)), ("hypercube", (3,)), ("petersen", ())]:
     g = construct_named_graph(name, params)
     print(f"\nspectral gap of {name}{params}: {laplacian_spectral_gap(g):.10f}")

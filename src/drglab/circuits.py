@@ -110,11 +110,10 @@ def check_harmonicity(g: ExplicitGraph, assignment: PotentialAssignment) -> Frac
     return Fraction(worst, den)
 
 
-def measure_current(g: ExplicitGraph, assignment: PotentialAssignment, at: Optional[int] = None) -> Fraction:
-    """Net current leaving a terminal; the circuit predicts n*k at u."""
-    source = assignment.u if at is None else at
-    near = g.adjacency[source]
-    f, den = _scaled([assignment.values[x] for x in (source, *near)])
+def measure_current(g: ExplicitGraph, assignment: PotentialAssignment) -> Fraction:
+    """Net current leaving the source terminal u; the circuit predicts n*k."""
+    near = g.adjacency[assignment.u]
+    f, den = _scaled([assignment.values[x] for x in (assignment.u, *near)])
     return Fraction(len(near) * f[0] - sum(f[1:]), den)
 
 

@@ -2,8 +2,8 @@
 
 Subcommands: analyze, scan, catalog, verify, walk.  Exit codes: 0 success,
 1 usage or unreadable input, 2 a verdict failure (non-realizable array,
-catalog mismatch, graph not distance-regular, verification mismatch, walk
-estimate off target).
+potential routes that disagree, catalog mismatch, graph not
+distance-regular, verification mismatch, walk estimate off target).
 
 JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
@@ -183,6 +183,8 @@ def _cmd_analyze(args) -> int:
             ]
 
         _emit(out, args, payload, table)
+        if not report.routes_agree:
+            print(f"analyze: the recursion's ratio {p.ratio()} differs from the closed form's {profile.ratio}", file=sys.stderr)
         return 0 if report.passed else 2
 
 
@@ -289,10 +291,9 @@ def _cmd_scan(args) -> int:
     except ValueError:
         print("scan: ranges look like A..B or a single integer", file=sys.stderr)
         return 1
-    # every refusal (ranges, jobs, budget) is raised here, before --output
-    # is opened
+    # every refusal (ranges, jobs, box size) is raised here, before --output is opened
     try:
-        query = ScanQuery(k_lo, k_hi, d_lo, d_hi, n_max=args.n_max, budget=args.budget)
+        query = ScanQuery(k_lo, k_hi, d_lo, d_hi, n_max=args.n_max)
         records = _records(query, jobs=args.jobs)
     except ValueError as exc:
         print(f"scan: {exc}", file=sys.stderr)
@@ -514,7 +515,6 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--n-max", type=integer, default=None, help="drop candidates above this vertex count, at least 1")
     p_scan.add_argument("--only-biggs", action="store_true", help="print only arrays ruled out by the resistance bound alone")
     p_scan.add_argument("--jobs", type=integer, default=1, help="accepted for compatibility, at least 1; the scan always runs in one process")
-    p_scan.add_argument("--budget", type=integer, default=10**8, help="raw candidate budget before refusing")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_catalog = sub.add_parser("catalog", parents=[common], help="print the embedded catalog")

@@ -40,9 +40,14 @@ from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
 
+# the most raw candidates one scan may enumerate, fixed like MAX_VERTICES: a
+# mistyped box (D 1..80) is refused at once, not streamed for hours; k 3..8,
+# D 1..8 holds 10,333,695, but one cell can pass it alone (k = D = 10: ~1.2e9)
+MAX_RAW_CANDIDATES = 10**8
+
 
 class QueryTooLarge(ValueError):
-    """Search-space estimate beyond the query budget; narrow the ranges."""
+    """Search-space estimate beyond MAX_RAW_CANDIDATES; narrow the ranges."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,6 @@ class ScanQuery:
     d_min: int
     d_max: int
     n_max: Optional[int] = None
-    budget: int = 10**8
 
     def __post_init__(self) -> None:
         if self.k_min < 3:
@@ -81,13 +85,11 @@ def estimate_candidates(query: ScanQuery) -> int:
 
 
 def _exceeds_budget(query: ScanQuery) -> bool:
-    """Whether estimate_candidates(query) > query.budget, summing only until
-    the budget is passed; a box of more cells than the budget is refused
+    """Whether estimate_candidates(query) > MAX_RAW_CANDIDATES, summing only
+    until the limit is passed; a box of more cells than the limit is refused
     without a sum, since every cell holds a raw candidate."""
     cells = (query.k_max - query.k_min + 1) * (query.d_max - query.d_min + 1)
-    return cells > query.budget or any(
-        total > query.budget for total in itertools.accumulate(_cell_estimates(query))
-    )
+    return cells > MAX_RAW_CANDIDATES or any(total > MAX_RAW_CANDIDATES for total in itertools.accumulate(_cell_estimates(query)))
 
 
 def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
@@ -96,7 +98,7 @@ def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
     Candidates satisfy the full structural battery (monotone b and c, the
     cross condition, a_i >= 0 which forces c_D <= k), applied incrementally
     while extending the c sequence.  Raises QueryTooLarge at the call,
-    before yielding anything, if the raw search space exceeds the budget.
+    before yielding anything, if the raw search space is too large.
     """
     return map(itemgetter(0), _candidates(query))
 
@@ -107,7 +109,7 @@ _Leaf = tuple[IntersectionArray, Optional[tuple[int, ...]]]
 def _candidates(query: ScanQuery) -> Iterator[_Leaf]:
     """`enumerate_arrays` with each array's whole shell sizes beside it."""
     if _exceeds_budget(query):
-        raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {query.budget}")
+        raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {MAX_RAW_CANDIDATES}")
     return itertools.chain.from_iterable(
         _arrays_for(k, D) for k in range(query.k_min, query.k_max + 1) for D in range(query.d_min, query.d_max + 1)
     )

@@ -372,8 +372,14 @@ class AnalyzeReport:
         return self.feasibility.overall and self.distribution.shells_integral
 
     @property
+    def routes_agree(self) -> bool:
+        """Whether the recursion's potentials give the ratio the closed form
+        classified by; true when nothing was derived."""
+        return self.potentials is None or self.potentials.ratio() == self.profile.ratio
+
+    @property
     def passed(self) -> bool:
-        return self.realizable and self.verdict.category is not BiggsClass.VIOLATION
+        return self.realizable and self.routes_agree and self.verdict.category is not BiggsClass.VIOLATION
 
 
 def analyze_array(arr: IntersectionArray) -> AnalyzeReport:

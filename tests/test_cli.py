@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from drglab import circuits, cli, construct_named_graph, resistance_profile, to_edge_list, verify_distance_regular, walks
+from drglab import circuits, cli, construct_named_graph, potentials_recursive, resistance_profile, scanner, to_edge_list, verify_distance_regular, walks
 from drglab.cli import _build_parser, _load_graph, main
 from drglab.scanner import ScanQuery, scan
 
@@ -124,6 +124,21 @@ class TestAnalyze:
         assert "PASS_STRICT" in out
         assert "7/12" in out
 
+    def test_recursion_off_the_closed_form_fails(self, monkeypatch, capsys):
+        # the verdict reads the closed form's ratio; the recursion's printed
+        # potentials must give the same one
+        def phi1_off_by_a_seventh(arr):
+            p = potentials_recursive(arr)
+            return dataclasses.replace(p, phi=(p.phi[0], p.phi[1] + Fraction(1, 7), *p.phi[2:]))
+
+        assert main(["analyze", "(3,2,1;1,2,3)"]) == 0
+        unpatched = capsys.readouterr().out
+        monkeypatch.setattr(walks, "potentials_recursive", phi1_off_by_a_seventh)
+        assert main(["analyze", "(3,2,1;1,2,3)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "analyze: the recursion's ratio 22/49 differs from the closed form's 3/7\n"
+        assert captured.out == unpatched.replace("['7', '2', '1', '0']", "['7', '15/7', '1', '0']")
+
 
 class TestScan:
     def test_violations_found(self, tmp_path):
@@ -166,9 +181,21 @@ class TestScan:
     def test_low_valency_exits_one(self):
         assert main(["scan", "--k", "2..3", "--diameter", "2"]) == 1
 
-    def test_budget_exits_one(self, capsys):
-        assert main(["scan", "--k", "3", "--diameter", "2", "--budget", "2"]) == 1
-        assert "budget" in capsys.readouterr().err
+    def test_budget_exits_one(self, monkeypatch, capsys):
+        # k 3, D 2 has 6 raw candidates
+        monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", 5)
+        assert main(["scan", "--k", "3", "--diameter", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scan: the query box exceeds the raw candidate budget of 5\n"
+
+    def test_budget_is_no_option(self, tmp_path, capsys):
+        path = tmp_path / "never.json"
+        assert main(["scan", "--k", "3", "--diameter", "2", "--budget", "5", "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "drglab: error: unrecognized arguments: --budget 5\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_one(self, jobs, capsys):
@@ -184,7 +211,6 @@ class TestScan:
             (["--k", "3", "--diameter", "1_0"], "scan: ranges look like A..B or a single integer\n"),
             (["--k", "3", "--diameter", "2", "--n-max", "\u0661\u0660"], "drglab scan: error: argument --n-max: invalid integer value: '\u0661\u0660'\n"),
             (["--k", "3", "--diameter", "2", "--jobs", " 2"], "drglab scan: error: argument --jobs: invalid integer value: ' 2'\n"),
-            (["--k", "3", "--diameter", "2", "--budget", "1_000"], "drglab scan: error: argument --budget: invalid integer value: '1_000'\n"),
         ],
     )
     def test_integer_arguments_read_ascii_decimals_only(self, argv, err, capsys):
@@ -816,10 +842,11 @@ class TestScanStreaming:
             (["--k", "3", "--diameter", "2", "--jobs", "0"], "scan: jobs must be >= 1, got 0\n"),
             (["--k", "7..3", "--diameter", "1..2"], "scan: empty or invalid query ranges\n"),
             (["--k", "3..x", "--diameter", "2"], "scan: ranges look like A..B or a single integer\n"),
-            (["--k", "3..8", "--diameter", "1..8", "--budget", "1000"], "scan: the query box exceeds the raw candidate budget of 1000\n"),
+            (["--k", "3..8", "--diameter", "1..8"], "scan: the query box exceeds the raw candidate budget of 1000\n"),
         ],
     )
-    def test_refused_before_output_opened(self, argv, err, tmp_path, capsys):
+    def test_refused_before_output_opened(self, argv, err, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", 1000)
         path = tmp_path / "never.json"
         assert main(["scan", *argv, "--format", "json", "--output", str(path)]) == 1
         captured = capsys.readouterr()

@@ -113,21 +113,23 @@ class TestQueryLimits:
         with pytest.raises(QueryTooLarge):
             enumerate_arrays(ScanQuery(3, 12, 2, 12))
 
-    def test_custom_budget(self):
-        with pytest.raises(QueryTooLarge):
-            enumerate_arrays(ScanQuery(3, 3, 2, 2, budget=5))
+    def test_custom_budget(self, monkeypatch):
+        monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", 5)
+        with pytest.raises(QueryTooLarge, match="budget of 5$"):
+            enumerate_arrays(ScanQuery(3, 3, 2, 2))
 
     def test_estimate_dominates_actual(self):
         q = ScanQuery(3, 4, 2, 4)
         assert estimate_candidates(q) >= sum(1 for _ in enumerate_arrays(q))
 
     @pytest.mark.parametrize("box", [(3, 3, 1, 1), (3, 4, 2, 4), (3, 8, 1, 8), (5, 9, 3, 6), (3, 40, 1, 2)])
-    def test_refusal_matches_estimate(self, box):
-        # the refusal stops summing once past the budget; it must agree with
-        # the full estimate on either side of the budget
-        total = estimate_candidates(ScanQuery(*box))
+    def test_refusal_matches_estimate(self, box, monkeypatch):
+        # the refusal stops summing once past the limit; it must agree with
+        # the full estimate on either side of the limit
+        query = ScanQuery(*box)
+        total = estimate_candidates(query)
         for budget in (total - 1, total, total + 1, 1, 0):
-            query = ScanQuery(*box, budget=budget)
+            monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", budget)
             if total > budget:
                 with pytest.raises(QueryTooLarge, match="exceeds the raw candidate budget"):
                     enumerate_arrays(query)
