@@ -6,18 +6,19 @@ resistance bound caps every round trip at 4(n-1).  Monte Carlo walks
 """
 
 from drglab import (
+    analyze_array,
     construct_named_graph,
     simulate_cover_time,
-    spectral_check,
     verify_distance_regular,
-    walk_bounds,
+    verify_graph,
     walk_graph,
 )
 
 cube = construct_named_graph("hypercube", (3,))
 arr = verify_distance_regular(cube)
 
-report = walk_bounds(arr)
+# The bounds `drglab analyze` prints, from the array alone.
+report = analyze_array(arr).bounds
 print("cube commute times by distance:", [str(c) for c in report.commute_times])
 print("hitting bound 2(n-1) =", report.hitting_bound, "  commute bound 4(n-1) =", report.commute_bound)
 print(f"cover-time dominant term 4(n-1)ln n = {report.cover_bound_dominant:.2f}")
@@ -34,8 +35,9 @@ for j in (1, 3):
         f"+- {estimate.stderr:.3f}, exact {walk.expected}, within 3 stderr: {walk.within_3_stderr}"
     )
 
-# The spectral chain sigma >= 1/(n d_D) >= k/(4(n-1)) on the graph itself.
-chain = spectral_check(cube, arr)
+# The spectral chain sigma >= 1/(n d_D) >= k/(4(n-1)) on the graph itself,
+# as `drglab verify` checks it.
+chain = verify_graph(cube).spectral
 print(
     f"\nspectral chain: {chain.sigma:.6f} >= {chain.resistance_gap_bound} >= {chain.spectral_lower_bound}"
     f"  (holds: {chain.sigma_holds and chain.middle_holds})"

@@ -19,11 +19,10 @@ from .arrays import (
     check_divisibility,
     compute_distance_distribution,
     diameter_head_bound,
-    format_intersection_array,
     parse_intersection_array,
     validate_basic,
 )
-from .catalog import CatalogEntry, catalog, entry_by_name, recompute_entry
+from .catalog import CatalogEntry, catalog, recompute_entry
 from .circuits import (
     ArrayMismatch,
     NotAdjacent,

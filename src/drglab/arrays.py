@@ -66,7 +66,7 @@ class IntersectionArray:
         return self.k - self.b_at(i) - self.c_at(i)
 
     def __str__(self) -> str:
-        return format_intersection_array(self)
+        return _b_half(self.b) + _c_half(self.c)
 
 
 def _unchecked_array(b: tuple[int, ...], c: tuple[int, ...]) -> IntersectionArray:
@@ -89,11 +89,6 @@ def _b_half(b: tuple[int, ...]) -> str:
 
 def _c_half(c: tuple[int, ...]) -> str:
     return ",".join(map(str, c)) + ")"
-
-
-def format_intersection_array(arr: IntersectionArray) -> str:
-    """Canonical text form: parenthesized, comma-separated, no spaces."""
-    return _b_half(arr.b) + _c_half(arr.c)
 
 
 # ASCII digits only: `\d` and `int` also read other scripts' digits
@@ -156,7 +151,6 @@ class CheckResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    array: IntersectionArray
     checks: tuple[CheckResult, ...]
 
     @property
@@ -225,7 +219,7 @@ def validate_basic(arr: IntersectionArray) -> FeasibilityReport:
         CheckResult("a_nonnegative", bad is None, "a_i >= 0 for all i" if bad is None else f"a{bad} = {arr.a_at(bad)} < 0")
     )
 
-    return FeasibilityReport(arr, tuple(checks))
+    return FeasibilityReport(tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -69,16 +69,8 @@ def catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-def entry_by_name(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name or name in entry.aliases:
-            return entry
-    raise KeyError(name)
-
-
 @dataclass(frozen=True)
 class RecomputedEntry:
-    entry: CatalogEntry
     n: int
     ratio: Fraction
     ratio_rendered: str
@@ -96,7 +88,6 @@ def recompute_entry(entry: CatalogEntry) -> RecomputedEntry:
     places = len(entry.printed_ratio.split(".")[1]) if "." in entry.printed_ratio else 0
     rendered = decimal_string(ratio, places)
     return RecomputedEntry(
-        entry=entry,
         n=int(dist.n),
         ratio=ratio,
         ratio_rendered=rendered,

@@ -540,6 +540,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # one BLAS thread unless the user chose otherwise: numpy is imported on
+    # first use, after this, and extra threads cost up to 25x at n = 210
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -74,9 +74,6 @@ class ExplicitGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __repr__(self) -> str:
         return f"ExplicitGraph(n={self.n}, m={self.m})"
 
@@ -288,8 +285,6 @@ def _johnson(n: int, k: int) -> ExplicitGraph:
 
 def _generalized_petersen(n: int, step: int) -> ExplicitGraph:
     """GP(n,step): outer cycle 0..n-1, inner vertices n..2n-1 with step chords."""
-    if n < 3 or not 1 <= step < n or 2 * step == n:
-        raise BadParams("generalized_petersen(n,step) needs 3 <= n, 1 <= step < n/2 essentially")
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))

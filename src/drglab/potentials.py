@@ -42,10 +42,6 @@ class PotentialSequence:
     phi: tuple[Fraction, ...]
     source: str
 
-    @property
-    def D(self) -> int:
-        return self.array.D
-
     def tail_sum(self) -> Fraction:
         """phi_1 + ... + phi_{D-1} (zero for diameter 1)."""
         return sum(self.phi[1:-1], Fraction(0))
@@ -92,8 +88,7 @@ def check_potential_properties(p: PotentialSequence, arr: IntersectionArray) -> 
     for i in range(D):
         if p.phi[i] <= p.phi[i + 1]:
             raise PropertyViolation(i, f"phi_{i} = {p.phi[i]} not above phi_{i + 1} = {p.phi[i + 1]}")
-    if p.phi[D - 1] <= 0:
-        raise PropertyViolation(D - 1, f"phi_{D - 1} = {p.phi[D - 1]} not positive")
+    # the strict decrease down to phi_D = 0 leaves phi_{D-1} positive
     boundary = Fraction(arr.k, arr.c[-1])
     if p.phi[D - 1] != boundary:
         raise PropertyViolation(D - 1, f"phi_{D - 1} = {p.phi[D - 1]} but k/c_D = {boundary}")

@@ -40,36 +40,15 @@ class BiggsClass(enum.Enum):
 
 class ExtremalEntry(NamedTuple):
     name: str
-    aliases: tuple[str, ...]
     array: IntersectionArray
     ratio: Fraction
 
 
 _EXTREMAL = (
-    ExtremalEntry(
-        "Biggs-Smith Graph",
-        (),
-        parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"),
-        Fraction(94, 101),
-    ),
-    ExtremalEntry(
-        "Foster Graph",
-        (),
-        parse_intersection_array("(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)"),
-        Fraction(319, 356),
-    ),
-    ExtremalEntry(
-        "Flag graph of GH(2,2)",
-        ("Line graph of Tutte's 12-Cage",),
-        parse_intersection_array("(4,2,2,2,2,2;1,1,1,1,1,2)"),
-        Fraction(166, 188),
-    ),
-    ExtremalEntry(
-        "Tutte's 12-Cage",
-        ("Benson's graph",),
-        parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)"),
-        Fraction(109, 125),
-    ),
+    ExtremalEntry("Biggs-Smith Graph", parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"), Fraction(94, 101)),
+    ExtremalEntry("Foster Graph", parse_intersection_array("(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)"), Fraction(319, 356)),
+    ExtremalEntry("Flag graph of GH(2,2)", parse_intersection_array("(4,2,2,2,2,2;1,1,1,1,1,2)"), Fraction(166, 188)),
+    ExtremalEntry("Tutte's 12-Cage", parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)"), Fraction(109, 125)),
 )
 
 

@@ -13,7 +13,6 @@ from drglab import (
     check_divisibility,
     compute_distance_distribution,
     diameter_head_bound,
-    format_intersection_array,
     parse_intersection_array,
     validate_basic,
 )
@@ -38,6 +37,13 @@ class TestParsing:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             parse_intersection_array("(3,2,1;1,2)")
+
+    def test_constructor_checks_shape(self):
+        # parsing refuses both before construction; direct callers meet these
+        with pytest.raises(LengthMismatch):
+            IntersectionArray((3, 2), (1,))
+        with pytest.raises(MalformedInput):
+            IntersectionArray((), ())
 
     @pytest.mark.parametrize(
         "text",
@@ -92,7 +98,6 @@ class TestParsing:
 
     def test_format_is_canonical(self):
         arr = parse_intersection_array("( 3,2 ; 1,1 )")
-        assert format_intersection_array(arr) == "(3,2;1,1)"
         assert str(arr) == "(3,2;1,1)"
 
     @given(
@@ -104,12 +109,12 @@ class TestParsing:
     def test_parse_inverts_format(self, b, c, rng):
         size = min(len(b), len(c))
         arr = IntersectionArray(tuple(b[:size]), tuple(c[:size]))
-        canonical = format_intersection_array(arr)
+        canonical = str(arr)
         # sprinkle whitespace and optionally drop the parentheses
         loose = canonical.replace(",", rng.choice([",", " , ", ", "]))
         if rng.random() < 0.5:
             loose = loose[1:-1]
-        assert format_intersection_array(parse_intersection_array(loose)) == canonical
+        assert str(parse_intersection_array(loose)) == canonical
 
 
 class TestAccessors:

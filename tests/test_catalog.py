@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from drglab import (
     catalog,
     check_divisibility,
@@ -11,7 +9,6 @@ from drglab import (
     compute_distance_distribution,
     construct_named_graph,
     diameter_head_bound,
-    entry_by_name,
     extremal_set,
     recompute_entry,
     validate_basic,
@@ -41,19 +38,16 @@ class TestContents:
         for entry in extremal_set():
             assert any(row.array == entry.array for row in catalog())
 
-    def test_lookup_by_name_and_alias(self):
-        assert entry_by_name("Dodecahedron").printed_ratio == "0.842105"
-        assert entry_by_name("Benson's graph").name == "Tutte's 12-cage"
-        with pytest.raises(KeyError):
-            entry_by_name("Petersen graph")
-
     def test_spec_rows(self):
-        dodeca = entry_by_name("Dodecahedron")
+        rows = {entry.name: entry for entry in catalog()}
+        dodeca = rows["Dodecahedron"]
         assert str(dodeca.array) == "(3,2,1,1,1;1,1,1,2,3)"
-        odd = entry_by_name("Odd graph O_4")
+        assert dodeca.printed_ratio == "0.842105"
+        assert rows["Tutte's 12-cage"].aliases == ("Benson's graph",)
+        odd = rows["Odd graph O_4"]
         assert str(odd.array) == "(4,3,3;1,1,2)"
         assert odd.printed_ratio == "0.352941"
-        halved = entry_by_name("Halved Foster graph")
+        halved = rows["Halved Foster graph"]
         assert str(halved.array) == "(6,4,2,1;1,1,4,6)"
         assert halved.vertices == 45
         assert halved.printed_ratio == "0.278409"

@@ -437,7 +437,7 @@ def bareiss_resistances(g, pairs):
     size = g.n - 1
     matrix = [[0] * size for _ in range(size)]
     for z in range(1, g.n):
-        matrix[z - 1][z - 1] = g.degree(z)
+        matrix[z - 1][z - 1] = len(g.adjacency[z])
         for x in g.adjacency[z]:
             if x:
                 matrix[z - 1][x - 1] -= 1

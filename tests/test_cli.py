@@ -288,6 +288,39 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == err
 
+    @pytest.mark.parametrize("command", [["verify"], ["walk", "--from-distance", "1"]])
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("1 0\n", "need at least two vertices"),
+            ("0 0\n", "graph needs at least one vertex"),
+            ("3 2\n0 1 2\n1 2\n", "each edge line must hold exactly two vertex indices"),
+        ],
+    )
+    def test_degenerate_edge_list_exits_one(self, command, text, err, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main([command[0], "--edges", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command[0]}: {err}\n"
+
+    def test_c_count_failure_exits_two(self, tmp_path, capsys):
+        # the Wagner graph C_8(1,4): every b-count is constant, but the pairs
+        # at distance 2 share one or two neighbors
+        path = tmp_path / "wagner.txt"
+        edges = [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+        path.write_text("8 12\n" + "".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+        failure = "c-count at distance 2 is not constant: pair (0, 3) has 2, earlier pairs had 1"
+        code, payload = run_json(tmp_path, ["verify", "--edges", str(path)])
+        assert code == 2
+        assert payload["distance_regular"] is False
+        assert payload["failure"] == failure
+        assert main(["walk", "--edges", str(path), "--from-distance", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"walk: graph is not distance-regular: {failure}\n"
+
     @pytest.mark.parametrize("header", ["3 2 7", "3"])
     def test_edge_list_header_must_be_n_m(self, header, tmp_path, capsys):
         path = tmp_path / "path.txt"
@@ -388,6 +421,19 @@ class TestVerify:
 
     def test_unknown_family_exits_one(self):
         assert main(["verify", "tutte_coxeter"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["complete_bipartite", "0"], "verify: complete_bipartite(k) needs k >= 1\n"),
+            (["cocktail_party", "1"], "verify: cocktail_party(parts) needs parts >= 2\n"),
+        ],
+    )
+    def test_family_parameters_below_range_exit_one(self, argv, err, capsys):
+        assert main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
     def test_non_ascii_family_parameter_exits_one(self, capsys):
         # int() would read it as 3 and verify the cube
@@ -843,6 +889,7 @@ class TestScanStreaming:
             (["--k", "7..3", "--diameter", "1..2"], "scan: empty or invalid query ranges\n"),
             (["--k", "3..x", "--diameter", "2"], "scan: ranges look like A..B or a single integer\n"),
             (["--k", "3..8", "--diameter", "1..8"], "scan: the query box exceeds the raw candidate budget of 1000\n"),
+            (["--k", "3..4..5", "--diameter", "1"], "scan: ranges look like A..B or a single integer\n"),
         ],
     )
     def test_refused_before_output_opened(self, argv, err, monkeypatch, tmp_path, capsys):
@@ -874,7 +921,8 @@ for argv in (
 
 def test_numpy_loads_only_for_graph_commands():
     # numpy is over half of the start-up time and ~12 MB of resident memory;
-    # only the Jacobi spectrum and the walk's bulk draws use it
+    # only verify's oracle (its float solve) and Jacobi spectrum and the
+    # walk's bulk draws use it
     result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
@@ -884,6 +932,31 @@ def test_numpy_loads_only_for_graph_commands():
         "catalog 0 False",
         "verify 0 True",
     ]
+
+
+BLAS_PROBE = """
+import contextlib, io, os
+from drglab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "petersen"])
+with open("/proc/self/status", encoding="ascii") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(code, os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_blas_runs_one_thread_unless_the_user_chose():
+    # in-process main calls set the variable in this process, and children
+    # inherit it, so each probe gets an environment of its own
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[:2] == ["0", "2"]
 
 
 MULTIPROCESSING_PROBE = """

@@ -33,6 +33,9 @@ class TestProfile:
         profile = resistance_profile(CUBE)
         assert profile.d == (Fraction(7, 12), Fraction(3, 4), Fraction(5, 6))
         assert profile.n == 8 and profile.m == 12
+        assert profile.at(3) == Fraction(5, 6)
+        with pytest.raises(IndexError):
+            profile.at(0)
 
     def test_adjacent_simplifies(self):
         for arr in (CUBE, PETERSEN, K4, BIGGS_SMITH):
@@ -159,7 +162,3 @@ class TestExtremalSet:
     def test_all_in_threshold_window(self):
         for entry in extremal_set():
             assert BIGGS_THRESHOLD <= entry.ratio <= SHARP_RATIO
-
-    def test_twelve_cage_alias(self):
-        cage = extremal_set()[3]
-        assert "Benson's graph" in cage.aliases

@@ -32,6 +32,7 @@ from drglab import (
     simulate_cover_time,
     simulate_hitting_time,
     spectral_check,
+    validate_basic,
     verify_distance_regular,
     verify_graph,
     walk_bounds,
@@ -283,7 +284,7 @@ class TestWalkGraph:
 class TestAnalyzeArray:
     def test_cube_passes_strictly(self):
         report = analyze_array(CUBE_ARR)
-        assert isinstance(report, AnalyzeReport) and report.feasibility.array == CUBE_ARR
+        assert isinstance(report, AnalyzeReport) and report.feasibility == validate_basic(CUBE_ARR)
         assert report.distribution.n == 8 and report.divisibility.passed and report.head.passed
         assert report.potentials == potentials_recursive(CUBE_ARR)
         assert report.profile == resistance_profile(CUBE_ARR)
