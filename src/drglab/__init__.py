@@ -14,8 +14,6 @@ from .arrays import (
     FeasibilityReport,
     HeadBound,
     IntersectionArray,
-    LengthMismatch,
-    MalformedInput,
     check_divisibility,
     compute_distance_distribution,
     diameter_head_bound,
@@ -25,7 +23,6 @@ from .arrays import (
 from .catalog import CatalogEntry, catalog, recompute_entry
 from .circuits import (
     ArrayMismatch,
-    NotAdjacent,
     PotentialAssignment,
     build_harmonic_function,
     check_harmonicity,
@@ -36,11 +33,8 @@ from .circuits import (
     representative_pairs,
 )
 from .graphs import (
-    BadParams,
     ExplicitGraph,
-    NotConnected,
     RegularityFailure,
-    UnknownFamily,
     bfs_distances,
     construct_named_graph,
     family_names,
@@ -61,15 +55,12 @@ from .resistance import (
     BiggsClass,
     BiggsVerdict,
     ResistanceProfile,
-    ValencyError,
-    biggs_ratio,
     classify_biggs,
     extremal_set,
     profile_from_distribution,
     resistance_profile,
 )
 from .scanner import (
-    QueryTooLarge,
     ScanQuery,
     ScanRecord,
     enumerate_arrays,

@@ -9,14 +9,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 
-class MalformedInput(ValueError):
-    """Array text that cannot be read at all."""
-
-
-class LengthMismatch(ValueError):
-    """Array text whose two halves have different lengths."""
-
-
 @dataclass(frozen=True)
 class IntersectionArray:
     """The parameter pair (b0,...,b_{D-1}; c1,...,cD) of a candidate graph.
@@ -33,13 +25,13 @@ class IntersectionArray:
 
     def __post_init__(self) -> None:
         if len(self.b) != len(self.c):
-            raise LengthMismatch(f"b has {len(self.b)} entries, c has {len(self.c)}")
+            raise ValueError(f"b has {len(self.b)} entries, c has {len(self.c)}")
         if not self.b:
-            raise MalformedInput("empty array")
+            raise ValueError("empty array")
         for seq, label in ((self.b, "b"), (self.c, "c")):
             for i, value in enumerate(seq):
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise MalformedInput(f"{label}[{i}] = {value!r} is not a positive integer")
+                    raise ValueError(f"{label}[{i}] = {value!r} is not a positive integer")
 
     @property
     def D(self) -> int:
@@ -111,10 +103,10 @@ def parse_intersection_array(text: str) -> IntersectionArray:
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     elif s.startswith("(") or s.endswith(")"):
-        raise MalformedInput(f"unbalanced parentheses in {text!r}")
+        raise ValueError(f"unbalanced parentheses in {text!r}")
     halves = s.split(";")
     if len(halves) != 2:
-        raise MalformedInput(f"expected exactly one ';' in {text!r}")
+        raise ValueError(f"expected exactly one ';' in {text!r}")
 
     digits = 0
 
@@ -122,24 +114,24 @@ def parse_intersection_array(text: str) -> IntersectionArray:
         nonlocal digits
         tokens = [t.strip() for t in half.split(",")]
         if tokens == [""]:
-            raise MalformedInput(f"empty {label} half in {text!r}")
+            raise ValueError(f"empty {label} half in {text!r}")
         values = []
         for t in tokens:
             if not _TOKEN.fullmatch(t):
-                raise MalformedInput(f"bad token {t!r} in {text!r}")
+                raise ValueError(f"bad token {t!r} in {text!r}")
             digits += len(t)
             if digits > MAX_ARRAY_DIGITS:
-                raise MalformedInput(f"the entries reach {digits} digits, past the limit of {MAX_ARRAY_DIGITS} in all")
+                raise ValueError(f"the entries reach {digits} digits, past the limit of {MAX_ARRAY_DIGITS} in all")
             value = int(t)
             if value < 1:
-                raise MalformedInput(f"non-positive entry {t!r} in {text!r}")
+                raise ValueError(f"non-positive entry {t!r} in {text!r}")
             values.append(value)
         return tuple(values)
 
     b = read_half(halves[0], "b")
     c = read_half(halves[1], "c")
     if len(b) != len(c):
-        raise LengthMismatch(f"halves of {text!r} have lengths {len(b)} and {len(c)}")
+        raise ValueError(f"halves of {text!r} have lengths {len(b)} and {len(c)}")
     return IntersectionArray(b, c)
 
 

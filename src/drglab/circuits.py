@@ -39,10 +39,6 @@ CERTIFY_TOL = 1e-6  # an entry of q * x this close to an integer rounds to it
 DENOMINATOR_BOUND = 10**7  # largest common denominator q the float solve is read back with
 
 
-class NotAdjacent(ValueError):
-    """The chosen terminal pair is not an edge."""
-
-
 class ArrayMismatch(ValueError):
     """Graph and potential sequence disagree about the intersection array."""
 
@@ -82,7 +78,7 @@ def build_harmonic_function(
 def _harmonic_function(g: ExplicitGraph, u: int, v: int, p: PotentialSequence) -> PotentialAssignment:
     """`build_harmonic_function` on a graph already verified with `p.array`."""
     if v not in g.adjacency[u]:
-        raise NotAdjacent(f"{u} and {v} are not adjacent")
+        raise ValueError(f"{u} and {v} are not adjacent")
     du = bfs_distances(g, u)
     dv = bfs_distances(g, v)
     # u ~ v puts every |d(u,z) - d(v,z)| <= 1, so a < b means b = a + 1

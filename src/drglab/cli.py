@@ -25,10 +25,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional, TextIO
 
-from .arrays import LengthMismatch, MalformedInput, _b_half, _c_half, parse_intersection_array
+from .arrays import _b_half, _c_half, parse_intersection_array
 from .catalog import catalog, recompute_entry
 from .circuits import NotConverged
-from .graphs import BadParams, ExplicitGraph, RegularityFailure, construct_named_graph, from_edge_list, integer
+from .graphs import ExplicitGraph, RegularityFailure, construct_named_graph, from_edge_list, integer
 from .rational import decimal_string
 from .scanner import ScanQuery, ScanRecord, _records
 from .walks import VerifyReport, analyze_array, verify_graph, walk_graph
@@ -98,7 +98,7 @@ def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], li
 def _cmd_analyze(args) -> int:
     try:
         arr = parse_intersection_array(args.array)
-    except (MalformedInput, LengthMismatch) as exc:
+    except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
     if arr.k <= 2:
@@ -357,7 +357,7 @@ def _cmd_catalog(args) -> int:
 
 def _load_graph(args) -> tuple[ExplicitGraph, dict]:
     if args.edges and args.family:
-        raise BadParams("give a family name or --edges FILE, not both")
+        raise ValueError("give a family name or --edges FILE, not both")
     if args.edges:
         with open(args.edges, encoding="utf-8") as handle:
             graph = from_edge_list(handle.read())
@@ -366,9 +366,9 @@ def _load_graph(args) -> tuple[ExplicitGraph, dict]:
         graph = construct_named_graph(args.family, args.params)
         origin = {"source": "family", "family": args.family, "params": list(args.params)}
     else:
-        raise BadParams("give a family name or --edges FILE")
+        raise ValueError("give a family name or --edges FILE")
     if graph.n < 2:
-        raise BadParams("need at least two vertices")
+        raise ValueError("need at least two vertices")
     return graph, origin
 
 

@@ -13,18 +13,6 @@ from typing import Iterable, Optional, Sequence
 from .arrays import IntersectionArray
 
 
-class UnknownFamily(ValueError):
-    """Requested graph family is not in the registry."""
-
-
-class BadParams(ValueError):
-    """Graph parameters outside the constructible range."""
-
-
-class NotConnected(ValueError):
-    """Edge set does not connect the vertex set."""
-
-
 # the most vertices an explicit graph may have: every check on one grows as
 # n^2 or faster (the all-pairs regularity count, the dense oracle and the
 # spectrum), so a graph past this size is refused before anything is built
@@ -32,9 +20,9 @@ MAX_VERTICES = 1024
 
 
 def _refuse_oversized(label: str, n: int) -> None:
-    """Raise BadParams when a graph of n vertices has more than MAX_VERTICES."""
+    """Raise ValueError when a graph of n vertices has more than MAX_VERTICES."""
     if n > MAX_VERTICES:
-        raise BadParams(f"{label} is too large to check: more than {MAX_VERTICES} vertices")
+        raise ValueError(f"{label} is too large to check: more than {MAX_VERTICES} vertices")
 
 
 class ExplicitGraph:
@@ -68,7 +56,7 @@ class ExplicitGraph:
             neighbors[b].append(a)
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
         if -1 in bfs_distances(self, 0):
-            raise NotConnected(f"graph on {n} vertices is not connected")
+            raise ValueError(f"graph on {n} vertices is not connected")
 
     @property
     def m(self) -> int:
@@ -201,21 +189,21 @@ _EXPONENT_CUT = MAX_VERTICES.bit_length()
 def _complete(n: int) -> ExplicitGraph:
     """K_n on vertices 0..n-1."""
     if n < 2:
-        raise BadParams("complete(n) needs n >= 2")
+        raise ValueError("complete(n) needs n >= 2")
     return ExplicitGraph(n, itertools.combinations(range(n), 2))
 
 
 def _cycle(n: int) -> ExplicitGraph:
     """C_n with vertex i adjacent to i+1 mod n."""
     if n < 3:
-        raise BadParams("cycle(n) needs n >= 3")
+        raise ValueError("cycle(n) needs n >= 3")
     return ExplicitGraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _hypercube(d: int) -> ExplicitGraph:
     """Q_d on bitstrings; vertex label is the integer value of the string."""
     if d < 1:
-        raise BadParams("hypercube(d) needs d >= 1")
+        raise ValueError("hypercube(d) needs d >= 1")
     _refuse_oversized(f"hypercube({d})", 2 ** min(d, _EXPONENT_CUT))
     n = 1 << d
     return ExplicitGraph(n, ((x, x ^ (1 << i)) for x in range(n) for i in range(d) if x < x ^ (1 << i)))
@@ -224,21 +212,21 @@ def _hypercube(d: int) -> ExplicitGraph:
 def _complete_bipartite(k: int) -> ExplicitGraph:
     """K_{k,k} with parts 0..k-1 and k..2k-1."""
     if k < 1:
-        raise BadParams("complete_bipartite(k) needs k >= 1")
+        raise ValueError("complete_bipartite(k) needs k >= 1")
     return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k)))
 
 
 def _complete_bipartite_minus_matching(k: int) -> ExplicitGraph:
     """K_{k,k} minus the perfect matching i -- k+i (the crown graph)."""
     if k < 3:
-        raise BadParams("complete_bipartite_minus_matching(k) needs k >= 3 to stay connected")
+        raise ValueError("complete_bipartite_minus_matching(k) needs k >= 3 to stay connected")
     return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k) if i != j))
 
 
 def _cocktail_party(parts: int) -> ExplicitGraph:
     """K_{parts x 2}: vertices 2p and 2p+1 form part p; parts are fully joined."""
     if parts < 2:
-        raise BadParams("cocktail_party(parts) needs parts >= 2")
+        raise ValueError("cocktail_party(parts) needs parts >= 2")
     n = 2 * parts
     return ExplicitGraph(n, ((a, b) for a, b in itertools.combinations(range(n), 2) if a // 2 != b // 2))
 
@@ -246,7 +234,7 @@ def _cocktail_party(parts: int) -> ExplicitGraph:
 def _hamming(d: int, q: int) -> ExplicitGraph:
     """H(d,q) on words w in [0,q)^d; label = sum of w_i * q^i."""
     if d < 1 or q < 2:
-        raise BadParams("hamming(d,q) needs d >= 1 and q >= 2")
+        raise ValueError("hamming(d,q) needs d >= 1 and q >= 2")
     _refuse_oversized(f"hamming({d},{q})", q ** min(d, _EXPONENT_CUT))
     n = q**d
     edges = []
@@ -265,7 +253,7 @@ def _hamming(d: int, q: int) -> ExplicitGraph:
 def _johnson(n: int, k: int) -> ExplicitGraph:
     """J(n,k) on k-subsets of 0..n-1 in lexicographic order of sorted tuples."""
     if n < 2 or not 1 <= k <= n - 1:
-        raise BadParams("johnson(n,k) needs n >= 2 and 1 <= k <= n-1")
+        raise ValueError("johnson(n,k) needs n >= 2 and 1 <= k <= n-1")
     # C(n, j) grows with j up to n/2, and C(n, j) >= 2**j there
     _refuse_oversized(f"johnson({n},{k})", math.comb(n, min(k, n - k, _EXPONENT_CUT)))
     subsets = list(itertools.combinations(range(n), k))
@@ -353,11 +341,12 @@ def family_names() -> tuple[str, ...]:
 
 
 def construct_named_graph(name: str, params: Optional[Sequence[int]] = None) -> ExplicitGraph:
-    """Build a registry family; raises UnknownFamily / BadParams."""
+    """Build a registry family; raises ValueError for an unknown name or
+    parameters outside the family's range."""
     if name not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(family_names())}")
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
     builder, arity = _FAMILIES[name]
     args = tuple(params or ())
     if len(args) != arity:
-        raise BadParams(f"{name} takes {arity} parameter(s), got {len(args)}")
+        raise ValueError(f"{name} takes {arity} parameter(s), got {len(args)}")
     return builder(*args)

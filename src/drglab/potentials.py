@@ -7,8 +7,8 @@ keeping both alive is a permanent self-check.  The closed form reuses the
 distance distribution its caller already holds (`resistance_profile`, the
 catalog recomputation); the recursion reads n from the array alone and
 builds no distribution, so the two routes share nothing.  The recursion is
-the reference behind `biggs_ratio` and `classify_biggs`; `drglab analyze`
-prints it and `drglab verify` builds its harmonic function from it.
+the reference behind `classify_biggs`; `drglab analyze` prints it and
+`drglab verify` builds its harmonic function from it.
 """
 
 from __future__ import annotations
@@ -42,13 +42,9 @@ class PotentialSequence:
     phi: tuple[Fraction, ...]
     source: str
 
-    def tail_sum(self) -> Fraction:
-        """phi_1 + ... + phi_{D-1} (zero for diameter 1)."""
-        return sum(self.phi[1:-1], Fraction(0))
-
     def ratio(self) -> Fraction:
         """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""
-        return self.tail_sum() / self.phi[0]
+        return sum(self.phi[1:-1], Fraction(0)) / self.phi[0]
 
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:

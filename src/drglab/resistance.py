@@ -28,10 +28,6 @@ BIGGS_THRESHOLD = Fraction(87, 100)
 SHARP_RATIO = Fraction(94, 101)
 
 
-class ValencyError(ValueError):
-    """Raised for valency <= 2, where the resistance bound is false."""
-
-
 class BiggsClass(enum.Enum):
     PASS_STRICT = "PASS_STRICT"
     EXTREMAL = "EXTREMAL"
@@ -111,11 +107,6 @@ def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution
     )
 
 
-def biggs_ratio(arr: IntersectionArray) -> Fraction:
-    """(phi_1 + ... + phi_{D-1}) / phi_0 by the recursion; zero for diameter 1."""
-    return potentials_recursive(arr).ratio()
-
-
 class BiggsVerdict(NamedTuple):
     array: IntersectionArray
     category: BiggsClass
@@ -125,7 +116,7 @@ class BiggsVerdict(NamedTuple):
 
 def classify_biggs(arr: IntersectionArray) -> BiggsVerdict:
     """Classify an array by its ratio from the recursion; see `classify_ratio`."""
-    return classify_ratio(arr, biggs_ratio(arr))
+    return classify_ratio(arr, potentials_recursive(arr).ratio())
 
 
 def classify_ratio(arr: IntersectionArray, ratio: Fraction) -> BiggsVerdict:
@@ -138,7 +129,7 @@ def classify_ratio(arr: IntersectionArray, ratio: Fraction) -> BiggsVerdict:
     extremal value is still a VIOLATION.
     """
     if arr.k <= 2:
-        raise ValencyError(f"classification needs valency >= 3, got k = {arr.k}")
+        raise ValueError(f"classification needs valency >= 3, got k = {arr.k}")
     # ratio < BIGGS_THRESHOLD, cross-multiplied over the positive denominators
     if ratio.numerator * BIGGS_THRESHOLD.denominator < BIGGS_THRESHOLD.numerator * ratio.denominator:
         return BiggsVerdict(arr, BiggsClass.PASS_STRICT, ratio)

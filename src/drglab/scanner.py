@@ -46,10 +46,6 @@ PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound",
 MAX_RAW_CANDIDATES = 10**8
 
 
-class QueryTooLarge(ValueError):
-    """Search-space estimate beyond MAX_RAW_CANDIDATES; narrow the ranges."""
-
-
 @dataclass(frozen=True)
 class ScanQuery:
     k_min: int
@@ -97,7 +93,7 @@ def enumerate_arrays(query: ScanQuery) -> Iterator[IntersectionArray]:
 
     Candidates satisfy the full structural battery (monotone b and c, the
     cross condition, a_i >= 0 which forces c_D <= k), applied incrementally
-    while extending the c sequence.  Raises QueryTooLarge at the call,
+    while extending the c sequence.  Raises ValueError at the call,
     before yielding anything, if the raw search space is too large.
     """
     return map(itemgetter(0), _candidates(query))
@@ -109,7 +105,7 @@ _Leaf = tuple[IntersectionArray, Optional[tuple[int, ...]]]
 def _candidates(query: ScanQuery) -> Iterator[_Leaf]:
     """`enumerate_arrays` with each array's whole shell sizes beside it."""
     if _exceeds_budget(query):
-        raise QueryTooLarge(f"the query box exceeds the raw candidate budget of {MAX_RAW_CANDIDATES}")
+        raise ValueError(f"the query box exceeds the raw candidate budget of {MAX_RAW_CANDIDATES}")
     return itertools.chain.from_iterable(
         _arrays_for(k, D) for k in range(query.k_min, query.k_max + 1) for D in range(query.d_min, query.d_max + 1)
     )

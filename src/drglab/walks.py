@@ -54,7 +54,7 @@ from .circuits import (
 )
 from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
 from .potentials import PotentialSequence, potentials_recursive
-from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, ValencyError, classify_ratio, profile_from_distribution, resistance_profile
+from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, classify_ratio, profile_from_distribution, resistance_profile
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
 
@@ -97,7 +97,7 @@ def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
 def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile) -> WalkBoundsReport:
     """Commute times and walk bounds of an array from its resistance profile."""
     if arr.k <= 2:
-        raise ValencyError(f"walk bounds need valency >= 3, got k = {arr.k}")
+        raise ValueError(f"walk bounds need valency >= 3, got k = {arr.k}")
     n, m = profile.n, profile.m
     commutes = tuple(2 * m * d for d in profile.d)
     commute_cap = 4 * (n - 1)
@@ -383,7 +383,7 @@ class AnalyzeReport:
 
 
 def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
-    """The `AnalyzeReport` of an array; raises `ValencyError` for a
+    """The `AnalyzeReport` of an array; raises `ValueError` for a
     realizable array of valency k <= 2, which the classification excludes."""
     dist = compute_distance_distribution(arr)
     report = AnalyzeReport(validate_basic(arr), dist, check_divisibility(arr), diameter_head_bound(arr))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from drglab import (
     ArrayMismatch,
     ExplicitGraph,
-    NotAdjacent,
     PotentialAssignment,
     build_harmonic_function,
     check_harmonicity,
@@ -95,7 +94,7 @@ class TestHarmonicFunction:
 
     def test_requires_adjacent(self):
         p = potentials_recursive(verify_distance_regular(CUBE))
-        with pytest.raises(NotAdjacent):
+        with pytest.raises(ValueError, match="^0 and 7 are not adjacent$"):
             build_harmonic_function(CUBE, 0, 7, p)
 
 

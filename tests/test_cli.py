@@ -295,6 +295,7 @@ class TestVerify:
             ("1 0\n", "need at least two vertices"),
             ("0 0\n", "graph needs at least one vertex"),
             ("3 2\n0 1 2\n1 2\n", "each edge line must hold exactly two vertex indices"),
+            ("6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n", "graph on 6 vertices is not connected"),  # two triangles
         ],
     )
     def test_degenerate_edge_list_exits_one(self, command, text, err, tmp_path, capsys):
@@ -427,6 +428,7 @@ class TestVerify:
         [
             (["complete_bipartite", "0"], "verify: complete_bipartite(k) needs k >= 1\n"),
             (["cocktail_party", "1"], "verify: cocktail_party(parts) needs parts >= 2\n"),
+            (["petersen", "3"], "verify: petersen takes 0 parameter(s), got 1\n"),
         ],
     )
     def test_family_parameters_below_range_exit_one(self, argv, err, capsys):
@@ -804,32 +806,44 @@ class TestUnwritableStdout:
         assert child.wait(timeout=60) == 1
         assert err == b""  # no traceback, and no exit-flush message either
 
+    # catalog in both formats, then each other command in its default table
+    RUNS = {
+        "table": ["catalog", "--format", "table"],
+        "json": ["catalog", "--format", "json"],
+        "analyze": ["analyze", "(3,2,1;1,2,3)"],
+        "scan": ["scan", "--k", "3", "--diameter", "2"],
+        "verify": ["verify", "petersen"],
+        "walk": ["walk", "petersen", "--from-distance", "1", "--trials", "10"],
+    }
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_full_device_is_one_line(self, fmt):
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_full_device_is_one_line(self, run):
+        argv = self.RUNS[run]
         with open("/dev/full", "w", encoding="utf-8") as full:
             result = subprocess.run(
-                [sys.executable, "-m", "drglab", "catalog", "--format", fmt],
+                [sys.executable, "-m", "drglab", *argv],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
                 timeout=60,
             )
         assert result.returncode == 1
-        assert result.stderr == f"catalog: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert result.stderr == f"{argv[0]}: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
-    @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_closed_stdout_is_one_line(self, fmt):
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_closed_stdout_is_one_line(self, run):
         # as `>&-` runs it: fd 1 is closed, so sys.stdout is None
+        argv = self.RUNS[run]
         result = subprocess.run(
-            [sys.executable, "-m", "drglab", "catalog", "--format", fmt],
+            [sys.executable, "-m", "drglab", *argv],
             preexec_fn=lambda: os.close(1),
             stderr=subprocess.PIPE,
             text=True,
             timeout=60,
         )
         assert result.returncode == 1
-        assert result.stderr == "catalog: cannot write stdout: stdout is closed\n"
+        assert result.stderr == f"{argv[0]}: cannot write stdout: stdout is closed\n"
 
     def test_closed_stdout_still_writes_output_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "stdout", None)

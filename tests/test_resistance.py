@@ -9,11 +9,10 @@ from drglab import (
     SHARP_RATIO,
     BiggsClass,
     ScanQuery,
-    ValencyError,
-    biggs_ratio,
     classify_biggs,
     extremal_set,
     parse_intersection_array,
+    potentials_recursive,
     resistance_profile,
     scan,
 )
@@ -57,7 +56,7 @@ class TestProfile:
         # d_D / d_1 = 1 + ratio, both sides via separate arithmetic
         for arr in (CUBE, PETERSEN, BIGGS_SMITH, FOSTER):
             profile = resistance_profile(arr)
-            assert profile.d[-1] / profile.d[0] == 1 + biggs_ratio(arr)
+            assert profile.d[-1] / profile.d[0] == 1 + potentials_recursive(arr).ratio()
             assert profile.K_factor == 1 + profile.ratio
 
     def test_non_integral_rejected(self):
@@ -67,9 +66,9 @@ class TestProfile:
 
 class TestRatio:
     def test_known_values(self):
-        assert biggs_ratio(BIGGS_SMITH) == Fraction(94, 101)
-        assert biggs_ratio(TWELVE_CAGE) == Fraction(109, 125)
-        assert biggs_ratio(parse_intersection_array("(3,2,2,1,1,1,1;1,1,1,1,1,1,3)")) == Fraction(64, 61)
+        assert potentials_recursive(BIGGS_SMITH).ratio() == Fraction(94, 101)
+        assert potentials_recursive(TWELVE_CAGE).ratio() == Fraction(109, 125)
+        assert potentials_recursive(parse_intersection_array("(3,2,2,1,1,1,1;1,1,1,1,1,1,3)")).ratio() == Fraction(64, 61)
 
     def test_decimals(self):
         assert decimal_string(Fraction(94, 101)) == "0.930693"
@@ -77,7 +76,7 @@ class TestRatio:
         assert decimal_string(Fraction(64, 61), 5) == "1.04918"
 
     def test_diameter_one_is_zero(self):
-        assert biggs_ratio(K4) == 0
+        assert potentials_recursive(K4).ratio() == 0
 
 
 class TestClassification:
@@ -104,7 +103,7 @@ class TestClassification:
         assert verdict.category is BiggsClass.VIOLATION
 
     def test_low_valency_refused(self):
-        with pytest.raises(ValencyError):
+        with pytest.raises(ValueError, match="^classification needs valency >= 3, got k = 2$"):
             classify_biggs(parse_intersection_array("(2,1,1;1,1,2)"))
 
     def test_threshold_is_exact(self):
@@ -157,7 +156,7 @@ class TestExtremalSet:
 
     def test_ratios_recomputable(self):
         for entry in extremal_set():
-            assert biggs_ratio(entry.array) == entry.ratio
+            assert potentials_recursive(entry.array).ratio() == entry.ratio
 
     def test_all_in_threshold_window(self):
         for entry in extremal_set():

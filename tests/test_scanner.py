@@ -15,7 +15,6 @@ from drglab import (
     BiggsClass,
     BiggsVerdict,
     IntersectionArray,
-    QueryTooLarge,
     ScanQuery,
     ScanRecord,
     catalog,
@@ -110,12 +109,12 @@ class TestEnumeration:
 
 class TestQueryLimits:
     def test_query_too_large(self):
-        with pytest.raises(QueryTooLarge):
+        with pytest.raises(ValueError, match="^the query box exceeds the raw candidate budget of 100000000$"):
             enumerate_arrays(ScanQuery(3, 12, 2, 12))
 
     def test_custom_budget(self, monkeypatch):
         monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", 5)
-        with pytest.raises(QueryTooLarge, match="budget of 5$"):
+        with pytest.raises(ValueError, match="^the query box exceeds the raw candidate budget of 5$"):
             enumerate_arrays(ScanQuery(3, 3, 2, 2))
 
     def test_estimate_dominates_actual(self):
@@ -131,7 +130,7 @@ class TestQueryLimits:
         for budget in (total - 1, total, total + 1, 1, 0):
             monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", budget)
             if total > budget:
-                with pytest.raises(QueryTooLarge, match="exceeds the raw candidate budget"):
+                with pytest.raises(ValueError, match="^the query box exceeds the raw candidate budget"):
                     enumerate_arrays(query)
             else:
                 enumerate_arrays(query)

@@ -18,7 +18,6 @@ from drglab import (
     BiggsClass,
     ExplicitGraph,
     RegularityFailure,
-    ValencyError,
     VerifyReport,
     WalkReport,
     analyze_array,
@@ -104,7 +103,7 @@ class TestWalkBounds:
         assert all(a < b for a, b in zip(report.commute_times, report.commute_times[1:]))
 
     def test_refuses_low_valency(self):
-        with pytest.raises(ValencyError):
+        with pytest.raises(ValueError, match="^walk bounds need valency >= 3, got k = 2$"):
             walk_bounds(parse_intersection_array("(2,1,1;1,1,2)"))
 
 
@@ -320,7 +319,7 @@ class TestAnalyzeArray:
         assert report.realizable and report.passed
 
     def test_valency_two_raises(self):
-        with pytest.raises(ValencyError):
+        with pytest.raises(ValueError, match="^classification needs valency >= 3, got k = 2$"):
             analyze_array(parse_intersection_array("(2,1;1,1)"))
 
 
