@@ -3,6 +3,7 @@ data (shell sizes, edge counts, feasibility screens) derived from them."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,15 +236,27 @@ class DistanceDistribution:
 
 
 def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistribution:
-    sizes = [Fraction(1)]
-    for i in range(arr.D):
-        sizes.append(sizes[-1] * arr.b[i] / arr.c[i])
-    n = sum(sizes)
-    e = tuple(sizes[i] * arr.b[i] for i in range(arr.D))
-    m = n * arr.k / 2
-    shells_integral = all(size.denominator == 1 for size in sizes)
+    """The shells k_j, n, the edge counts e_i = k_i b_i and m = n k / 2,
+    carried over the one denominator C = c_1...c_D.
+
+    W_j = k_j C = b_0...b_{j-1} c_{j+1}...c_D is an integer, and
+    W_{j+1} = W_j b_j / c_{j+1} divides exactly, so the recurrence runs in
+    ints and each reported value is one `Fraction` of them.
+    """
+    den = math.prod(arr.c)
+    weights = [den]
+    for b, c in zip(arr.b, arr.c):
+        weights.append(weights[-1] * b // c)
+    total = sum(weights)
+    m = Fraction(arr.k * total, 2 * den)
+    shells_integral = not any(w % den for w in weights)
     return DistanceDistribution(
-        tuple(sizes), n, e, m, shells_integral and m.denominator == 1, shells_integral
+        tuple(Fraction(w, den) for w in weights),
+        Fraction(total, den),
+        tuple(Fraction(w * b, den) for w, b in zip(weights, arr.b)),
+        m,
+        shells_integral and m.denominator == 1,
+        shells_integral,
     )
 
 

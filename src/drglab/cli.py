@@ -7,10 +7,12 @@ distance-regular, verification mismatch, walk estimate off target).
 
 JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
-rendered half-even to six places.  `scan` streams: records come from the
-scanner one at a time in canonical order and each is written as soon as it
-is rendered, in the same bytes `json.dumps(indent=2)` gives, so memory stays
-flat however large the box.
+rendered half-even to six places.  Every payload is written by `_json_text`,
+in the bytes that `json.dumps` gives with `indent=2`, but without the
+standard library's pure-Python indenting encoder.  `scan` streams: records come from
+the scanner one at a time in canonical order and each is written as soon as
+it is rendered, in those same bytes, so memory stays flat however large the
+box.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Callable, Iterator, Optional, TextIO
 
 from .arrays import _b_half, _c_half, parse_intersection_array
@@ -44,8 +45,64 @@ class _Parser(argparse.ArgumentParser):
 
 def _num(value: Fraction):
     """Whole rationals as JSON numbers, everything else as 'p/q' strings."""
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else str(f)
+    return value.numerator if value.denominator == 1 else str(value)
+
+
+def _json_text(value) -> str:
+    """The text `json.dumps` gives for `value` with `indent=2`, from the C
+    string escaper and json's float rule instead of the pure-Python encoder
+    that `indent` selects."""
+    chunks: list[str] = []
+    _json_chunks(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, indent: str, chunks: list[str]) -> None:
+    """Append the text of `value`, nested at the newline-led `indent`, to
+    `chunks`.  A module function, not a closure over itself: such a closure
+    is a reference cycle that keeps every chunk alive until the garbage
+    collector runs."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            chunks.append("NaN")
+        elif value == INFINITY or value == -INFINITY:
+            chunks.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            chunks.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = indent + "  "
+        opener = "[" + inner
+        for item in value:
+            chunks.append(opener)
+            _json_chunks(item, inner, chunks)
+            opener = "," + inner
+        chunks.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = indent + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            chunks.append(opener + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, chunks)
+            opener = "," + inner
+        chunks.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _range(text: str) -> tuple[int, int]:
@@ -87,7 +144,7 @@ def _output(args) -> Iterator[TextIO]:
 def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], list[str]]) -> None:
     """Write the output in the format asked for, calling only that format's function."""
     if args.format == "json":
-        out.write(json.dumps(payload(), indent=2) + "\n")
+        out.write(_json_text(payload()) + "\n")
     else:
         out.write("\n".join(table()) + "\n")
 
@@ -184,7 +241,7 @@ def _cmd_analyze(args) -> int:
 
         _emit(out, args, payload, table)
         if not report.routes_agree:
-            print(f"analyze: the recursion's ratio {p.ratio()} differs from the closed form's {profile.ratio}", file=sys.stderr)
+            print(f"analyze: the recursion's ratio {report._recursion_ratio} differs from the closed form's {profile.ratio}", file=sys.stderr)
         return 0 if report.passed else 2
 
 
@@ -231,16 +288,15 @@ def _scan_tail(outcome: tuple) -> str:
 
 
 def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) -> None:
-    """The scan payload, one write per record, in the bytes
-    `json.dumps(indent=2)` gives for the whole of it: the head and the
-    ruled-out list come from `json.dumps` itself, each record from the
-    templates.
+    """The scan payload, one write per record, in the bytes `json.dumps`
+    gives for the whole of it with `indent=2`: the head and the
+    ruled-out list come from `_json_text`, each record from the templates.
 
     A box repeats few `b` halves, `c` halves and outcomes across its
     records, so the text of each distinct one is rendered once per call and
     looked up for every record after; nothing is kept between calls.
     """
-    head = json.dumps({"schema": SCHEMA, "command": "scan", "query": query, "records": []}, indent=2)
+    head = _json_text({"schema": SCHEMA, "command": "scan", "query": query, "records": []})
     out.write(head[: head.rindex("]")])
     b_texts, c_texts, tails = _Texts(_b_half), _Texts(_c_half), _Texts(_scan_tail)
     ruled_out = []
@@ -263,7 +319,7 @@ def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) ->
         out.write(sep + _SCAN_RECORD % (b_text, c_text, n_text, ratio_text, decimal, tail))
         sep = ","
     # the foot's own "{" is already open in the head
-    foot = json.dumps({"ruled_out_by_biggs_alone": ruled_out}, indent=2)
+    foot = _json_text({"ruled_out_by_biggs_alone": ruled_out})
     out.write(("\n  ]," if sep else "],") + foot[1:] + "\n")
 
 

@@ -9,10 +9,17 @@ catalog recomputation); the recursion reads n from the array alone and
 builds no distribution, so the two routes share nothing.  The recursion is
 the reference behind `classify_biggs`; `drglab analyze` prints it and
 `drglab verify` builds its harmonic function from it.
+
+Both routes run in ints and build one `Fraction` per potential.  The
+closed form reads the shells over one common denominator as integers W_j,
+so phi_i = k * sum_{j>i} W_j / (W_i b_i); the recursion carries the
+numerator of phi_i over its denominator den * b_1 ... b_i.  `ratio` sums
+the potentials over their least common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,25 +51,37 @@ class PotentialSequence:
 
     def ratio(self) -> Fraction:
         """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""
-        return sum(self.phi[1:-1], Fraction(0)) / self.phi[0]
+        scaled = _over_one_denominator(self.phi)[1]
+        return Fraction(sum(scaled[1:-1]), scaled[0])
+
+
+def _over_one_denominator(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The least common denominator of the values and their numerators over it."""
+    den = math.lcm(*(value.denominator for value in values))
+    return den, [value.numerator * (den // value.denominator) for value in values]
 
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:
     """Evaluate the recursion phi_i = (c_i phi_{i-1} - k) / b_i."""
-    phi = [_vertex_count(arr) - 1]
-    for i in range(1, arr.D):
-        phi.append((arr.c[i - 1] * phi[-1] - arr.k) / arr.b[i])
+    n = _vertex_count(arr)
+    num, den = n.numerator - n.denominator, n.denominator
+    k, phi = arr.k, [Fraction(num, den)]
+    for c, b in zip(arr.c, arr.b[1:]):
+        num, den = c * num - k * den, den * b
+        phi.append(Fraction(num, den))
     phi.append(Fraction(0))
     return PotentialSequence(arr, tuple(phi), RECURSIVE)
 
 
 def potentials_closed_form(arr: IntersectionArray, dist: DistanceDistribution) -> PotentialSequence:
-    """Evaluate phi_i = k * sum_{j>i} k_j / e_i from precomputed counts."""
-    suffix = Fraction(0)
+    """Evaluate phi_i = k * sum_{j>i} k_j / e_i from precomputed counts, as
+    k * sum_{j>i} W_j / (W_i b_i) with W_j the shells over one denominator."""
+    weights = _over_one_denominator(dist.k_sizes)[1]
+    suffix = 0
     reversed_phi = [Fraction(0)]
     for i in range(arr.D - 1, -1, -1):
-        suffix += dist.k_sizes[i + 1]
-        reversed_phi.append(arr.k * suffix / dist.e[i])
+        suffix += weights[i + 1]
+        reversed_phi.append(Fraction(arr.k * suffix, weights[i] * arr.b[i]))
     return PotentialSequence(arr, tuple(reversed(reversed_phi)), CLOSED_FORM)
 
 

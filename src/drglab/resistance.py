@@ -9,6 +9,7 @@ realizes the array, and such a statement must not hinge on rounding.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -19,7 +20,7 @@ from .arrays import (
     compute_distance_distribution,
     parse_intersection_array,
 )
-from .potentials import potentials_closed_form, potentials_recursive
+from .potentials import _over_one_denominator, potentials_closed_form, potentials_recursive
 
 #: Ratios at or above this are impossible outside the four extremal graphs.
 BIGGS_THRESHOLD = Fraction(87, 100)
@@ -86,22 +87,22 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
 
 
 def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
-    """`resistance_profile` from the array's precomputed distance distribution."""
+    """`resistance_profile` from the array's precomputed distance distribution:
+    the closed-form potentials over their one denominator q, and
+    d_j = 2 (q phi_0 + ... + q phi_{j-1}) / (n k q) from the integer prefixes."""
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
-    p = potentials_closed_form(arr, dist)
-    current = dist.n * arr.k
-    d = []
-    prefix = Fraction(0)
-    for j in range(1, arr.D + 1):
-        prefix += p.phi[j - 1]
-        d.append(2 * prefix / current)
-    ratio = p.ratio()
+    den, scaled = _over_one_denominator(potentials_closed_form(arr, dist).phi)
+    n = dist.n.numerator
+    current = n * arr.k * den
+    prefixes = list(itertools.accumulate(scaled[:-1]))
+    # (phi_1 + ... + phi_{D-1}) / phi_0, as `PotentialSequence.ratio` gives it
+    ratio = Fraction(prefixes[-1] - prefixes[0], prefixes[0])
     return ResistanceProfile(
-        d=tuple(d),
+        d=tuple(Fraction(2 * prefix, current) for prefix in prefixes),
         ratio=ratio,
         K_factor=1 + ratio,
-        n=int(dist.n),
+        n=n,
         m=dist.m,
         k=arr.k,
     )

@@ -16,11 +16,12 @@ divisibility and the head bound through the integer predicates that
 resistance ratio stays in exact ints until one `Fraction` is reduced.
 `evaluate_array` computes the sizes of a single array for the same kernel.
 Tests check every record against the `Fraction` route (distance
-distribution, closed-form potentials, `classify_ratio`) that `analyze`,
-`resistance_profile` and the catalog use.  Records stream: `_records` yields
-them one at a time in canonical order, which the CLI writes as it goes, and
-`scan` is its list form.  A record (`ScanRecord`, with its `BiggsVerdict`)
-is a named tuple, the cheapest immutable record to build once per candidate.
+distribution, closed-form potentials, `classify_ratio`, each a chain of
+`Fraction` operations) that they keep as their reference.  Records stream:
+`_records` yields them one at a time in canonical order, which the CLI
+writes as it goes, and `scan` is its list form.  A record (`ScanRecord`,
+with its `BiggsVerdict`) is a named tuple, the cheapest immutable record to
+build once per candidate.
 The scan runs in one process: shipping an array to a worker and its record
 back costs the parent more than evaluating it.
 """
@@ -194,9 +195,9 @@ def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional
     the known non-realizable examples are presented.  The ratio
     (phi_1 + ... + phi_{D-1}) / phi_0 is k * sum_{i=1}^{D-1} S_i / (k_i b_i)
     over n - 1, with S_i the shell total beyond i, summed over one integer
-    denominator and reduced once.  The `Fraction` route
-    (compute_distance_distribution, then potentials_closed_form) is the
-    reference it is tested against.
+    denominator and reduced once.  The tests' `Fraction` route (the
+    distance distribution, then the closed-form potentials) is the
+    reference it is checked against.
     """
     if sizes is None:
         return ScanRecord(arr, _vertex_count(arr), None, "integrality", None)

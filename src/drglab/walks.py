@@ -24,6 +24,7 @@ summation order.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -81,12 +82,18 @@ def commute_time(arr: IntersectionArray, j: int) -> Fraction:
     profile = resistance_profile(arr)
     if not 1 <= j <= arr.D:
         raise ValueError(f"distance {j} outside 1..{arr.D}")
-    return 2 * profile.m * profile.at(j)
+    return _commute(profile.m, profile.at(j))
+
+
+def _commute(m: Fraction, d: Fraction) -> Fraction:
+    """2 m d as one `Fraction` of integers."""
+    return Fraction(2 * m.numerator * d.numerator, m.denominator * d.denominator)
 
 
 def _gap_bounds(profile: ResistanceProfile) -> tuple[Fraction, Fraction]:
     """1/(n d_D) and k/(4(n-1)); unlike `walk_bounds`, defined for every valency."""
-    return 1 / (profile.n * profile.d[-1]), Fraction(profile.k, 4 * (profile.n - 1))
+    d = profile.d[-1]
+    return Fraction(d.denominator, profile.n * d.numerator), Fraction(profile.k, 4 * (profile.n - 1))
 
 
 def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
@@ -99,7 +106,7 @@ def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile)
     if arr.k <= 2:
         raise ValueError(f"walk bounds need valency >= 3, got k = {arr.k}")
     n, m = profile.n, profile.m
-    commutes = tuple(2 * m * d for d in profile.d)
+    commutes = tuple(_commute(m, d) for d in profile.d)
     commute_cap = 4 * (n - 1)
     gap_bound, spectral_floor = _gap_bounds(profile)
     return WalkBoundsReport(
@@ -371,11 +378,16 @@ class AnalyzeReport:
     def realizable(self) -> bool:
         return self.feasibility.overall and self.distribution.shells_integral
 
+    @functools.cached_property
+    def _recursion_ratio(self) -> Fraction:
+        """The ratio of the recursion's potentials, computed once per report."""
+        return self.potentials.ratio()
+
     @property
     def routes_agree(self) -> bool:
         """Whether the recursion's potentials give the ratio the closed form
         classified by; true when nothing was derived."""
-        return self.potentials is None or self.potentials.ratio() == self.profile.ratio
+        return self.potentials is None or self._recursion_ratio == self.profile.ratio
 
     @property
     def passed(self) -> bool:

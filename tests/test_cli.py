@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import importlib
 import json
@@ -11,6 +12,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drglab import circuits, cli, construct_named_graph, potentials_recursive, resistance_profile, scanner, to_edge_list, verify_distance_regular, walks
 from drglab.cli import _build_parser, _load_graph, main
@@ -661,6 +664,13 @@ GOLDEN = [
     (["verify", "johnson", "8", "3", "--format", "json"], "25f3f34c4229a344f9754117dd611669baa9d4fc23d2d20b36224338c66f174f"),
     (["verify", "hypercube", "6", "--format", "json"], "8c611c90df42411bf09754fb1c69f5ac2fce5ad5c8da2b84851a1816b47b33b4"),
     (["verify", "cycle", "14", "--format", "json"], "40699eaa619a4feb634a5b8ed77eb46eaf7e8ddae4492ce591f41af25092afcc"),
+    # recorded before analyze derived its rationals in integers over one
+    # denominator and wrote JSON without json.dumps: a half-integral m on
+    # whole shells that passes every screen, and a non-integral n
+    (["analyze", "(5,4;1,4)"], "f3b314d7f7b28e8aff91717df43564b5d93e0e7e6ca685ccb7257e542d7db0a4"),
+    (["analyze", "(5,4;1,4)", "--format", "json"], "74fc414053fb47e03ff18744dc757e64955530ebfac7a9e3dcc1a8d9ce46aee1"),
+    (["analyze", "(5,2;1,3)"], "7e409577c57e720002a000be26e43769fce66403a79fcd79b3c8cddff7bdf70c"),
+    (["analyze", "(5,2;1,3)", "--format", "json"], "9929ce11f6c17b7080e5278a4a5a94f5fbdb3d251969c208bce5bb16fcbf130f"),
 ]
 
 
@@ -681,6 +691,12 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
     def test_stdout_digest(self, argv, digest, prism, capsys):
         assert stdout_digest(argv, prism, capsys) == digest
+
+    @pytest.mark.parametrize("array,code", [("(5,4;1,4)", 0), ("(5,2;1,3)", 2)])
+    def test_analyze_pins_exit_codes(self, array, code, capsys):
+        for fmt in ("table", "json"):
+            assert main(["analyze", array, "--format", fmt]) == code
+        capsys.readouterr()
 
     def test_repeated_calls_in_one_process(self, prism, capsys):
         # the parser is built once per process; no state may leak from one
@@ -714,6 +730,39 @@ class TestScanWriters:
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows[1:-1]] == expected
         assert rows[-1] == f"total {len(records)} record(s); {len(violations)} ruled out by the resistance bound alone"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    @example({"empty": [], "none": {}, "nested": [[], {}, [[]], {"": {}}]})
+    @example(["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/\n\t", "\ud800"])
+    @example([10**400, -(10**400), 0, True, False, None])
+    @example([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, float("inf"), float("-inf"), float("nan")])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_writes_no_reference_cycle(self, capsys):
+        # a cycle would keep each output's chunks alive until a collection
+        payload = {"outer": [{"inner": ["1/2", 3, 0.5, None, True]}, [], {}], "text": "\u00e9"}
+        # the parser, built once per process, leaves argparse's own garbage
+        _build_parser()
+        gc.collect()
+        gc.disable()
+        try:
+            cli._json_text(payload)
+            assert main(["analyze", "(5,4;1,4)", "--format", "json"]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestUnwritableOutput:

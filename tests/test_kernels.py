@@ -1,0 +1,95 @@
+"""The integer kernels behind `analyze` against the `Fraction` route in
+`fraction_reference`: the distance distribution, both potential routes and
+their ratio, the resistance profile and the walk bounds, value for value
+and type for type (the reprs must be equal)."""
+
+import fraction_reference as ref
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from drglab import (
+    IntersectionArray,
+    compute_distance_distribution,
+    parse_intersection_array,
+    potentials_closed_form,
+    potentials_recursive,
+)
+from drglab.arrays import MAX_ARRAY_DIGITS
+from drglab.resistance import profile_from_distribution
+from drglab.walks import walk_bounds_from_profile
+
+# m = 55/2 on whole shells; n = 28/3 on fractional ones
+HALF_M = parse_intersection_array("(5,4;1,4)")
+THIRD_N = parse_intersection_array("(5,2;1,3)")
+
+
+@st.composite
+def small_arrays(draw) -> IntersectionArray:
+    """Any equal-length halves of entries 1..12: most shells are not whole."""
+    D = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(1, 12), min_size=D, max_size=D)
+    return IntersectionArray(tuple(draw(entries)), tuple(draw(entries)))
+
+
+@st.composite
+def whole_shell_arrays(draw) -> IntersectionArray:
+    """k >= 3 and each c_{i+1} a divisor of k_i b_i, so every shell is whole;
+    m is half-integral whenever n and k are odd."""
+    D = draw(st.integers(1, 8))
+    b, c, size = [draw(st.integers(3, 12))], [], 1
+    for i in range(D):
+        if i:
+            b.append(draw(st.integers(1, 12)))
+        c.append(draw(st.sampled_from([d for d in range(1, 25) if size * b[i] % d == 0])))
+        size = size * b[i] // c[-1]
+    return IntersectionArray(tuple(b), tuple(c))
+
+
+@st.composite
+def huge_arrays(draw, whole_shells: bool) -> IntersectionArray:
+    """Entries of MAX_ARRAY_DIGITS / (2D) digits each, so the array text has
+    close to MAX_ARRAY_DIGITS digits in all.  With whole shells, each b_i is
+    c_{i+1} times a cofactor, which keeps k_{i+1} = k_i * cofactor whole."""
+    D = draw(st.integers(1, 5))
+    width = MAX_ARRAY_DIGITS // (2 * D)
+    if whole_shells:
+        half = width // 2
+        c = draw(st.lists(st.integers(1, 10**half - 1), min_size=D, max_size=D))
+        cofactors = draw(st.lists(st.integers(3, 10 ** (width - half) - 1), min_size=D, max_size=D))
+        b = [c_next * t for c_next, t in zip(c, cofactors)]
+    else:
+        entries = st.lists(st.integers(10 ** (width - 1), 10**width - 1), min_size=D, max_size=D)
+        b, c = draw(entries), draw(entries)
+    arr = IntersectionArray(tuple(b), tuple(c))
+    # within the limit that `analyze` reads arrays under
+    assert parse_intersection_array(str(arr)) == arr
+    return arr
+
+
+any_arrays = st.one_of(small_arrays(), whole_shell_arrays(), huge_arrays(False), huge_arrays(True))
+whole_arrays = st.one_of(whole_shell_arrays(), huge_arrays(True))
+
+
+@given(any_arrays)
+@example(HALF_M)
+@example(THIRD_N)
+@settings(max_examples=300, deadline=None)
+def test_distribution_and_potentials(arr):
+    dist = compute_distance_distribution(arr)
+    reference = ref.distance_distribution(arr)
+    assert repr(dist) == repr(reference)
+    recursive, closed = potentials_recursive(arr), potentials_closed_form(arr, dist)
+    assert repr(recursive) == repr(ref.potentials_recursive(arr))
+    assert repr(closed) == repr(ref.potentials_closed_form(arr, reference))
+    for p in (recursive, closed):
+        assert repr(p.ratio()) == repr(ref.ratio(p))
+
+
+@given(whole_arrays)
+@example(HALF_M)
+@settings(max_examples=300, deadline=None)
+def test_profile_and_walk_bounds(arr):
+    profile = profile_from_distribution(arr, compute_distance_distribution(arr))
+    assert repr(profile) == repr(ref.resistance_profile(arr))
+    assert repr(walk_bounds_from_profile(arr, profile)) == repr(ref.walk_bounds(arr))
+

@@ -5,6 +5,7 @@ import itertools
 import pickle
 from fractions import Fraction
 
+import fraction_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from drglab import (
     estimate_candidates,
     evaluate_array,
     parse_intersection_array,
-    potentials_closed_form,
     recompute_entry,
     resistance_profile,
     scan,
@@ -52,9 +52,9 @@ def brute_force_box(k: int, D: int) -> list[IntersectionArray]:
 
 
 def reference_record(arr: IntersectionArray, n_max=None) -> ScanRecord:
-    """The pipeline over the `Fraction` route: distance distribution, the
-    closed-form potentials, then `classify_ratio`."""
-    dist = compute_distance_distribution(arr)
+    """The pipeline over the `Fraction` route of `fraction_reference`:
+    distance distribution, the closed-form potentials, then `classify_ratio`."""
+    dist = ref.distance_distribution(arr)
     if not validate_basic(arr).overall:
         return ScanRecord(arr, dist.n, None, "basic", None)
     if not dist.shells_integral:
@@ -65,7 +65,7 @@ def reference_record(arr: IntersectionArray, n_max=None) -> ScanRecord:
         return ScanRecord(arr, dist.n, None, "divisibility", None)
     if not diameter_head_bound(arr).passed:
         return ScanRecord(arr, dist.n, None, "head_bound", None)
-    verdict = classify_ratio(arr, potentials_closed_form(arr, dist).ratio())
+    verdict = classify_ratio(arr, ref.ratio(ref.potentials_closed_form(arr, dist)))
     failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
     return ScanRecord(arr, dist.n, verdict.ratio, failing, verdict)
 
