@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -86,6 +88,17 @@ def _c_half(c: tuple[int, ...]) -> str:
 
 # ASCII digits only: `\d` and `int` also read other scripts' digits
 _TOKEN = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optional sign, then ASCII decimal digits, read as an int; raises
+    ValueError on anything else.  `int` alone also reads `_` separators,
+    surrounding blanks and the digits of other scripts."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
 
 # the most digits the entries of one array may have in all: it keeps n below
 # 10^300, so the walk bounds stay in float range and every count renders
@@ -187,19 +200,20 @@ def validate_basic(arr: IntersectionArray) -> FeasibilityReport:
         CheckResult("c_monotone", bad is None, "c1 <= ... <= cD" if bad is None else f"index {bad[0]}: {bad[1]}")
     )
 
+    # the first (i, j) with b_i < c_j and i + j <= D, monotone c or not: the
+    # first j with c_j > b_i is the first whose prefix maximum of c exceeds b_i
     bad = None
-    for i in range(0, D):
-        for j in range(1, D - i + 1):
-            if arr.b_at(i) < arr.c_at(j):
-                bad = (i, j)
-                break
-        if bad:
+    tops = list(accumulate(arr.c, max))
+    for i, b in enumerate(arr.b):
+        j = bisect_right(tops, b) + 1
+        if j <= D - i:
+            bad = (i, j)
             break
     checks.append(
         CheckResult(
             "cross_condition",
             bad is None,
-            "b_i >= c_j for i+j <= D" if bad is None else f"b{bad[0]} = {arr.b_at(bad[0])} < c{bad[1]} = {arr.c_at(bad[1])}",
+            "b_i >= c_j for i+j <= D" if bad is None else f"b{bad[0]} = {arr.b[bad[0]]} < c{bad[1]} = {arr.c[bad[1] - 1]}",
         )
     )
 

@@ -13,6 +13,11 @@ standard library's pure-Python indenting encoder.  `scan` streams: records come 
 the scanner one at a time in canonical order and each is written as soon as
 it is rendered, in those same bytes, so memory stays flat however large the
 box.
+
+Each handler imports the modules it runs when it is called, so a command
+loads only those: `catalog` loads the catalog path that `import drglab`
+already holds, `scan` adds the scanner, `analyze` the array side of
+`walks`, and only `verify` and `walk` load the graph modules.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import INFINITY, encode_basestring_ascii
-from typing import Callable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
-from .arrays import _b_half, _c_half, parse_intersection_array
+from .arrays import _b_half, _c_half, integer, parse_intersection_array
 from .catalog import catalog, recompute_entry
-from .circuits import NotConverged
-from .graphs import ExplicitGraph, RegularityFailure, construct_named_graph, from_edge_list, integer
 from .rational import decimal_string
-from .scanner import ScanQuery, ScanRecord, _records
-from .walks import VerifyReport, analyze_array, verify_graph, walk_graph
+
+if TYPE_CHECKING:
+    from .graphs import ExplicitGraph
+    from .scanner import ScanRecord
 
 SCHEMA = 1
 
@@ -153,6 +158,8 @@ def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], li
 
 
 def _cmd_analyze(args) -> int:
+    from .walks import analyze_array
+
     try:
         arr = parse_intersection_array(args.array)
     except ValueError as exc:
@@ -341,6 +348,8 @@ def _write_scan_table(out: TextIO, records: Iterator[ScanRecord]) -> None:
 
 
 def _cmd_scan(args) -> int:
+    from .scanner import ScanQuery, _records
+
     try:
         k_lo, k_hi = _range(args.k)
         d_lo, d_hi = _range(args.diameter)
@@ -412,6 +421,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _load_graph(args) -> tuple[ExplicitGraph, dict]:
+    from .graphs import construct_named_graph, from_edge_list
+
     if args.edges and args.family:
         raise ValueError("give a family name or --edges FILE, not both")
     if args.edges:
@@ -429,6 +440,9 @@ def _load_graph(args) -> tuple[ExplicitGraph, dict]:
 
 
 def _cmd_verify(args) -> int:
+    from .circuits import NotConverged
+    from .walks import VerifyReport, verify_graph
+
     try:
         graph, origin = _load_graph(args)
     except (OSError, ValueError) as exc:
@@ -504,6 +518,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .graphs import RegularityFailure
+    from .walks import walk_graph
+
     try:
         graph, origin = _load_graph(args)
         run = walk_graph(graph, args.from_distance, args.trials, args.seed)

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .arrays import IntersectionArray
+from .arrays import IntersectionArray, integer
 
 
 # the most vertices an explicit graph may have: every check on one grows as
@@ -140,18 +139,6 @@ def to_edge_list(g: ExplicitGraph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def integer(text: str) -> int:
-    """An optional sign, then ASCII decimal digits, read as an int; raises
-    ValueError on anything else.  `int` alone also reads `_` separators,
-    surrounding blanks and the digits of other scripts."""
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{text!r} is not a decimal integer")
-    return int(text)
 
 
 def _integers(line: str) -> tuple[int, ...]:

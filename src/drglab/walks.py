@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .arrays import (
     CheckResult,
@@ -43,19 +43,14 @@ from .arrays import (
     diameter_head_bound,
     validate_basic,
 )
-from .circuits import (
-    PotentialAssignment,
-    _harmonic_function,
-    all_pairs_by_distance,
-    check_harmonicity,
-    effective_resistances,
-    laplacian_spectral_gap,
-    measure_current,
-    representative_pairs,
-)
-from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
 from .potentials import PotentialSequence, potentials_recursive
 from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, classify_ratio, profile_from_distribution, resistance_profile
+
+# the graph side imports circuits and graphs when it is called, so that the
+# array side (analyze) does not load them
+if TYPE_CHECKING:
+    from .circuits import PotentialAssignment
+    from .graphs import ExplicitGraph, RegularityFailure
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
 
@@ -249,6 +244,9 @@ def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> 
     from 0 to the first vertex at `from_distance` when called and returns
     their `WalkReport`.  Every refusal comes at the call: a `ValueError` for
     a distance outside 1..D, trials < 1 or seed < 0."""
+    from .circuits import representative_pairs
+    from .graphs import verify_distance_regular
+
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray):
         return verified
@@ -279,6 +277,8 @@ def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckRep
     rational bounds are compared exactly, the eigensolver side within
     `SIGMA_TOL`.
     """
+    from .graphs import verify_distance_regular
+
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray) or verified != arr:
         raise ValueError(f"graph verifies as {verified}, expected {arr}")
@@ -287,6 +287,8 @@ def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckRep
 
 def _spectral_report(g: ExplicitGraph, profile: ResistanceProfile) -> SpectralCheckReport:
     """`spectral_check` on a graph already verified with the profile's array."""
+    from .circuits import laplacian_spectral_gap
+
     gap_bound, spectral_floor = _gap_bounds(profile)
     sigma = laplacian_spectral_gap(g)
     return SpectralCheckReport(
@@ -345,6 +347,16 @@ def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | R
     """The graph's `RegularityFailure`, or its `VerifyReport` at one pair per
     distance (every pair if `exhaustive`); raises `NotConverged` if the
     eigensolver does."""
+    from .circuits import (
+        _harmonic_function,
+        all_pairs_by_distance,
+        check_harmonicity,
+        effective_resistances,
+        measure_current,
+        representative_pairs,
+    )
+    from .graphs import verify_distance_regular
+
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray):
         return verified

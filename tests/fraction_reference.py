@@ -1,12 +1,14 @@
 """The `Fraction` route: each quantity that `analyze` derives, written as the
 chain of exact `Fraction` operations that drglab computed it by before its
-kernels carried integers over one denominator.  Tests check the kernels
-against these functions, value for value and type for type."""
+kernels carried integers over one denominator, and `validate_basic`'s
+cross condition as the double loop it ran before it read the prefix maxima
+of c.  Tests check the kernels against these functions, value for value and
+type for type."""
 
 import math
 from fractions import Fraction
 
-from drglab.arrays import DistanceDistribution, IntersectionArray, _vertex_count
+from drglab.arrays import CheckResult, DistanceDistribution, IntersectionArray, _vertex_count
 from drglab.potentials import CLOSED_FORM, RECURSIVE, PotentialSequence
 from drglab.resistance import ResistanceProfile
 from drglab.walks import WalkBoundsReport
@@ -21,6 +23,22 @@ def distance_distribution(arr: IntersectionArray) -> DistanceDistribution:
     m = n * arr.k / 2
     shells_integral = all(size.denominator == 1 for size in sizes)
     return DistanceDistribution(tuple(sizes), n, e, m, shells_integral and m.denominator == 1, shells_integral)
+
+
+def cross_condition(arr: IntersectionArray) -> CheckResult:
+    bad = None
+    for i in range(0, arr.D):
+        for j in range(1, arr.D - i + 1):
+            if arr.b_at(i) < arr.c_at(j):
+                bad = (i, j)
+                break
+        if bad:
+            break
+    return CheckResult(
+        "cross_condition",
+        bad is None,
+        "b_i >= c_j for i+j <= D" if bad is None else f"b{bad[0]} = {arr.b_at(bad[0])} < c{bad[1]} = {arr.c_at(bad[1])}",
+    )
 
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:

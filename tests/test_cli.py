@@ -371,7 +371,7 @@ class TestVerify:
         assert payload["overall"] is False
 
     def test_sigma_below_the_bound_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(walks, "laplacian_spectral_gap", lambda g: 0.0)
+        monkeypatch.setattr(circuits, "laplacian_spectral_gap", lambda g: 0.0)
         assert main(["verify", "petersen"]) == 2
         assert capsys.readouterr().out.splitlines()[-2:] == [
             "spectral         sigma=0.00000000 >= 1/8 >= 1/12 MISMATCH",
@@ -522,8 +522,9 @@ class TestVerify:
 
 class TestOneCheckPerOp:
     # verify_graph and walk_graph check distance-regularity once; verify_graph
-    # hands the verified graph to the unguarded harmonic and spectral bodies
-    MODULES = ("graphs", "circuits", "walks")
+    # hands the verified graph to the unguarded harmonic and spectral bodies;
+    # walks imports the function from graphs when it is called
+    MODULES = ("graphs", "circuits")
 
     @pytest.fixture
     def verify_calls(self, monkeypatch):
@@ -791,11 +792,11 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == []
 
     # each command's work, which must not start before --output is open,
-    # named where it is called
+    # named in the module the handler looks it up in
     WORK = {
-        "analyze": (["analyze", "(3,2;1,3)"], cli, ["analyze_array"]),
+        "analyze": (["analyze", "(3,2;1,3)"], walks, ["analyze_array"]),
         "catalog": (["catalog", "--recompute"], cli, ["recompute_entry"]),
-        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], cli, ["verify_graph"]),
+        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], walks, ["verify_graph"]),
         "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], walks, ["simulate_hitting_time"]),
     }
 
@@ -983,9 +984,10 @@ for argv in (
 
 
 def test_numpy_loads_only_for_graph_commands():
-    # numpy is over half of the start-up time and ~12 MB of resident memory;
-    # only verify's oracle (its float solve) and Jacobi spectrum and the
-    # walk's bulk draws use it
+    # numpy is over half of the start-up of a command that loads it (~190 ms
+    # for verify against ~63 ms for catalog, sources compiled cold) and
+    # ~12 MB of resident memory; only verify's oracle (its float solve) and
+    # Jacobi spectrum and the walk's bulk draws use it
     result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
@@ -995,6 +997,44 @@ def test_numpy_loads_only_for_graph_commands():
         "catalog 0 False",
         "verify 0 True",
     ]
+
+
+# the drglab modules a fresh process holds after `import drglab` (no
+# arguments) or after one command
+MODULES_PROBE = """
+import contextlib, io, sys
+argv = sys.argv[1:]
+if argv:
+    from drglab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--format", "json"])
+    assert code == 0, code
+else:
+    import drglab
+print(*sorted(name for name in sys.modules if name.startswith("drglab.")))
+"""
+
+CATALOG_PATH = ("arrays", "catalog", "potentials", "rational", "resistance")
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ([], ()),
+        (["catalog", "--recompute"], ("cli",)),
+        (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], ("cli", "scanner")),
+        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("cli", "walks")),
+        (["verify", "petersen"], ("circuits", "cli", "graphs", "walks")),
+        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("circuits", "cli", "graphs", "walks")),
+    ],
+    ids=["import", "catalog", "scan", "analyze", "verify", "walk"],
+)
+def test_each_command_imports_only_the_modules_it_runs(argv, extra):
+    # importing and compiling a module is most of a short command's time; one
+    # fresh process per command, so that the sets do not accumulate
+    result = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == sorted(f"drglab.{name}" for name in CATALOG_PATH + extra)
 
 
 BLAS_PROBE = """

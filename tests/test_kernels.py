@@ -1,7 +1,8 @@
 """The integer kernels behind `analyze` against the `Fraction` route in
 `fraction_reference`: the distance distribution, both potential routes and
 their ratio, the resistance profile and the walk bounds, value for value
-and type for type (the reprs must be equal)."""
+and type for type (the reprs must be equal); and `validate_basic`'s cross
+condition against the double loop over i + j <= D."""
 
 import fraction_reference as ref
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from drglab import (
     parse_intersection_array,
     potentials_closed_form,
     potentials_recursive,
+    validate_basic,
 )
 from drglab.arrays import MAX_ARRAY_DIGITS
 from drglab.resistance import profile_from_distribution
@@ -93,3 +95,18 @@ def test_profile_and_walk_bounds(arr):
     assert repr(profile) == repr(ref.resistance_profile(arr))
     assert repr(walk_bounds_from_profile(arr, profile)) == repr(ref.walk_bounds(arr))
 
+
+def monotone(arr: IntersectionArray) -> IntersectionArray:
+    """The same entries with b non-increasing and c non-decreasing, as in
+    every array that passes the monotonicity screens."""
+    return IntersectionArray(tuple(sorted(arr.b, reverse=True)), tuple(sorted(arr.c)))
+
+
+@given(st.one_of(small_arrays(), small_arrays().map(monotone), whole_shell_arrays(), huge_arrays(False)))
+@example(IntersectionArray((4, 3, 1, 1), (1, 3, 3, 4)))  # b_2 = 1 < c_2 = 3, after i = 0 and 1 pass on ties
+@example(IntersectionArray((3, 3, 1), (1, 5, 2)))  # non-monotone c: the first failure is (0, 2)
+@example(IntersectionArray((5, 4, 4), (1, 4, 4)))  # ties b_i = c_j everywhere pass
+@settings(max_examples=500, deadline=None)
+def test_cross_condition(arr):
+    (check,) = [c for c in validate_basic(arr).checks if c.name == "cross_condition"]
+    assert check == ref.cross_condition(arr)

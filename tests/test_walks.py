@@ -22,6 +22,7 @@ from drglab import (
     WalkReport,
     analyze_array,
     bfs_distances,
+    circuits,
     commute_time,
     construct_named_graph,
     from_edge_list,
@@ -204,7 +205,7 @@ class TestVerifyGraph:
         assert not report.overall
 
     def test_sigma_below_the_bound_fails(self, monkeypatch):
-        monkeypatch.setattr(walks, "laplacian_spectral_gap", lambda g: 0.0)
+        monkeypatch.setattr(circuits, "laplacian_spectral_gap", lambda g: 0.0)
         report = verify_graph(PETERSEN)
         assert not report.spectral.sigma_holds and report.spectral.middle_holds
         assert all(row.equal for row in report.oracle)
