@@ -10,9 +10,9 @@ exactly the printed precision (half-even).
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from .arrays import IntersectionArray, compute_distance_distribution, parse_intersection_array
@@ -43,7 +43,9 @@ class CatalogEntry:
 @functools.cache
 def catalog() -> tuple[CatalogEntry, ...]:
     """All catalog rows, in data-file order."""
-    text = resources.files("drglab").joinpath("data/catalog.tsv").read_text(encoding="utf-8")
+    # a plain open: importing importlib.resources costs more than the rest of drglab
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog.tsv"), encoding="utf-8") as f:
+        text = f.read()
     entries = []
     for line in text.splitlines():
         line = line.strip()

@@ -103,26 +103,38 @@ def verify_distance_regular(g: ExplicitGraph):
     """
     if g.n < 2:
         raise ValueError("a single vertex has no intersection array")
+    adjacency = g.adjacency
     b_counts: dict[int, int] = {}
     c_counts: dict[int, int] = {}
     for x in range(g.n):
-        row = bfs_distances(g, x)
-        for y in range(g.n):
-            i = row[y]
-            forward = 0
-            backward = 0
-            for z in g.adjacency[y]:
-                if row[z] == i + 1:
-                    forward += 1
-                elif row[z] == i - 1:
-                    backward += 1
+        # the BFS from x counts each y's neighbors one step farther from x
+        # (forward) and one step nearer (backward) as it goes: an edge joins
+        # consecutive distances exactly when it reaches the farther end
+        # already at, or just set to, the distance past its nearer end
+        dist = [-1] * g.n
+        forward = [0] * g.n
+        backward = [0] * g.n
+        dist[x] = 0
+        queue = [x]
+        for y in queue:  # grows while it is read
+            farther = dist[y] + 1
+            count = 0
+            for z in adjacency[y]:
+                if dist[z] < 0:
+                    dist[z] = farther
+                    queue.append(z)
+                if dist[z] == farther:
+                    count += 1
+                    backward[z] += 1
+            forward[y] = count
+        for y, (i, b, c) in enumerate(zip(dist, forward, backward)):
             if i not in b_counts:
-                b_counts[i] = forward
-                c_counts[i] = backward
-            elif b_counts[i] != forward:
-                return RegularityFailure((x, y), i, "b", b_counts[i], forward)
-            elif c_counts[i] != backward:
-                return RegularityFailure((x, y), i, "c", c_counts[i], backward)
+                b_counts[i] = b
+                c_counts[i] = c
+            elif b_counts[i] != b:
+                return RegularityFailure((x, y), i, "b", b_counts[i], b)
+            elif c_counts[i] != c:
+                return RegularityFailure((x, y), i, "c", c_counts[i], c)
     # a connected graph has every distance 0..D, so D + 1 classes were counted
     D = len(b_counts) - 1
     return IntersectionArray(

@@ -20,6 +20,12 @@ value).  One stream serves every vertex, so the simulators take regular
 graphs only, as every distance-regular graph is.  Step counts accumulate as
 exact integers before any division, keeping results independent of
 summation order.
+
+The hitting-time walk reads that unchanged stream a block of L choices at a
+time: one lookup in a table built once per call gives the vertex L steps on
+and which of those steps landed on the target, so every step, and every
+estimate, is the same as one step per choice.  The cover-time walk, whose
+state includes the vertices seen, still steps one choice at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .arrays import (
     CheckResult,
@@ -49,10 +55,19 @@ from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, classify_ra
 # the graph side imports circuits and graphs when it is called, so that the
 # array side (analyze) does not load them
 if TYPE_CHECKING:
+    import numpy as np
+
     from .circuits import PotentialAssignment
     from .graphs import ExplicitGraph, RegularityFailure
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
+
+# the hitting walk advances a block of L steps per table lookup: L is the
+# most steps, at most MAX_BLOCK, whose degree**L block indices fit one byte
+# and whose table of n * degree**L entries fits TABLE_CAP, which bounds the
+# table's build time and memory on graphs of more than 64 vertices
+TABLE_CAP = 1 << 14
+MAX_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -138,21 +153,96 @@ def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEs
     return MonteCarloEstimate(mean, stderr, trials, seed)
 
 
-def _choices(seed: int, degree: int) -> Iterator[int]:
-    """The `random.Random(seed).randrange(degree)` stream, drawn in bulk; degree >= 1."""
+def _choice_chunks(seed: int, degree: int) -> Iterator[np.ndarray]:
+    """The `random.Random(seed).randrange(degree)` stream, drawn in bulk, as
+    successive numpy arrays of choices; degree >= 1."""
     import numpy as np
 
     rng = random.Random(seed)
     shift = 32 - degree.bit_length()
+    size = 1024
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
+        yield np.compress(words < degree, words)
+        size = min(2 * size, 16384)
 
-    def chunks() -> Iterator[list[int]]:
-        size = 1024
-        while True:
-            words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
-            yield words[words < degree].tolist()
-            size = min(2 * size, 16384)
 
-    return chain.from_iterable(chunks())
+def _choices(seed: int, degree: int) -> Iterator[int]:
+    """The `_choice_chunks` stream one choice at a time."""
+    return chain.from_iterable(chunk.tolist() for chunk in _choice_chunks(seed, degree))
+
+
+def _block_length(n: int, degree: int) -> int:
+    """The most steps L, at most MAX_BLOCK, whose degree**L block indices fit
+    one byte and whose table of n * degree**L states fits TABLE_CAP; at least 1."""
+    length = 1
+    while length < MAX_BLOCK and degree ** (length + 1) <= 256 and n * degree ** (length + 1) <= TABLE_CAP:
+        length += 1
+    return length
+
+
+def _blocks(seed: int, degree: int, length: int) -> Iterator[bytes | list[int]]:
+    """The `_choice_chunks` stream as block indices c_1 d^(L-1) + ... + c_L
+    of `length` choices each, one sequence per chunk: bytes where the indices
+    fit one, else a list.  The fewer than `length` choices left at a chunk's
+    end lead the next chunk's first block."""
+    import numpy as np
+
+    carry = ()
+    for choices in _choice_chunks(seed, degree):
+        if len(carry):
+            choices = np.concatenate((carry, choices))
+        whole = len(choices) - len(choices) % length
+        blocks = choices[0:whole:length]
+        for t in range(1, length):
+            blocks = blocks * degree + choices[t:whole:length]
+        carry = choices[whole:]
+        # a bytes iterator hands a Python loop cached small ints, the cheapest
+        # way, and says how many are left
+        yield blocks.astype(np.uint8).tobytes() if degree**length <= 256 else blocks.tolist()
+
+
+def _block_table(g: ExplicitGraph, u: int, v: int, length: int) -> list[Sequence[int]]:
+    """The state after each block of `length` steps of the hitting walk from
+    u to v, which goes on from u whenever it steps onto v.
+
+    A state is y + n * mask: the walk stands at y, and bit t of mask is set
+    when step t + 1 of the block hit v.  Row y + n * mask is row y, so
+    `table[state][block]` is the state after the block."""
+    n, degree = g.n, len(g.adjacency[0])
+    if length == 1:
+        # the adjacency itself, v marked in the rows of its neighbors only:
+        # n * degree may be far past TABLE_CAP
+        rows: list[Sequence[int]] = list(g.adjacency)
+        for w in g.adjacency[v]:
+            row = rows[w] = list(rows[w])
+            row[row.index(v)] = u + n
+        return rows * 2
+    import numpy as np
+
+    adjacency = np.array(g.adjacency)
+    index = np.arange(degree**length)
+    state = np.arange(n)[:, None]
+    mask = 0
+    for t in range(length):
+        state = adjacency[state, index // degree ** (length - 1 - t) % degree]
+        hit = state == v
+        mask = mask | hit << t
+        state = np.where(hit, u, state)
+    return (state + n * mask).tolist() * (1 << length)
+
+
+def _hit_summaries(n: int, length: int) -> list[tuple[int, int, int, int] | None]:
+    """For each state y + n * mask: the first and last step of its block
+    that hit v, how many steps hit, and the sum of the squared gaps between
+    consecutive hits, which are the lengths of the trials the block holds;
+    None for mask 0."""
+    summaries: list[tuple[int, int, int, int] | None] = [None] * n
+    for mask in range(1, 1 << length):
+        steps = [t + 1 for t in range(length) if mask >> t & 1]
+        gaps_sq = sum((b - a) ** 2 for a, b in zip(steps, steps[1:]))
+        summaries += [(steps[0], steps[-1], len(steps), gaps_sq)] * n
+    return summaries
 
 
 def _walk_degree(g: ExplicitGraph, vertices: tuple[int, ...], trials: int, seed: int) -> int:
@@ -176,21 +266,39 @@ def simulate_hitting_time(
     """Average steps of independent simple random walks from u until v."""
     if u == v:
         raise ValueError("hitting time needs distinct endpoints")
-    choices = _choices(seed, _walk_degree(g, (u, v), trials, seed))
-    adjacency = g.adjacency
-    total = 0
+    degree = _walk_degree(g, (u, v), trials, seed)
+    n = g.n
+    length = _block_length(n, degree)
+    table = _block_table(g, u, v, length)
+    summaries = _hit_summaries(n, length)
     total_sq = 0
-    for _ in range(trials):
-        cur = u
-        steps = 0
-        for c in choices:  # resumes the one stream where the last trial stopped
-            cur = adjacency[cur][c]
-            steps += 1
-            if cur == v:
-                break
-        total += steps
-        total_sq += steps * steps
-    return _estimate(total, total_sq, trials, seed)
+    done = 0  # trials ended
+    start = 0  # the step the running trial started after, the sum of the ended trials
+    drawn = 0  # the steps of the blocks drawn so far
+    cur = u
+    for blocks in _blocks(seed, degree, length):  # endless; the last trial returns
+        drawn += len(blocks) * length
+        it = iter(blocks)
+        left = it.__length_hint__  # bound once: operator.length_hint costs 4x a call
+        for b in it:
+            cur = table[cur][b]
+            if cur >= n:
+                before = drawn - (left() + 1) * length  # the steps before this block
+                first, last, hits, gaps_sq = summaries[cur]
+                if done + hits < trials:
+                    steps = before + first - start
+                    total_sq += steps * steps + gaps_sq
+                    done += hits
+                    start = before + last
+                    continue
+                for t in range(length):  # the block that ends the last trial
+                    if cur // n >> t & 1:
+                        steps = before + t + 1 - start
+                        total_sq += steps * steps
+                        start += steps
+                        done += 1
+                        if done == trials:
+                            return _estimate(start, total_sq, trials, seed)
 
 
 def simulate_cover_time(

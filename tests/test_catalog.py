@@ -1,7 +1,12 @@
 """The embedded catalog: golden values, names, constructions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import drglab
 from drglab import (
     catalog,
     check_divisibility,
@@ -104,3 +109,13 @@ class TestConstructions:
                 graph = construct_named_graph(family, params)
                 assert graph.n == entry.vertices, entry.name
                 assert verify_distance_regular(graph) == entry.array, entry.name
+
+
+def test_catalog_loads_without_importlib_resources():
+    # -S skips site, whose .pth files may import importlib.resources on
+    # their own; the module costs more start-up than the rest of drglab
+    code = "import sys, drglab\nprint(len(drglab.catalog()), 'importlib.resources' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(drglab.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "27 False\n"

@@ -3,6 +3,9 @@
 import tracemalloc
 
 import pytest
+from families import SMALL_FAMILY_PARAMS, small_family_graph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import drglab.graphs as graphs
 from drglab import (
@@ -181,6 +184,76 @@ class TestVerification:
             tracemalloc.stop()
         assert verified == parse_intersection_array("(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)")
         assert peak < 64 * 1024
+
+
+def two_pass_regularity(g):
+    """The two-pass regularity count, the reference for the one inside the
+    BFS: one BFS row from x, then every y's neighbors looked up in it."""
+    b_counts = {}
+    c_counts = {}
+    for x in range(g.n):
+        row = bfs_distances(g, x)
+        for y in range(g.n):
+            i = row[y]
+            forward = 0
+            backward = 0
+            for z in g.adjacency[y]:
+                if row[z] == i + 1:
+                    forward += 1
+                elif row[z] == i - 1:
+                    backward += 1
+            if i not in b_counts:
+                b_counts[i] = forward
+                c_counts[i] = backward
+            elif b_counts[i] != forward:
+                return RegularityFailure((x, y), i, "b", b_counts[i], forward)
+            elif c_counts[i] != backward:
+                return RegularityFailure((x, y), i, "c", c_counts[i], backward)
+    D = len(b_counts) - 1
+    return IntersectionArray(tuple(b_counts[i] for i in range(D)), tuple(c_counts[i] for i in range(1, D + 1)))
+
+
+PRISM_EDGES = "6 9\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n1 4\n2 5\n"
+# GP(8,3): cubic, arc-transitive and not distance-regular
+MOBIUS_KANTOR_EDGES = "16 24\n" + "".join(f"{i} {(i + 1) % 8}\n{8 + i} {8 + (i + 3) % 8}\n{i} {8 + i}\n" for i in range(8))
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """A random spanning tree on 2..12 vertices plus random extra edges."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, y - 1)), y) for y in range(1, n)}
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return f"{n} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges))
+
+
+class TestRegularityWitness:
+    # the BFS that counts as it goes returns the two-pass count's array, or
+    # its first failure: the same pair, distance, kind, expected and found
+
+    def test_every_small_family(self):
+        assert {name for name, _ in SMALL_FAMILY_PARAMS} == set(family_names())
+        for name, params in SMALL_FAMILY_PARAMS:
+            g = small_family_graph(name, params)
+            verified = verify_distance_regular(g)
+            assert isinstance(verified, IntersectionArray)
+            assert verified == two_pass_regularity(g)
+
+    @pytest.mark.parametrize("text", [PRISM_EDGES, MOBIUS_KANTOR_EDGES], ids=["prism", "mobius_kantor"])
+    def test_named_failures(self, text):
+        g = from_edge_list(text)
+        failure = verify_distance_regular(g)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == two_pass_regularity(g)
+
+    @given(connected_edge_lists())
+    @example("2 1\n0 1\n")
+    @example("4 3\n0 1\n1 2\n2 3\n")
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_graphs(self, text):
+        g = from_edge_list(text)
+        assert verify_distance_regular(g) == two_pass_regularity(g)
 
 
 class TestVerifiedForms:

@@ -7,10 +7,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
+import walk_reference
+from families import SMALL_FAMILY_PARAMS, small_family_graph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import drglab
 from drglab import (
@@ -425,6 +429,68 @@ class TestBulkDrawnStream:
     def test_single_vertex_cover_time_is_zero(self):
         estimate = simulate_cover_time(ExplicitGraph(1, []), 0, 5, seed=0)
         assert (estimate.mean, estimate.stderr) == (0.0, 0.0)
+
+
+@st.composite
+def hitting_runs(draw):
+    """A registered graph on at most 64 vertices, distinct endpoints, a
+    trial count and a seed of each size class."""
+    name, params = draw(st.sampled_from(SMALL_FAMILY_PARAMS))
+    n = small_family_graph(name, params).n
+    u = draw(st.integers(0, n - 1))
+    v = draw(st.integers(0, n - 2))
+    trials = draw(st.one_of(st.integers(1, 20), st.integers(1, 2000)))
+    seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**70)))
+    return name, params, u, v + (v >= u), trials, seed
+
+
+class TestBlockWalk:
+    # the walk advances one block of choices per table lookup; the per-step
+    # loop it replaced, on the same stream, is the reference
+
+    @given(hitting_runs())
+    @example(("complete", (2,), 0, 1, 1, 0))  # degree 1: every step hits v
+    @example(("complete", (2,), 1, 0, 5000, 2**32))
+    @example(("petersen", (), 0, 7, 1, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_step_loop(self, run):
+        name, params, u, v, trials, seed = run
+        g = small_family_graph(name, params)
+        assert simulate_hitting_time(g, u, v, trials, seed) == walk_reference.hitting_time(g, u, v, trials, seed)
+
+    @pytest.mark.parametrize(
+        "name,params,trials",
+        [
+            ("complete", (2,), 300_000),
+            ("petersen", (), 30_000),
+            ("hypercube", (6,), 4_000),
+            ("hamming", (2, 5), 12_000),
+            ("complete", (20,), 15_000),
+            ("cycle", (64,), 300),
+        ],
+    )
+    @pytest.mark.parametrize("seed", (0, 12345, 2**40 + 3))
+    def test_runs_across_many_chunks(self, name, params, trials, seed):
+        # past the 31k words of the first five chunks, then 16k words a chunk
+        g = small_family_graph(name, params)
+        v = bfs_distances(g, 0).index(max(bfs_distances(g, 0)))
+        estimate = simulate_hitting_time(g, 0, v, trials, seed)
+        assert estimate.mean * trials > 250_000
+        assert estimate == walk_reference.hitting_time(g, 0, v, trials, seed)
+
+    @pytest.mark.parametrize("degree,length", [(1, 8), (2, 8), (3, 5), (4, 4), (6, 3), (16, 2), (19, 1), (256, 1), (257, 1)])
+    def test_blocks_spell_the_choice_stream(self, degree, length):
+        # 100k choices cross many chunks, whose leftover choices lead the next
+        # chunk's first block; a degree-257 index does not fit a byte
+        blocks = chain.from_iterable(walks._blocks(11, degree, length))
+        digits = [b // degree ** (length - 1 - t) % degree for b in islice(blocks, 100_000 // length) for t in range(length)]
+        assert digits == list(islice(walks._choices(11, degree), len(digits)))
+
+    @pytest.mark.parametrize("name,params", [("complete", (257,)), ("complete_bipartite_minus_matching", (258,))], ids=["degree 256", "degree 257"])
+    def test_degrees_at_and_past_one_byte(self, name, params):
+        g = construct_named_graph(name, params)
+        for seed in (0, 7):
+            assert simulate_hitting_time(g, 0, 1, 100, seed) == walk_reference.hitting_time(g, 0, 1, 100, seed)
 
 
 PATH = from_edge_list("4 3\n0 1\n1 2\n2 3\n")
