@@ -75,7 +75,6 @@ _HOMES = {
         "ScanQuery",
         "ScanRecord",
         "enumerate_arrays",
-        "estimate_candidates",
         "evaluate_array",
         "scan",
     ),

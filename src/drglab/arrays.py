@@ -6,14 +6,49 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class _Record:
+    """The base of drglab's immutable records: each behaves as a frozen
+    dataclass would, without the import of that module, which loads
+    `inspect` and was the largest part of a command's start-up.
+
+    A record's fields are the parameters of its class's own `__init__`, in
+    order, which stores each in the instance `__dict__`.  A record equals a
+    record of its class with equal fields, hashes by its fields, prints as
+    ``Class(field=value, ...)`` and refuses assignment.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        # the fields' values as a tuple, or the one field's value
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntersectionArray(_Record):
     """The parameter pair (b0,...,b_{D-1}; c1,...,cD) of a candidate graph.
 
     Construction only enforces shape (equal-length halves of positive
@@ -23,18 +58,16 @@ class IntersectionArray:
     candidates can be inspected instead of rejected at the door.
     """
 
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.b) != len(self.c):
-            raise ValueError(f"b has {len(self.b)} entries, c has {len(self.c)}")
-        if not self.b:
+    def __init__(self, b: tuple[int, ...], c: tuple[int, ...]) -> None:
+        if len(b) != len(c):
+            raise ValueError(f"b has {len(b)} entries, c has {len(c)}")
+        if not b:
             raise ValueError("empty array")
-        for seq, label in ((self.b, "b"), (self.c, "c")):
+        for seq, label in ((b, "b"), (c, "c")):
             for i, value in enumerate(seq):
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                     raise ValueError(f"{label}[{i}] = {value!r} is not a positive integer")
+        self.__dict__.update(b=b, c=c)
 
     @property
     def D(self) -> int:
@@ -66,7 +99,7 @@ class IntersectionArray:
 
 def _unchecked_array(b: tuple[int, ...], c: tuple[int, ...]) -> IntersectionArray:
     """An `IntersectionArray` from halves the caller guarantees are
-    equal-length tuples of positive ints, without `__post_init__`: the
+    equal-length tuples of positive ints, without the constructor's checks: the
     enumerator builds only such halves, and the checks would be most of
     the cost of each candidate."""
     arr = object.__new__(IntersectionArray)
@@ -155,9 +188,9 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    checks: tuple[CheckResult, ...]
+class FeasibilityReport(_Record):
+    def __init__(self, checks: tuple[CheckResult, ...]) -> None:
+        self.__dict__.update(checks=checks)
 
     @property
     def overall(self) -> bool:
@@ -229,8 +262,7 @@ def validate_basic(arr: IntersectionArray) -> FeasibilityReport:
     return FeasibilityReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(_Record):
     """Shell sizes and edge counts implied by the recurrence
     c_{i+1} k_{i+1} = b_i k_i, kept as exact rationals.
 
@@ -241,12 +273,10 @@ class DistanceDistribution:
     so that such candidates still reach the resistance classification.
     """
 
-    k_sizes: tuple[Fraction, ...]
-    n: Fraction
-    e: tuple[Fraction, ...]
-    m: Fraction
-    integral: bool
-    shells_integral: bool
+    def __init__(
+        self, k_sizes: tuple[Fraction, ...], n: Fraction, e: tuple[Fraction, ...], m: Fraction, integral: bool, shells_integral: bool
+    ) -> None:
+        self.__dict__.update(k_sizes=k_sizes, n=n, e=e, m=m, integral=integral, shells_integral=shells_integral)
 
 
 def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistribution:

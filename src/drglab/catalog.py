@@ -11,25 +11,29 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arrays import IntersectionArray, compute_distance_distribution, parse_intersection_array
+from .arrays import IntersectionArray, _Record, compute_distance_distribution, parse_intersection_array
 from .potentials import potentials_closed_form
 from .rational import decimal_string
 from .resistance import extremal_set
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    aliases: tuple[str, ...]
-    array: IntersectionArray
-    vertices: int
-    printed_ratio: str
-    table: str
-    construction: Optional[tuple[str, tuple[int, ...]]]
+class CatalogEntry(_Record):
+    def __init__(
+        self,
+        name: str,
+        aliases: tuple[str, ...],
+        array: IntersectionArray,
+        vertices: int,
+        printed_ratio: str,
+        table: str,
+        construction: Optional[tuple[str, tuple[int, ...]]],
+    ) -> None:
+        self.__dict__.update(
+            name=name, aliases=aliases, array=array, vertices=vertices, printed_ratio=printed_ratio, table=table, construction=construction
+        )
 
     @property
     def has_explicit_construction(self) -> bool:
@@ -71,13 +75,9 @@ def catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class RecomputedEntry:
-    n: int
-    ratio: Fraction
-    ratio_rendered: str
-    n_matches: bool
-    ratio_matches: bool
+class RecomputedEntry(_Record):
+    def __init__(self, n: int, ratio: Fraction, ratio_rendered: str, n_matches: bool, ratio_matches: bool) -> None:
+        self.__dict__.update(n=n, ratio=ratio, ratio_rendered=ratio_rendered, n_matches=n_matches, ratio_matches=ratio_matches)
 
     @property
     def matches(self) -> bool:

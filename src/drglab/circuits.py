@@ -20,11 +20,10 @@ commands that never build a Laplacian never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .arrays import IntersectionArray
+from .arrays import IntersectionArray, _Record
 from .graphs import ExplicitGraph, bfs_distances, verify_distance_regular
 from .potentials import PotentialSequence
 from .rational import solve_exact
@@ -47,14 +46,11 @@ class NotConverged(RuntimeError):
     """The Jacobi eigensolver ran out of sweeps above its threshold."""
 
 
-@dataclass(frozen=True)
-class PotentialAssignment:
+class PotentialAssignment(_Record):
     """A full vertex-to-voltage map for the adjacent terminal pair."""
 
-    values: tuple[Fraction, ...]
-    u: int
-    v: int
-    expected_current: int
+    def __init__(self, values: tuple[Fraction, ...], u: int, v: int, expected_current: int) -> None:
+        self.__dict__.update(values=values, u=u, v=v, expected_current=expected_current)
 
 
 def build_harmonic_function(

@@ -27,8 +27,11 @@ import contextlib
 import functools
 import os
 import sys
+
+# the C string escaper that `json.encoder` itself imports: importing the json
+# package for it would load its decoder and scanner as well
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import INFINITY, encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .arrays import _b_half, _c_half, integer, parse_intersection_array
@@ -40,6 +43,7 @@ if TYPE_CHECKING:
     from .scanner import ScanRecord
 
 SCHEMA = 1
+INFINITY = float("inf")
 
 
 class _Parser(argparse.ArgumentParser):

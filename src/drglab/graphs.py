@@ -6,10 +6,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .arrays import IntersectionArray, integer
+from .arrays import IntersectionArray, _Record, integer
 
 
 # the most vertices an explicit graph may have: every check on one grows as
@@ -78,15 +77,12 @@ def bfs_distances(g: ExplicitGraph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-@dataclass(frozen=True)
-class RegularityFailure:
+class RegularityFailure(_Record):
     """First witness that neighbor counts do not depend on distance alone."""
 
-    pair: tuple[int, int]
-    distance: int
-    kind: str  # "b" or "c"
-    expected: int
-    found: int
+    def __init__(self, pair: tuple[int, int], distance: int, kind: str, expected: int, found: int) -> None:
+        # kind is "b" or "c"
+        self.__dict__.update(pair=pair, distance=distance, kind=kind, expected=expected, found=found)
 
     def __str__(self) -> str:
         return (

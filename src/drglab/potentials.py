@@ -20,10 +20,9 @@ the potentials over their least common denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _vertex_count
+from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _Record, _vertex_count
 
 RECURSIVE = "recursive"
 CLOSED_FORM = "closed-form"
@@ -37,17 +36,15 @@ class PropertyViolation(Exception):
         self.index = index
 
 
-@dataclass(frozen=True)
-class PotentialSequence:
+class PotentialSequence(_Record):
     """Exact voltages phi_0 ... phi_D.
 
     The boundary value phi_D = 0 is stored as the last entry so consumers
     never special-case the end of the sequence.
     """
 
-    array: IntersectionArray
-    phi: tuple[Fraction, ...]
-    source: str
+    def __init__(self, array: IntersectionArray, phi: tuple[Fraction, ...], source: str) -> None:
+        self.__dict__.update(array=array, phi=phi, source=source)
 
     def ratio(self) -> Fraction:
         """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrays import (
     DistanceDistribution,
     IntersectionArray,
+    _Record,
     compute_distance_distribution,
     parse_intersection_array,
 )
@@ -54,8 +54,7 @@ def extremal_set() -> tuple[ExtremalEntry, ...]:
     return _EXTREMAL
 
 
-@dataclass(frozen=True)
-class ResistanceProfile:
+class ResistanceProfile(_Record):
     """Resistances d_1 < ... < d_D between vertices at each distance.
 
     m stays an exact rational: parity-violating candidates with whole
@@ -63,12 +62,8 @@ class ResistanceProfile:
     are still worth reporting.
     """
 
-    d: tuple[Fraction, ...]
-    ratio: Fraction
-    K_factor: Fraction
-    n: int
-    m: Fraction
-    k: int
+    def __init__(self, d: tuple[Fraction, ...], ratio: Fraction, K_factor: Fraction, n: int, m: Fraction, k: int) -> None:
+        self.__dict__.update(d=d, ratio=ratio, K_factor=K_factor, n=n, m=m, k=k)
 
     def at(self, j: int) -> Fraction:
         if not 1 <= j <= len(self.d):

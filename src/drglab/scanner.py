@@ -31,12 +31,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _unchecked_array, _vertex_count, validate_basic
+from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _Record, _unchecked_array, _vertex_count, validate_basic
 from .resistance import BiggsClass, BiggsVerdict, classify_ratio
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
@@ -47,21 +46,15 @@ PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound",
 MAX_RAW_CANDIDATES = 10**8
 
 
-@dataclass(frozen=True)
-class ScanQuery:
-    k_min: int
-    k_max: int
-    d_min: int
-    d_max: int
-    n_max: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.k_min < 3:
+class ScanQuery(_Record):
+    def __init__(self, k_min: int, k_max: int, d_min: int, d_max: int, n_max: Optional[int] = None) -> None:
+        if k_min < 3:
             raise ValueError("valency range must start at 3 or above")
-        if self.k_max < self.k_min or self.d_max < self.d_min or self.d_min < 1:
+        if k_max < k_min or d_max < d_min or d_min < 1:
             raise ValueError("empty or invalid query ranges")
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if n_max is not None and n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        self.__dict__.update(k_min=k_min, k_max=k_max, d_min=d_min, d_max=d_max, n_max=n_max)
 
 
 def _multichoose(values: int, length: int) -> int:
@@ -70,19 +63,15 @@ def _multichoose(values: int, length: int) -> int:
 
 
 def _cell_estimates(query: ScanQuery) -> Iterator[int]:
-    # raw monotone (b, c) pairs of each (k, D) cell, at least 1 for k >= 3
+    # raw monotone (b, c) pairs of each (k, D) cell, at least 1 for k >= 3: an
+    # upper bound on the cell's candidates before the cross condition prunes
     for k in range(query.k_min, query.k_max + 1):
         for D in range(query.d_min, query.d_max + 1):
             yield _multichoose(k - 1, D - 1) * _multichoose(k, D - 1)
 
 
-def estimate_candidates(query: ScanQuery) -> int:
-    """Upper bound on raw monotone (b, c) pairs before cross-condition pruning."""
-    return sum(_cell_estimates(query))
-
-
 def _exceeds_budget(query: ScanQuery) -> bool:
-    """Whether estimate_candidates(query) > MAX_RAW_CANDIDATES, summing only
+    """Whether sum(_cell_estimates(query)) > MAX_RAW_CANDIDATES, summing only
     until the limit is passed; a box of more cells than the limit is refused
     without a sum, since every cell holds a raw candidate."""
     cells = (query.k_max - query.k_min + 1) * (query.d_max - query.d_min + 1)

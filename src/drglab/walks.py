@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
@@ -44,6 +43,7 @@ from .arrays import (
     FeasibilityReport,
     HeadBound,
     IntersectionArray,
+    _Record,
     check_divisibility,
     compute_distance_distribution,
     diameter_head_bound,
@@ -70,21 +70,36 @@ TABLE_CAP = 1 << 14
 MAX_BLOCK = 8
 
 
-@dataclass(frozen=True)
-class WalkBoundsReport:
+class WalkBoundsReport(_Record):
     """Exact commute times and the universal bounds they must respect."""
 
-    array: IntersectionArray
-    n: int
-    m: Fraction
-    commute_times: tuple[Fraction, ...]
-    hitting_bound: int  # 2(n-1)
-    commute_bound: int  # 4(n-1)
-    cover_bound_dominant: float  # 4(n-1) ln n, asymptotic dominant term
-    spectral_lower_bound: Fraction  # k / (4(n-1))
-    resistance_gap_bound: Fraction  # 1 / (n d_D)
-    middle_inequality_holds: bool  # 1/(n d_D) >= k/(4(n-1)), exact
-    over_commute_bound: tuple[int, ...]  # distances j with C_j > 4(n-1)
+    def __init__(
+        self,
+        array: IntersectionArray,
+        n: int,
+        m: Fraction,
+        commute_times: tuple[Fraction, ...],
+        hitting_bound: int,  # 2(n-1)
+        commute_bound: int,  # 4(n-1)
+        cover_bound_dominant: float,  # 4(n-1) ln n, asymptotic dominant term
+        spectral_lower_bound: Fraction,  # k / (4(n-1))
+        resistance_gap_bound: Fraction,  # 1 / (n d_D)
+        middle_inequality_holds: bool,  # 1/(n d_D) >= k/(4(n-1)), exact
+        over_commute_bound: tuple[int, ...],  # distances j with C_j > 4(n-1)
+    ) -> None:
+        self.__dict__.update(
+            array=array,
+            n=n,
+            m=m,
+            commute_times=commute_times,
+            hitting_bound=hitting_bound,
+            commute_bound=commute_bound,
+            cover_bound_dominant=cover_bound_dominant,
+            spectral_lower_bound=spectral_lower_bound,
+            resistance_gap_bound=resistance_gap_bound,
+            middle_inequality_holds=middle_inequality_holds,
+            over_commute_bound=over_commute_bound,
+        )
 
 
 def commute_time(arr: IntersectionArray, j: int) -> Fraction:
@@ -134,12 +149,9 @@ def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile)
     )
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float
-    stderr: float
-    trials: int
-    seed: int
+class MonteCarloEstimate(_Record):
+    def __init__(self, mean: float, stderr: float, trials: int, seed: int) -> None:
+        self.__dict__.update(mean=mean, stderr=stderr, trials=trials, seed=seed)
 
 
 def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEstimate:
@@ -331,16 +343,14 @@ def simulate_cover_time(
     return _estimate(total, total_sq, trials, seed)
 
 
-@dataclass(frozen=True)
-class WalkReport:
+class WalkReport(_Record):
     """A seeded hitting-time estimate between vertices at distance j against
     the exact m d_j, half the commute time 2 m d_j."""
 
-    array: IntersectionArray
-    distance: int
-    pair: tuple[int, int]
-    expected: Fraction
-    estimate: MonteCarloEstimate
+    def __init__(
+        self, array: IntersectionArray, distance: int, pair: tuple[int, int], expected: Fraction, estimate: MonteCarloEstimate
+    ) -> None:
+        self.__dict__.update(array=array, distance=distance, pair=pair, expected=expected, estimate=estimate)
 
     @property
     def within_3_stderr(self) -> bool:
@@ -367,15 +377,24 @@ def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> 
     return lambda: WalkReport(verified, from_distance, pair, expected, simulate_hitting_time(g, *pair, trials, seed))
 
 
-@dataclass(frozen=True)
-class SpectralCheckReport:
+class SpectralCheckReport(_Record):
     """The chain sigma >= 1/(n d_D) >= k/(4(n-1)) on one graph."""
 
-    sigma: float
-    resistance_gap_bound: Fraction
-    spectral_lower_bound: Fraction
-    sigma_holds: bool  # sigma >= 1/(n d_D) within SIGMA_TOL
-    middle_holds: bool  # exact rational comparison
+    def __init__(
+        self,
+        sigma: float,
+        resistance_gap_bound: Fraction,
+        spectral_lower_bound: Fraction,
+        sigma_holds: bool,  # sigma >= 1/(n d_D) within SIGMA_TOL
+        middle_holds: bool,  # exact rational comparison
+    ) -> None:
+        self.__dict__.update(
+            sigma=sigma,
+            resistance_gap_bound=resistance_gap_bound,
+            spectral_lower_bound=spectral_lower_bound,
+            sigma_holds=sigma_holds,
+            middle_holds=middle_holds,
+        )
 
 
 def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckReport:
@@ -418,16 +437,19 @@ class OracleRow(NamedTuple):
     equal: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Every formula of the verified array, grounded on one explicit graph."""
 
-    array: IntersectionArray
-    harmonic: PotentialAssignment  # terminals 0 and its first neighbor
-    residual: Fraction  # largest neighbor-sum residual off the terminals
-    current: Fraction  # measured current out of harmonic.u
-    oracle: tuple[OracleRow, ...]
-    spectral: SpectralCheckReport
+    def __init__(
+        self,
+        array: IntersectionArray,
+        harmonic: PotentialAssignment,  # terminals 0 and its first neighbor
+        residual: Fraction,  # largest neighbor-sum residual off the terminals
+        current: Fraction,  # measured current out of harmonic.u
+        oracle: tuple[OracleRow, ...],
+        spectral: SpectralCheckReport,
+    ) -> None:
+        self.__dict__.update(array=array, harmonic=harmonic, residual=residual, current=current, oracle=oracle, spectral=spectral)
 
     @property
     def residual_zero(self) -> bool:
@@ -480,19 +502,31 @@ def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | R
     return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))
 
 
-@dataclass(frozen=True)
-class AnalyzeReport:
+class AnalyzeReport(_Record):
     """Every screen of one intersection array and, when it is realizable,
     its potentials, resistances, verdict and walk bounds."""
 
-    feasibility: FeasibilityReport
-    distribution: DistanceDistribution
-    divisibility: CheckResult  # reported, not gating
-    head: HeadBound  # reported, not gating
-    potentials: PotentialSequence | None = None
-    profile: ResistanceProfile | None = None
-    verdict: BiggsVerdict | None = None
-    bounds: WalkBoundsReport | None = None
+    def __init__(
+        self,
+        feasibility: FeasibilityReport,
+        distribution: DistanceDistribution,
+        divisibility: CheckResult,  # reported, not gating
+        head: HeadBound,  # reported, not gating
+        potentials: PotentialSequence | None = None,
+        profile: ResistanceProfile | None = None,
+        verdict: BiggsVerdict | None = None,
+        bounds: WalkBoundsReport | None = None,
+    ) -> None:
+        self.__dict__.update(
+            feasibility=feasibility,
+            distribution=distribution,
+            divisibility=divisibility,
+            head=head,
+            potentials=potentials,
+            profile=profile,
+            verdict=verdict,
+            bounds=bounds,
+        )
 
     @property
     def realizable(self) -> bool:
@@ -517,10 +551,10 @@ class AnalyzeReport:
 def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
     """The `AnalyzeReport` of an array; raises `ValueError` for a
     realizable array of valency k <= 2, which the classification excludes."""
-    dist = compute_distance_distribution(arr)
-    report = AnalyzeReport(validate_basic(arr), dist, check_divisibility(arr), diameter_head_bound(arr))
-    if not report.realizable:
-        return report
+    feasibility, dist = validate_basic(arr), compute_distance_distribution(arr)
+    screens = (feasibility, dist, check_divisibility(arr), diameter_head_bound(arr))
+    if not (feasibility.overall and dist.shells_integral):  # the report's `realizable`
+        return AnalyzeReport(*screens)
     profile = profile_from_distribution(arr, dist)
     verdict = classify_ratio(arr, profile.ratio)
-    return replace(report, potentials=potentials_recursive(arr), profile=profile, verdict=verdict, bounds=walk_bounds_from_profile(arr, profile))
+    return AnalyzeReport(*screens, potentials_recursive(arr), profile, verdict, walk_bounds_from_profile(arr, profile))

@@ -1,6 +1,5 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
-import dataclasses
 import errno
 import gc
 import hashlib
@@ -15,7 +14,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drglab import circuits, cli, construct_named_graph, potentials_recursive, resistance_profile, scanner, to_edge_list, verify_distance_regular, walks
+from drglab import (
+    PotentialSequence,
+    ResistanceProfile,
+    circuits,
+    cli,
+    construct_named_graph,
+    potentials_recursive,
+    resistance_profile,
+    scanner,
+    to_edge_list,
+    verify_distance_regular,
+    walks,
+)
 from drglab.cli import _build_parser, _load_graph, main
 from drglab.scanner import ScanQuery, scan
 
@@ -132,7 +143,7 @@ class TestAnalyze:
         # potentials must give the same one
         def phi1_off_by_a_seventh(arr):
             p = potentials_recursive(arr)
-            return dataclasses.replace(p, phi=(p.phi[0], p.phi[1] + Fraction(1, 7), *p.phi[2:]))
+            return PotentialSequence(p.array, (p.phi[0], p.phi[1] + Fraction(1, 7), *p.phi[2:]), p.source)
 
         assert main(["analyze", "(3,2,1;1,2,3)"]) == 0
         unpatched = capsys.readouterr().out
@@ -357,7 +368,7 @@ class TestVerify:
     def test_formula_off_the_oracle_fails(self, monkeypatch, tmp_path, capsys):
         def d1_off_by_a_seventh(arr):
             profile = resistance_profile(arr)
-            return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+            return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
 
         monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
         assert main(["verify", "petersen"]) == 2
@@ -579,7 +590,7 @@ class TestWalk:
     def test_formula_off_the_estimate_fails(self, monkeypatch, tmp_path):
         def d1_off_by_a_seventh(arr):
             profile = resistance_profile(arr)
-            return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+            return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
 
         monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
         code, payload = run_json(tmp_path, ["walk", "petersen", "--from-distance", "1", "--trials", "2000", "--seed", "1"])
@@ -1000,9 +1011,13 @@ def test_numpy_loads_only_for_graph_commands():
 
 
 # the drglab modules a fresh process holds after `import drglab` (no
-# arguments) or after one command
+# arguments) or after one command, then which of the slow standard modules
+# below it loaded that the interpreter's `site` had not (`.pth` files differ
+# between hosts)
 MODULES_PROBE = """
-import contextlib, io, sys
+import sys
+at_start = set(sys.modules)
+import contextlib, io
 argv = sys.argv[1:]
 if argv:
     from drglab.cli import main
@@ -1012,6 +1027,7 @@ if argv:
 else:
     import drglab
 print(*sorted(name for name in sys.modules if name.startswith("drglab.")))
+print(*sorted(name for name in ("dataclasses", "inspect", "json") if name in sys.modules and name not in at_start))
 """
 
 CATALOG_PATH = ("arrays", "catalog", "potentials", "rational", "resistance")
@@ -1034,7 +1050,11 @@ def test_each_command_imports_only_the_modules_it_runs(argv, extra):
     # fresh process per command, so that the sets do not accumulate
     result = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == sorted(f"drglab.{name}" for name in CATALOG_PATH + extra)
+    drglab_modules, slow_modules = result.stdout.splitlines()
+    assert drglab_modules.split() == sorted(f"drglab.{name}" for name in CATALOG_PATH + extra)
+    # `dataclasses` loads `inspect`; numpy loads `inspect` on the graph commands
+    if "graphs" not in extra:
+        assert slow_modules == ""
 
 
 BLAS_PROBE = """

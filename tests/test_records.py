@@ -1,6 +1,7 @@
 """The record classes' contract: every record drglab defines takes its
 fields in one order, positionally or by keyword, prints them in that order,
-equals and hashes as the tuple of its fields, and refuses assignment."""
+equals and hashes alike a record of its class with equal fields, and
+refuses assignment."""
 
 import pickle
 from fractions import Fraction

@@ -24,7 +24,6 @@ from drglab import (
     compute_distance_distribution,
     diameter_head_bound,
     enumerate_arrays,
-    estimate_candidates,
     evaluate_array,
     parse_intersection_array,
     recompute_entry,
@@ -119,14 +118,14 @@ class TestQueryLimits:
 
     def test_estimate_dominates_actual(self):
         q = ScanQuery(3, 4, 2, 4)
-        assert estimate_candidates(q) >= sum(1 for _ in enumerate_arrays(q))
+        assert sum(scanner._cell_estimates(q)) >= sum(1 for _ in enumerate_arrays(q))
 
     @pytest.mark.parametrize("box", [(3, 3, 1, 1), (3, 4, 2, 4), (3, 8, 1, 8), (5, 9, 3, 6), (3, 40, 1, 2)])
     def test_refusal_matches_estimate(self, box, monkeypatch):
         # the refusal stops summing once past the limit; it must agree with
         # the full estimate on either side of the limit
         query = ScanQuery(*box)
-        total = estimate_candidates(query)
+        total = sum(scanner._cell_estimates(query))
         for budget in (total - 1, total, total + 1, 1, 0):
             monkeypatch.setattr(scanner, "MAX_RAW_CANDIDATES", budget)
             if total > budget:

@@ -1,6 +1,5 @@
 """Commute times, walk bounds, Monte Carlo estimation, spectral chain."""
 
-import dataclasses
 import math
 import os
 import random
@@ -22,6 +21,7 @@ from drglab import (
     BiggsClass,
     ExplicitGraph,
     RegularityFailure,
+    ResistanceProfile,
     VerifyReport,
     WalkReport,
     analyze_array,
@@ -185,7 +185,7 @@ class TestSpectralCheck:
 def d1_off_by_a_seventh(arr):
     """The array's resistance profile with d_1 raised by 1/7."""
     profile = resistance_profile(arr)
-    return dataclasses.replace(profile, d=(profile.d[0] + Fraction(1, 7), *profile.d[1:]))
+    return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
 
 
 class TestVerifyGraph:
