@@ -7,12 +7,17 @@ distance-regular, verification mismatch, walk estimate off target).
 
 JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
-rendered half-even to six places.  Every payload is written by `_json_text`,
-in the bytes that `json.dumps` gives with `indent=2`, but without the
-standard library's pure-Python indenting encoder.  `scan` streams: records come from
-the scanner one at a time in canonical order and each is written as soon as
-it is rendered, in those same bytes, so memory stays flat however large the
-box.
+rendered half-even to six places.  Every payload has the bytes that
+`json.dumps` gives with `indent=2`, without the standard library's
+pure-Python indenting encoder: `analyze` fills one template from its report,
+`scan` fills one per record, and every other payload, with the scan's head
+and foot, is written by `_json_text`.  `scan` streams: records come from the
+scanner one at a time in canonical order and each is written as soon as it
+is rendered, so memory stays flat however large the box.
+
+`main` hands a command named first straight to that command's parser, which
+is the parser the top-level parse would hand it to; every other argv goes
+through the top-level parse.
 
 Each handler imports the modules it runs when it is called, so a command
 loads only those: `catalog` loads the catalog path that `import drglab`
@@ -32,7 +37,7 @@ import sys
 # package for it would load its decoder and scanner as well
 from _json import encode_basestring_ascii
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .arrays import _b_half, _c_half, integer, parse_intersection_array
 from .catalog import catalog, recompute_entry
@@ -52,9 +57,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _num(value: Fraction):
-    """Whole rationals as JSON numbers, everything else as 'p/q' strings."""
-    return value.numerator if value.denominator == 1 else str(value)
+def _float_text(value: float) -> str:
+    """json's text of a float: its repr, or NaN and the infinities."""
+    if value != value:
+        return "NaN"
+    if value == INFINITY or value == -INFINITY:
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
 
 
 def _json_text(value) -> str:
@@ -82,12 +91,7 @@ def _json_chunks(value, indent: str, chunks: list[str]) -> None:
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
     elif isinstance(value, float):
-        if value != value:
-            chunks.append("NaN")
-        elif value == INFINITY or value == -INFINITY:
-            chunks.append("Infinity" if value > 0 else "-Infinity")
-        else:
-            chunks.append(float.__repr__(value))
+        chunks.append(_float_text(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             chunks.append("[]")
@@ -161,6 +165,155 @@ def _emit(out: TextIO, args, payload: Callable[[], dict], table: Callable[[], li
 # ---------------------------------------------------------------------- analyze
 
 
+# the analyze payload up to its head bound, then _ANALYZE_INFEASIBLE or, for a
+# realizable array, _ANALYZE_REALIZABLE; each list's items fill one %s
+_ANALYZE_HEAD = """{
+  "schema": %d,
+  "command": "analyze",
+  "array": "%s",
+  "validation": {
+    "overall": %s,
+    "checks": [%s
+    ]
+  },
+  "distribution": {
+    "shells": [%s
+    ],
+    "n": %s,
+    "m": %s,
+    "edge_counts": [%s
+    ],
+    "integral": %s
+  },
+  "divisibility": {
+    "passed": %s,
+    "detail": %s
+  },
+  "head_bound": {
+    "j": %d,
+    "bound": %d,
+    "passed": %s
+  },
+"""
+_ANALYZE_CHECK = """{
+        "name": %s,
+        "passed": %s,
+        "detail": %s
+      }"""
+_ANALYZE_INFEASIBLE = """  "verdict": null,
+  "realizable": false
+}"""
+_ANALYZE_REALIZABLE = """  "potentials": {
+    "fractions": [%s
+    ],
+    "decimals": [%s
+    ],
+    "source": %s
+  },
+  "resistance": {
+    "d": [%s
+    ],
+    "d_decimals": [%s
+    ],
+    "ratio": "%s",
+    "ratio_decimal": "%s",
+    "K_factor": "%s"
+  },
+  "verdict": {
+    "array": "%s",
+    "ratio_fraction": "%s",
+    "ratio_decimal": "%s",
+    "class": %s,
+    "matched_extremal": %s
+  },
+  "walk_bounds": {
+    "array": "%s",
+    "n": %d,
+    "m": %s,
+    "commute_times": [%s
+    ],
+    "hitting_bound": %d,
+    "commute_bound": %d,
+    "cover_bound_dominant": %s,
+    "spectral_lower_bound": "%s"
+  }
+}"""
+# JSON's text of a bool, indexed by it
+_BOOL = ("false", "true")
+_ITEM = "\n      "
+_ITEMS = "," + _ITEM
+_QUOTED_ITEMS = '"' + _ITEMS + '"'
+
+
+def _items(texts: Iterable[str]) -> str:
+    """The items of a list in a payload's second level, each on its own line."""
+    return _ITEM + _ITEMS.join(texts)
+
+
+def _quoted(texts: Iterable[str]) -> str:
+    """`_items` of texts that need no escaping, rationals and decimals, as strings."""
+    return _ITEM + '"' + _QUOTED_ITEMS.join(texts) + '"'
+
+
+def _number(value: Fraction) -> str:
+    """A whole rational as a JSON number, any other as a 'p/q' string."""
+    return str(value) if value.denominator == 1 else f'"{value}"'
+
+
+def _analyze_json(arr, report) -> str:
+    """The analyze payload, in the bytes `json.dumps` gives with `indent=2`,
+    from the templates.  No list in it is empty: an array has D >= 1 and
+    five structural screens.  `analyze_array` builds the verdict and the
+    walk bounds of `arr` itself and classifies the profile's ratio, so the
+    texts of the array and the ratio are rendered once."""
+    screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
+    array = str(arr)
+    checks = (_ANALYZE_CHECK % (encode_basestring_ascii(c.name), _BOOL[c.passed], encode_basestring_ascii(c.detail)) for c in screens.checks)
+    # one line of arguments per object of the payload
+    text = _ANALYZE_HEAD % (
+        SCHEMA, array, _BOOL[screens.overall], _items(checks),
+        _items(map(_number, dist.k_sizes)), _number(dist.n), _number(dist.m), _items(map(_number, dist.e)), _BOOL[dist.integral],
+        _BOOL[divisibility.passed], encode_basestring_ascii(divisibility.detail),
+        head.j, head.bound, _BOOL[head.passed],
+    )
+    if not report.realizable:
+        return text + _ANALYZE_INFEASIBLE
+    phi, profile, verdict, bounds = report.potentials.phi, report.profile, report.verdict, report.bounds
+    ratio, ratio_decimal = str(profile.ratio), decimal_string(profile.ratio)
+    matched = "null" if verdict.matched_extremal is None else encode_basestring_ascii(verdict.matched_extremal)
+    return text + _ANALYZE_REALIZABLE % (
+        _quoted(map(str, phi)), _quoted(map(decimal_string, phi)), encode_basestring_ascii(report.potentials.source),
+        _quoted(map(str, profile.d)), _quoted(map(decimal_string, profile.d)), ratio, ratio_decimal, profile.K_factor,
+        array, ratio, ratio_decimal, encode_basestring_ascii(verdict.category.value), matched,
+        array, bounds.n, _number(bounds.m), _quoted(map(str, bounds.commute_times)), bounds.hitting_bound, bounds.commute_bound,
+        _float_text(bounds.cover_bound_dominant), bounds.spectral_lower_bound,
+    )
+
+
+def _analyze_table(arr, report) -> str:
+    """The analyze table, one line a field."""
+    screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
+    p, profile, verdict, bounds = report.potentials, report.profile, report.verdict, report.bounds
+    lines = [
+        f"array            {arr}",
+        f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",
+        f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+        f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
+        f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
+    ]
+    if not report.realizable:
+        lines.append("verdict          INFEASIBLE (fails structural or shell-integrality screens)")
+    else:
+        lines += [
+            f"potentials       {[str(x) for x in p.phi]}",
+            f"resistances      {[str(x) for x in profile.d]}",
+            f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
+            f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
+            f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
+        ]
+    return "\n".join(lines)
+
+
 def _cmd_analyze(args) -> int:
     from .walks import analyze_array
 
@@ -175,84 +328,9 @@ def _cmd_analyze(args) -> int:
 
     with _output(args) as out:
         report = analyze_array(arr)
-        screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
-        p, profile, verdict, bounds = report.potentials, report.profile, report.verdict, report.bounds
-
-        def payload() -> dict:
-            base = {
-                "schema": SCHEMA,
-                "command": "analyze",
-                "array": str(arr),
-                "validation": {
-                    "overall": screens.overall,
-                    "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in screens.checks],
-                },
-                "distribution": {
-                    "shells": [_num(x) for x in dist.k_sizes],
-                    "n": _num(dist.n),
-                    "m": _num(dist.m),
-                    "edge_counts": [_num(x) for x in dist.e],
-                    "integral": dist.integral,
-                },
-                "divisibility": {"passed": divisibility.passed, "detail": divisibility.detail},
-                "head_bound": {"j": head.j, "bound": head.bound, "passed": head.passed},
-            }
-            if not report.realizable:
-                return {**base, "verdict": None, "realizable": False}
-            return {
-                **base,
-                "potentials": {
-                    "fractions": [str(x) for x in p.phi],
-                    "decimals": [decimal_string(x) for x in p.phi],
-                    "source": p.source,
-                },
-                "resistance": {
-                    "d": [str(x) for x in profile.d],
-                    "d_decimals": [decimal_string(x) for x in profile.d],
-                    "ratio": str(profile.ratio),
-                    "ratio_decimal": decimal_string(profile.ratio),
-                    "K_factor": str(profile.K_factor),
-                },
-                "verdict": {
-                    "array": str(verdict.array),
-                    "ratio_fraction": str(verdict.ratio),
-                    "ratio_decimal": decimal_string(verdict.ratio),
-                    "class": verdict.category.value,
-                    "matched_extremal": verdict.matched_extremal,
-                },
-                "walk_bounds": {
-                    "array": str(arr),
-                    "n": bounds.n,
-                    "m": _num(bounds.m),
-                    "commute_times": [str(x) for x in bounds.commute_times],
-                    "hitting_bound": bounds.hitting_bound,
-                    "commute_bound": bounds.commute_bound,
-                    "cover_bound_dominant": bounds.cover_bound_dominant,
-                    "spectral_lower_bound": str(bounds.spectral_lower_bound),
-                },
-            }
-
-        def table() -> list[str]:
-            lines = [
-                f"array            {arr}",
-                f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",
-                f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
-                f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
-                f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
-            ]
-            if not report.realizable:
-                return lines + ["verdict          INFEASIBLE (fails structural or shell-integrality screens)"]
-            return lines + [
-                f"potentials       {[str(x) for x in p.phi]}",
-                f"resistances      {[str(x) for x in profile.d]}",
-                f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
-                f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
-                f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
-            ]
-
-        _emit(out, args, payload, table)
+        out.write((_analyze_json if args.format == "json" else _analyze_table)(arr, report) + "\n")
         if not report.routes_agree:
-            print(f"analyze: the recursion's ratio {report._recursion_ratio} differs from the closed form's {profile.ratio}", file=sys.stderr)
+            print(f"analyze: the recursion's ratio {report._recursion_ratio} differs from the closed form's {report.profile.ratio}", file=sys.stderr)
         return 0 if report.passed else 2
 
 
@@ -613,6 +691,7 @@ def _build_parser() -> _Parser:
     p_walk.add_argument("--seed", type=integer, default=0, help="seed of the walks' random.Random stream, at least 0")
     p_walk.set_defaults(func=_cmd_walk)
 
+    parser.commands = sub.choices  # each command's parser by its name
     return parser
 
 
@@ -621,8 +700,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     # first use, after this, and extra threads cost up to 25x at n = 210
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # what parse_args does for a command named first, without its
+            # pass over the arguments that the command's parser reads again
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

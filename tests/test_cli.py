@@ -14,12 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import analyze_payload_reference
 from drglab import (
+    FeasibilityReport,
+    IntersectionArray,
     PotentialSequence,
     ResistanceProfile,
     circuits,
     cli,
     construct_named_graph,
+    parse_intersection_array,
     potentials_recursive,
     resistance_profile,
     scanner,
@@ -683,7 +687,17 @@ GOLDEN = [
     (["analyze", "(5,4;1,4)", "--format", "json"], "74fc414053fb47e03ff18744dc757e64955530ebfac7a9e3dcc1a8d9ce46aee1"),
     (["analyze", "(5,2;1,3)"], "7e409577c57e720002a000be26e43769fce66403a79fcd79b3c8cddff7bdf70c"),
     (["analyze", "(5,2;1,3)", "--format", "json"], "9929ce11f6c17b7080e5278a4a5a94f5fbdb3d251969c208bce5bb16fcbf130f"),
+    # recorded before analyze wrote its JSON from one template over its
+    # report: the four extremal arrays, the only EXTREMAL verdicts, one
+    # matched name with an apostrophe ("Tutte's 12-Cage")
+    (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "--format", "json"], "3eb755356c10d21ba2a7c864814e684125adad3d36eac453016da646c6a2be9b"),
+    (["analyze", "(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)", "--format", "json"], "6fe9a27ed6656ded86fb8a29284e80d751d88ff3ee320c9d79091fdd408c7e78"),
+    (["analyze", "(4,2,2,2,2,2;1,1,1,1,1,2)", "--format", "json"], "e2b9c04d380ecd80c8e796837eaed35aff0ac282e171f3dbe2452ffd3528e271"),
+    (["analyze", "(3,2,2,2,2,2;1,1,1,1,1,3)", "--format", "json"], "ee12f36fb01cb8c13706131cac3d297f47e30d67a1457f89fee4a64e17af4dfe"),
 ]
+
+
+ANALYZE_JSON_PINS = [(argv, digest) for argv, digest in GOLDEN if argv[0] == "analyze" and "json" in argv]
 
 
 def stdout_digest(argv, prism, capsys) -> str:
@@ -709,6 +723,14 @@ class TestGoldenBytes:
         for fmt in ("table", "json"):
             assert main(["analyze", array, "--format", fmt]) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,digest", ANALYZE_JSON_PINS, ids=[argv[1] for argv, _ in ANALYZE_JSON_PINS])
+    def test_analyze_json_needs_no_general_writer(self, argv, digest, monkeypatch, capsys):
+        def refuse(value):
+            raise AssertionError("analyze called the general JSON writer")
+
+        monkeypatch.setattr(cli, "_json_text", refuse)
+        assert stdout_digest(argv, None, capsys) == digest
 
     def test_repeated_calls_in_one_process(self, prism, capsys):
         # the parser is built once per process; no state may leak from one
@@ -771,10 +793,137 @@ class TestJsonWriter:
         try:
             cli._json_text(payload)
             assert main(["analyze", "(5,4;1,4)", "--format", "json"]) == 0
+            assert main(["catalog", "--format", "json"]) == 0
             assert gc.collect() == 0
         finally:
             gc.enable()
         capsys.readouterr()
+
+
+def _array(b, c) -> IntersectionArray:
+    return IntersectionArray(tuple(b), tuple(c))
+
+
+# 12 entries of at most 25 digits: 300 digits in all, the most analyze admits
+_big_entries = st.integers(1, 25).flatmap(lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1))
+
+
+@st.composite
+def analyze_arrays(draw):
+    """Arrays of valency >= 3 and D <= 6, from three mixes: any halves, most
+    of which fail a structural screen; halves in the monotone shape a
+    distance-regular graph has, whose shells are often fractional, often
+    whole and sometimes whole with a half-integral m; and halves with
+    entries of up to 25 digits."""
+    D = draw(st.integers(1, 6))
+    mix = draw(st.sampled_from(["any", "shaped", "big"]))
+    if mix == "shaped":
+        k = draw(st.integers(3, 8))
+        b = [k] + sorted(draw(st.lists(st.integers(1, k - 1), min_size=D - 1, max_size=D - 1)), reverse=True)
+        c = [1] + sorted(draw(st.lists(st.integers(1, k), min_size=D - 1, max_size=D - 1)))
+        return _array(b, c)
+    entries = st.integers(1, 9) if mix == "any" else _big_entries
+    b = [draw(st.integers(3, 9) if mix == "any" else _big_entries.filter(lambda k: k >= 3))]
+    b += draw(st.lists(entries, min_size=D - 1, max_size=D - 1))
+    return _array(b, draw(st.lists(entries, min_size=D, max_size=D)))
+
+
+# each case the writer must cover, with the array that shows it
+ANALYZE_EXAMPLES = {
+    "structural screen fails": "(3,3;1,1)",
+    "fractional shells": "(5,2;1,3)",
+    "whole shells, half-integral m": "(5,4;1,4)",
+    "PASS_STRICT": "(3,2,1;1,2,3)",
+    "VIOLATION": "(5,2,2,1,1,1,1;1,1,1,1,1,1,4)",
+    "EXTREMAL Tutte's 12-Cage": "(3,2,2,2,2,2;1,1,1,1,1,3)",
+    "EXTREMAL Foster Graph": "(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)",
+    "EXTREMAL Biggs-Smith Graph": "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)",
+    "EXTREMAL Flag graph of GH(2,2)": "(4,2,2,2,2,2;1,1,1,1,1,2)",
+    "300 digits, realizable": f"({10**149 - 1},1;1,{10**149 - 1})",
+    "300 digits, fractional shell": f"({10**297 - 1},1;1,5)",
+}
+
+
+def _with_examples(test):
+    for text in ANALYZE_EXAMPLES.values():
+        test = example(parse_intersection_array(text))(test)
+    return test
+
+
+class TestAnalyzeJson:
+    @_with_examples
+    @given(analyze_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_payload_dict(self, arr):
+        report = walks.analyze_array(arr)
+        assert cli._analyze_json(arr, report) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+
+    def test_free_text_is_escaped(self):
+        # no text drglab writes today needs escaping, so put some in by hand
+        arr = parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)")
+        report = walks.analyze_array(arr)
+        odd = 'a "quoted" \\ téxt\n\U0001f600'
+        screens = FeasibilityReport(tuple(check._replace(name=odd, detail=odd) for check in report.feasibility.checks))
+        fields = {name: getattr(report, name) for name in report._fields}
+        fields.update(feasibility=screens, divisibility=report.divisibility._replace(detail=odd))
+        fields.update(potentials=PotentialSequence(arr, report.potentials.phi, odd), verdict=report.verdict._replace(matched_extremal=odd))
+        report = walks.AnalyzeReport(**fields)
+        assert cli._analyze_json(arr, report) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+
+    def test_examples_cover_every_case(self):
+        reports = {case: walks.analyze_array(parse_intersection_array(text)) for case, text in ANALYZE_EXAMPLES.items()}
+        failed = reports["structural screen fails"]
+        assert not failed.feasibility.overall and failed.feasibility.failed()[0].detail
+        assert reports["fractional shells"].distribution.n.denominator == 3
+        half = reports["whole shells, half-integral m"]
+        assert half.distribution.shells_integral and half.distribution.m.denominator == 2 and half.realizable
+        for case in ("PASS_STRICT", "VIOLATION"):
+            assert reports[case].verdict.category.value == case
+        extremal = {case: report for case, report in reports.items() if case.startswith("EXTREMAL")}
+        assert {report.verdict.category.value for report in extremal.values()} == {"EXTREMAL"}
+        assert reports["EXTREMAL Tutte's 12-Cage"].verdict.matched_extremal == "Tutte's 12-Cage"
+        assert len({report.verdict.matched_extremal for report in extremal.values()}) == 4
+        assert reports["300 digits, realizable"].realizable
+        assert reports["300 digits, fractional shell"].distribution.n.denominator == 5
+
+
+def reference_main(argv):
+    """`main` as it parsed before it handed a command named first to that
+    command's own parser: every argv through the top-level `parse_args`."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "(3,2,1;1,2,3)"],
+            ["analyze", "(5,4;1,4)", "--format", "json"],
+            ["scan", "--k", "3", "--diameter", "1..3", "--format", "json"],
+            ["catalog", "--recompute"],
+            ["verify", "petersen", "--format", "json"],
+            ["walk", "hypercube", "3", "--from-distance", "3", "--trials", "200", "--seed", "1"],
+            [],
+            ["-h"],
+            ["analyze", "-h"],
+            ["frobnicate"],
+            ["scan", "--k", "3", "--diameter", "2", "--budget", "5"],
+            ["scan", "--k", "3"],
+            ["analyze", "(3,2,1;1,2,3)", "--form", "json"],
+            ["analyze", "--", "(3,2,1;1,2,3)"],
+            ["walk", "petersen", "--from-distance", "1", "--seed", "-7"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no arguments",
+    )
+    def test_same_as_the_top_level_parse(self, argv, capsys):
+        code = main(list(argv))
+        routed = capsys.readouterr()
+        assert (code, routed.out, routed.err) == (reference_main(list(argv)), *capsys.readouterr())
+        assert routed.out or routed.err
 
 
 class TestUnwritableOutput:
