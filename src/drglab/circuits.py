@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .arrays import IntersectionArray, _Record
 from .graphs import ExplicitGraph, bfs_distances, verify_distance_regular
-from .potentials import PotentialSequence
+from .potentials import PotentialSequence, _over_one_denominator
 from .rational import solve_exact
 
 if TYPE_CHECKING:
@@ -82,18 +82,12 @@ def _harmonic_function(g: ExplicitGraph, u: int, v: int, p: PotentialSequence) -
     return PotentialAssignment(values, u, v, g.n * p.array.k)
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(f.denominator for f in values))
-    return [f.numerator * (den // f.denominator) for f in values], den
-
-
 def check_harmonicity(g: ExplicitGraph, assignment: PotentialAssignment) -> Fraction:
     """Largest absolute neighbor-sum residual away from the terminals.
 
     A true voltage function returns exactly 0.
     """
-    f, den = _scaled(assignment.values)
+    den, f = _over_one_denominator(assignment.values)
     terminals = (assignment.u, assignment.v)
     worst = max(
         (abs(sum(f[x] for x in near) - len(near) * f[z]) for z, near in enumerate(g.adjacency) if z not in terminals),
@@ -105,7 +99,7 @@ def check_harmonicity(g: ExplicitGraph, assignment: PotentialAssignment) -> Frac
 def measure_current(g: ExplicitGraph, assignment: PotentialAssignment) -> Fraction:
     """Net current leaving the source terminal u; the circuit predicts n*k."""
     near = g.adjacency[assignment.u]
-    f, den = _scaled([assignment.values[x] for x in (assignment.u, *near)])
+    den, f = _over_one_denominator([assignment.values[x] for x in (assignment.u, *near)])
     return Fraction(len(near) * f[0] - sum(f[1:]), den)
 
 

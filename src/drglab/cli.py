@@ -395,7 +395,6 @@ def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) ->
         b_text, c_text = b_texts[array.b], c_texts[array.c]
         if record.ruled_out_by_biggs_alone:
             ruled_out.append(b_text + c_text)
-        n_text = str(n) if n.denominator == 1 else f'"{n}"'
         if ratio is None:
             ratio_text = decimal = "null"
         else:
@@ -405,7 +404,7 @@ def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) ->
             tail = tails[failing, None, None]
         else:
             tail = tails[failing, verdict.category, verdict.matched_extremal]
-        out.write(sep + _SCAN_RECORD % (b_text, c_text, n_text, ratio_text, decimal, tail))
+        out.write(sep + _SCAN_RECORD % (b_text, c_text, _number(n), ratio_text, decimal, tail))
         sep = ","
     # the foot's own "{" is already open in the head
     foot = _json_text({"ruled_out_by_biggs_alone": ruled_out})

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _Record, _vertex_count
 
@@ -52,7 +53,7 @@ class PotentialSequence(_Record):
         return Fraction(sum(scaled[1:-1]), scaled[0])
 
 
-def _over_one_denominator(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The least common denominator of the values and their numerators over it."""
     den = math.lcm(*(value.denominator for value in values))
     return den, [value.numerator * (den // value.denominator) for value in values]
