@@ -305,11 +305,18 @@ def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistributio
 
 
 def _vertex_count(arr: IntersectionArray) -> Fraction:
-    """n = 1 + (b0/c1)(1 + (b1/c2)(1 + ...)), over the one denominator c1...cD."""
+    """n, the number of vertices, as a rational; see `_vertex_terms`."""
+    return Fraction(*_vertex_terms(arr))
+
+
+def _vertex_terms(arr: IntersectionArray) -> tuple[int, int]:
+    """n = 1 + (b0/c1)(1 + (b1/c2)(1 + ...)) as its numerator and
+    denominator, summed over the one denominator c1...cD and reduced once."""
     num = den = 1
     for b, c in zip(reversed(arr.b), reversed(arr.c)):
         num, den = c * den + b * num, c * den
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _clique_order(b: Sequence[int], c: Sequence[int]) -> Optional[int]:

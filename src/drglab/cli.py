@@ -11,9 +11,10 @@ rendered half-even to six places.  Every payload has the bytes that
 `json.dumps` gives with `indent=2`, without the standard library's
 pure-Python indenting encoder: `analyze` fills one template from its report,
 `scan` fills one per record, and every other payload, with the scan's head
-and foot, is written by `_json_text`.  `scan` streams: records come from the
-scanner one at a time in canonical order and each is written as soon as it
-is rendered, so memory stays flat however large the box.
+and foot, is written by `_json_text`.  `scan` streams: the scanner's kernel
+yields one tuple per candidate in canonical order, and each is written from
+its ints as soon as it is rendered, with no `ScanRecord` built, so memory
+stays flat however large the box.
 
 `main` hands a command named first straight to that command's parser, which
 is the parser the top-level parse would hand it to; every other argv goes
@@ -41,11 +42,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .arrays import _b_half, _c_half, integer, parse_intersection_array
 from .catalog import catalog, recompute_entry
-from .rational import decimal_string
+from .rational import _decimal, decimal_string
 
 if TYPE_CHECKING:
     from .graphs import ExplicitGraph
-    from .scanner import ScanRecord
 
 SCHEMA = 1
 INFINITY = float("inf")
@@ -337,13 +337,20 @@ def _cmd_analyze(args) -> int:
 # ------------------------------------------------------------------------- scan
 
 
-# a record up to its ratio_decimal, then the tail from _SCAN_TAIL
-_SCAN_RECORD = """
+# a record up to its ratio_decimal, with a ratio or without one, then the
+# tail from _SCAN_TAIL
+_SCAN_RATED = """
     {
       "array": "%s%s",
       "n": %s,
-      "ratio": %s,
-      "ratio_decimal": %s,%s"""
+      "ratio": "%s",
+      "ratio_decimal": "%s",%s"""
+_SCAN_SCREENED = """
+    {
+      "array": "%s%s",
+      "n": %s,
+      "ratio": null,
+      "ratio_decimal": null,%s"""
 _SCAN_TAIL = """
       "first_failing_check": %s,
       "class": %s,
@@ -376,10 +383,14 @@ def _scan_tail(outcome: tuple) -> str:
     )
 
 
-def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) -> None:
-    """The scan payload, one write per record, in the bytes `json.dumps`
-    gives for the whole of it with `indent=2`: the head and the
-    ruled-out list come from `_json_text`, each record from the templates.
+def _write_scan_json(out: TextIO, query: dict, outcomes: Iterator[tuple]) -> None:
+    """The scan payload, one write per record, straight from the tuples of
+    the scanner's kernel (`scanner._outcomes`): a whole n prints as a
+    number, any other n or ratio as a "p/q" string, and no `ScanRecord`,
+    the library's form of a record, is built.  The bytes are those
+    `json.dumps` gives for the whole payload with `indent=2`: the head and
+    the ruled-out list come from `_json_text`, each record from the
+    templates.
 
     A box repeats few `b` halves, `c` halves and outcomes across its
     records, so the text of each distinct one is rendered once per call and
@@ -390,46 +401,45 @@ def _write_scan_json(out: TextIO, query: dict, records: Iterator[ScanRecord]) ->
     b_texts, c_texts, tails = _Texts(_b_half), _Texts(_c_half), _Texts(_scan_tail)
     ruled_out = []
     sep = ""
-    for record in records:
-        array, n, ratio, failing, verdict = record
+    for array, (n, n_den), p, q, failing, category, matched in outcomes:
         b_text, c_text = b_texts[array.b], c_texts[array.c]
-        if record.ruled_out_by_biggs_alone:
-            ruled_out.append(b_text + c_text)
-        if ratio is None:
-            ratio_text = decimal = "null"
+        n_text = n if n_den == 1 else f'"{n}/{n_den}"'
+        tail = tails[failing, category, matched]
+        if p is None:
+            text = _SCAN_SCREENED % (b_text, c_text, n_text, tail)
         else:
-            ratio_text = f'"{ratio}"'
-            decimal = f'"{decimal_string(ratio)}"'
-        if verdict is None:
-            tail = tails[failing, None, None]
-        else:
-            tail = tails[failing, verdict.category, verdict.matched_extremal]
-        out.write(sep + _SCAN_RECORD % (b_text, c_text, _number(n), ratio_text, decimal, tail))
+            if failing == "biggs_violation":
+                ruled_out.append(b_text + c_text)
+            text = _SCAN_RATED % (b_text, c_text, n_text, p if q == 1 else f"{p}/{q}", _decimal(p, q), tail)
+        out.write(sep + text)
         sep = ","
     # the foot's own "{" is already open in the head
     foot = _json_text({"ruled_out_by_biggs_alone": ruled_out})
     out.write(("\n  ]," if sep else "],") + foot[1:] + "\n")
 
 
-def _write_scan_table(out: TextIO, records: Iterator[ScanRecord]) -> None:
-    """The table: a header row, one row per record, then the totals line.
-    The array column is joined from its halves' texts, each rendered once
-    per call as in `_write_scan_json`."""
+def _write_scan_table(out: TextIO, outcomes: Iterator[tuple]) -> None:
+    """The table: a header row, one row per record, then the totals line,
+    each row straight from a kernel tuple as in `_write_scan_json`.  The
+    array column is joined from its halves' texts, each rendered once per
+    call."""
     b_texts, c_texts = _Texts(_b_half), _Texts(_c_half)
     out.write(_TABLE_ROW % ("array", "n", "first_failing", "ratio", "class"))
     shown = ruled_out = 0
-    for record in records:
+    for array, (n, n_den), p, q, failing, category, _ in outcomes:
         shown += 1
-        ruled_out += record.ruled_out_by_biggs_alone
-        array, n, ratio, failing, verdict = record
-        ratio_text = "-" if ratio is None else decimal_string(ratio)
-        category = "-" if verdict is None else verdict.category.value
-        out.write(_TABLE_ROW % (b_texts[array.b] + c_texts[array.c], n, failing, ratio_text, category))
+        if p is None:
+            ratio_text = category_text = "-"
+        else:
+            ruled_out += failing == "biggs_violation"
+            ratio_text, category_text = _decimal(p, q), category.value
+        n_text = n if n_den == 1 else f"{n}/{n_den}"
+        out.write(_TABLE_ROW % (b_texts[array.b] + c_texts[array.c], n_text, failing, ratio_text, category_text))
     out.write(f"total {shown} record(s); {ruled_out} ruled out by the resistance bound alone\n")
 
 
 def _cmd_scan(args) -> int:
-    from .scanner import ScanQuery, _records
+    from .scanner import ScanQuery, _outcomes
 
     try:
         k_lo, k_hi = _range(args.k)
@@ -440,19 +450,19 @@ def _cmd_scan(args) -> int:
     # every refusal (ranges, jobs, box size) is raised here, before --output is opened
     try:
         query = ScanQuery(k_lo, k_hi, d_lo, d_hi, n_max=args.n_max)
-        records = _records(query, jobs=args.jobs)
+        outcomes = _outcomes(query, jobs=args.jobs)
     except ValueError as exc:
         print(f"scan: {exc}", file=sys.stderr)
         return 1
     if args.only_biggs:
-        records = (record for record in records if record.ruled_out_by_biggs_alone)
+        outcomes = (outcome for outcome in outcomes if outcome[4] == "biggs_violation")
 
     with _output(args) as out:
         if args.format == "json":
             box = {"k": [k_lo, k_hi], "diameter": [d_lo, d_hi], "n_max": args.n_max, "only_biggs": args.only_biggs}
-            _write_scan_json(out, box, records)
+            _write_scan_json(out, box, outcomes)
         else:
-            _write_scan_table(out, records)
+            _write_scan_table(out, outcomes)
     return 0
 
 

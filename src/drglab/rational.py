@@ -18,15 +18,19 @@ def decimal_string(value: Fraction, places: int = 6) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    p, q = value.numerator, value.denominator
-    whole, rem = divmod(abs(p) * 10**places, q)
+    return _decimal(value.numerator, value.denominator, places)
+
+
+def _decimal(p: int, q: int, places: int = 6) -> str:
+    """`decimal_string` of p/q, for q > 0 and places >= 0."""
+    scale = 10**places
+    whole, rem = divmod(abs(p) * scale, q)
     if 2 * rem > q or (2 * rem == q and whole & 1):
         whole += 1
     sign = "-" if p < 0 else ""
     if places == 0:
         return f"{sign}{whole}"
-    digits = f"{whole:0{places + 1}d}"
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return "%s%d.%0*d" % (sign, whole // scale, places, whole % scale)
 
 
 def solve_exact(

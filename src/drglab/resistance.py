@@ -124,12 +124,27 @@ def classify_ratio(arr: IntersectionArray, ratio: Fraction) -> BiggsVerdict:
     array equality: a distinct array whose ratio merely coincides with an
     extremal value is still a VIOLATION.
     """
+    _check_valency(arr)
+    category, matched = _classify(arr, ratio.numerator, ratio.denominator)
+    return BiggsVerdict(arr, category, ratio, matched)
+
+
+def _check_valency(arr: IntersectionArray) -> None:
     if arr.k <= 2:
         raise ValueError(f"classification needs valency >= 3, got k = {arr.k}")
-    # ratio < BIGGS_THRESHOLD, cross-multiplied over the positive denominators
-    if ratio.numerator * BIGGS_THRESHOLD.denominator < BIGGS_THRESHOLD.numerator * ratio.denominator:
-        return BiggsVerdict(arr, BiggsClass.PASS_STRICT, ratio)
+
+
+_THRESHOLD_P, _THRESHOLD_Q = BIGGS_THRESHOLD.numerator, BIGGS_THRESHOLD.denominator
+
+
+def _classify(arr: IntersectionArray, p: int, q: int) -> tuple[BiggsClass, Optional[str]]:
+    """`classify_ratio`'s rule on the ratio p/q, q > 0, of an array of
+    valency >= 3: its category and matched extremal name.  Below the
+    threshold is decided by one cross-multiplication; only a ratio at or
+    above it is looked up in the extremal set."""
+    if p * _THRESHOLD_Q < _THRESHOLD_P * q:
+        return BiggsClass.PASS_STRICT, None
     for entry in _EXTREMAL:
         if arr == entry.array:
-            return BiggsVerdict(arr, BiggsClass.EXTREMAL, ratio, entry.name)
-    return BiggsVerdict(arr, BiggsClass.VIOLATION, ratio)
+            return BiggsClass.EXTREMAL, entry.name
+    return BiggsClass.VIOLATION, None

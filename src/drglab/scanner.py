@@ -13,15 +13,18 @@ enumerator: the recursion carries the whole shell sizes
 k_{j+1} = k_j b_j / c_{j+1} down as it fills each c slot, the kernel reads
 divisibility and the head bound through the integer predicates that
 `check_divisibility` and `diameter_head_bound` report from, and the
-resistance ratio stays in exact ints until one `Fraction` is reduced.
+resistance ratio stays in exact ints, reduced once by their gcd and
+classified by `classify_ratio`'s integer rule.  The kernel's outcome of a
+candidate is a plain tuple: the array, n as (numerator, denominator), the
+reduced ratio as ints p and q, the first failing check, the category and
+the matched extremal name.  Outcomes stream: `_outcomes` yields them one at
+a time in canonical order, and the CLI writes each as it comes, with no
+`Fraction` or record built.  `ScanRecord` (with its `BiggsVerdict`, each a
+named tuple) is the library's form: `scan` lists one per outcome, and
 `evaluate_array` computes the sizes of a single array for the same kernel.
 Tests check every record against the `Fraction` route (distance
 distribution, closed-form potentials, `classify_ratio`, each a chain of
-`Fraction` operations) that they keep as their reference.  Records stream:
-`_records` yields them one at a time in canonical order, which the CLI
-writes as it goes, and `scan` is its list form.  A record (`ScanRecord`,
-with its `BiggsVerdict`) is a named tuple, the cheapest immutable record to
-build once per candidate.
+`Fraction` operations) that they keep as their reference.
 The scan runs in one process: shipping an array to a worker and its record
 back costs the parent more than evaluating it.
 """
@@ -35,8 +38,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _Record, _unchecked_array, _vertex_count, validate_basic
-from .resistance import BiggsClass, BiggsVerdict, classify_ratio
+from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _Record, _unchecked_array, _vertex_terms, validate_basic
+from .resistance import BiggsClass, BiggsVerdict, _check_valency, _classify
 
 PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
 
@@ -107,13 +110,14 @@ def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
 
     The sizes k_{j+1} = k_j b_j / c_{j+1} are carried down the recursion as
     each c slot is filled, so a prefix that does not divide is found once
-    for all the arrays below it.
+    for all the arrays below it; the b half is one tuple for every array
+    that shares it.
     """
     b = [k] + [0] * (D - 1)
     c = [1] + [0] * (D - 1)
     sizes = [1, k] + [0] * (D - 1)  # k_0 = 1 and k_1 = k b_0 / c_1 = k
 
-    def extend_c(j: int, whole: bool) -> Iterator[_Leaf]:
+    def extend_c(b_half: tuple[int, ...], j: int, whole: bool) -> Iterator[_Leaf]:
         # slot j holds c_{j+1}: at least the previous entry, at most
         # b_{D-j-1} (cross condition, binding at the largest b index) and
         # k - b_{j+1} (a_{j+1} >= 0); the final slot is capped at k alone
@@ -130,14 +134,14 @@ def _arrays_for(k: int, D: int) -> Iterator[_Leaf]:
                     sizes[j + 1] = size
                     divides = True
             if last:
-                yield _unchecked_array(tuple(b), tuple(c)), tuple(sizes) if divides else None
+                yield _unchecked_array(b_half, tuple(c)), tuple(sizes) if divides else None
             else:
-                yield from extend_c(j + 1, divides)
+                yield from extend_c(b_half, j + 1, divides)
 
     def extend_b(i: int) -> Iterator[_Leaf]:
         if i == D:
             if D >= 2:
-                yield from extend_c(1, True)
+                yield from extend_c(tuple(b), 1, True)
             else:
                 yield _unchecked_array(tuple(b), tuple(c)), tuple(sizes)
             return
@@ -161,23 +165,49 @@ class ScanRecord(NamedTuple):
         return self.first_failing_check == "biggs_violation"
 
 
+# the kernel's outcome of one candidate: (array, (n's numerator, n's
+# denominator), p, q, first_failing_check, category, matched_extremal), where
+# p/q is the reduced ratio; the last four but the check are None unless the
+# biggs stage ran
+_Outcome = tuple[IntersectionArray, tuple[int, int], Optional[int], Optional[int], str, Optional[BiggsClass], Optional[str]]
+
+
+def _record(outcome: _Outcome) -> ScanRecord:
+    """The `ScanRecord` of a kernel outcome."""
+    arr, (n, n_den), p, q, failing, category, matched = outcome
+    if p is None:
+        return ScanRecord(arr, Fraction(n, n_den), None, failing, None)
+    ratio = Fraction(p, q)
+    return ScanRecord(arr, Fraction(n, n_den), ratio, failing, BiggsVerdict(arr, category, ratio, matched))
+
+
+def _screened_out(arr: IntersectionArray, stage: str) -> _Outcome:
+    """The outcome of an array that `stage` screens out, n from its halves."""
+    return arr, _vertex_terms(arr), None, None, stage, None, None
+
+
 def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanRecord:
     """Run one candidate through the pipeline, stopping at the first failure:
     the structural battery, then its shell sizes and the integer kernel."""
     if not validate_basic(arr).overall:
-        return ScanRecord(arr, _vertex_count(arr), None, "basic", None)
+        return _record(_screened_out(arr, "basic"))
     sizes = [1]
     for b_i, c_next in zip(arr.b, arr.c):
         size, rem = divmod(sizes[-1] * b_i, c_next)
         if rem:
-            return _evaluate_leaf(n_max, arr, None)
+            return _record(_screened_out(arr, "integrality"))
         sizes.append(size)
-    return _evaluate_leaf(n_max, arr, sizes)
+    outcome = _outcome(n_max, arr, sizes)
+    if outcome[2] is not None:
+        # classify_ratio's refusal; a scan box starts at k = 3
+        _check_valency(arr)
+    return _record(outcome)
 
 
-def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> ScanRecord:
-    """The stages after `basic`, in exact integers, from the array's shell
-    sizes k_0 ... k_D, or None if one of them is not whole.
+def _outcome(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> _Outcome:
+    """The stages after `basic` for an array of valency >= 3, in exact
+    integers, from its shell sizes k_0 ... k_D, or None if one of them is
+    not whole.
 
     Integrality screens shell sizes only: a half-integral edge count (odd n
     times odd k) still reaches the resistance classification, mirroring how
@@ -189,40 +219,42 @@ def _evaluate_leaf(n_max: Optional[int], arr: IntersectionArray, sizes: Optional
     reference it is checked against.
     """
     if sizes is None:
-        return ScanRecord(arr, _vertex_count(arr), None, "integrality", None)
+        return _screened_out(arr, "integrality")
     n = sum(sizes)
     if n_max is not None and n > n_max:
-        return ScanRecord(arr, Fraction(n), None, "n_max", None)
+        return arr, (n, 1), None, None, "n_max", None, None
     b, c = arr.b, arr.c
     if not _divisibility_holds(b, c):
-        return ScanRecord(arr, Fraction(n), None, "divisibility", None)
+        return arr, (n, 1), None, None, "divisibility", None, None
     if not _head_bound_holds(b, c):
-        return ScanRecord(arr, Fraction(n), None, "head_bound", None)
+        return arr, (n, 1), None, None, "head_bound", None, None
     num, den, beyond = 0, 1, 0
     for i in range(len(b) - 1, 0, -1):
         beyond += sizes[i + 1]
         edges = sizes[i] * b[i]
         num, den = num * edges + beyond * den, den * edges
-    verdict = classify_ratio(arr, Fraction(b[0] * num, den * (n - 1)))
-    failing = "biggs_violation" if verdict.category is BiggsClass.VIOLATION else "pass"
-    return ScanRecord(arr, Fraction(n), verdict.ratio, failing, verdict)
+    p, q = b[0] * num, den * (n - 1)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    category, matched = _classify(arr, p, q)
+    return arr, (n, 1), p, q, "biggs_violation" if category is BiggsClass.VIOLATION else "pass", category, matched
 
 
-def _records(query: ScanQuery, jobs: int = 1) -> Iterator[ScanRecord]:
-    """The records of every candidate in the query box, one at a time, in
-    enumeration order, which is canonical.  `jobs` must be at least 1 and
-    selects nothing: the scan always runs in one process.  A bad `jobs` and
-    an over-budget box raise here, at the call, before any record is
-    produced."""
+def _outcomes(query: ScanQuery, jobs: int = 1) -> Iterator[_Outcome]:
+    """The kernel outcomes of every candidate in the query box, one at a
+    time, in enumeration order, which is canonical.  `jobs` must be at
+    least 1 and selects nothing: the scan always runs in one process.  A
+    bad `jobs` and an over-budget box raise here, at the call, before any
+    outcome is produced."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # the enumerator enforces the structural battery, so the `basic` stage
     # is skipped, and each leaf is evaluated from the shell sizes the
     # enumerator carried down to it
-    return itertools.starmap(functools.partial(_evaluate_leaf, query.n_max), _candidates(query))
+    return itertools.starmap(functools.partial(_outcome, query.n_max), _candidates(query))
 
 
 def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:
-    """The list form of `_records`: every record of the query box, in
-    enumeration order."""
-    return list(_records(query, jobs))
+    """Every record of the query box, in enumeration order: the list form of
+    the kernel's outcomes."""
+    return list(map(_record, _outcomes(query, jobs)))

@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
+import contextlib
 import errno
+import functools
 import gc
 import hashlib
 import importlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import analyze_payload_reference
+import scan_payload_reference
 from drglab import (
     FeasibilityReport,
     IntersectionArray,
@@ -25,6 +30,7 @@ from drglab import (
     construct_named_graph,
     parse_intersection_array,
     potentials_recursive,
+    resistance,
     resistance_profile,
     scanner,
     to_edge_list,
@@ -718,6 +724,7 @@ GOLDEN = [
 ]
 
 ANALYZE_JSON_PINS = [pin for pin in GOLDEN if pin[0][0] == "analyze" and "json" in pin[0]]
+SCAN_PINS = [pin for pin in GOLDEN if pin[0][0] == "scan"]
 
 # the verify pins at n = 128 and n = 210 spend 1.3-3.8 s each in Jacobi
 REPEATED_PINS = [pin for pin in GOLDEN if pin[0][:3] not in (["verify", "hypercube", "7"], ["verify", "johnson", "10"])]
@@ -748,6 +755,20 @@ class TestGoldenBytes:
 
         monkeypatch.setattr(cli, "_json_text", refuse)
         assert stdout_digest(argv, None, capsys) == (digest, code)
+
+    @pytest.mark.parametrize("argv,digest,code", SCAN_PINS, ids=[" ".join(pin[0][1:]) for pin in SCAN_PINS])
+    def test_scan_builds_no_record(self, argv, digest, code, monkeypatch, capsys):
+        # the CLI writes the scanner's kernel tuples: no ScanRecord,
+        # BiggsVerdict or scanner Fraction per candidate; the library's
+        # scan() builds them
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan built a record")
+
+        for module, name in [(scanner, "ScanRecord"), (scanner, "BiggsVerdict"), (resistance, "BiggsVerdict"), (scanner, "Fraction")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert stdout_digest(argv, None, capsys) == (digest, code)
+        with pytest.raises(AssertionError, match="^the scan built a record$"):
+            scan(ScanQuery(3, 3, 1, 2))
 
     def test_repeated_calls_in_one_process(self, prism, capsys):
         # the parser is built once per process; no state may leak from one
@@ -902,6 +923,83 @@ class TestAnalyzeJson:
         assert len({report.verdict.matched_extremal for report in extremal.values()}) == 4
         assert reports["300 digits, realizable"].realizable
         assert reports["300 digits, fractional shell"].distribution.n.denominator == 5
+
+
+# the scan boxes of k 3..6, D 1..8 that hold at most this many candidates
+SCAN_BOX_CAP = 3000
+
+
+@functools.cache
+def small_scan_boxes() -> list[tuple[int, int, int, int]]:
+    counts = {
+        (k, D): sum(1 for _ in itertools.islice(scanner._arrays_for(k, D), SCAN_BOX_CAP + 1))
+        for k in range(3, 7)
+        for D in range(1, 9)
+    }
+    boxes = []
+    for k_lo, k_hi in itertools.combinations_with_replacement(range(3, 7), 2):
+        for d_lo, d_hi in itertools.combinations_with_replacement(range(1, 9), 2):
+            if sum(counts[k, D] for k in range(k_lo, k_hi + 1) for D in range(d_lo, d_hi + 1)) <= SCAN_BOX_CAP:
+                boxes.append((k_lo, k_hi, d_lo, d_hi))
+    return boxes
+
+
+@st.composite
+def scan_cases(draw):
+    """(box, n_max, only_biggs): a small box, with or without a vertex cap,
+    with or without --only-biggs."""
+    box = draw(st.sampled_from(small_scan_boxes()))
+    return box, draw(st.none() | st.integers(1, 500)), draw(st.booleans())
+
+
+# each case the writers must cover, with the scan that shows it
+SCAN_EXAMPLES = {
+    "fractional n": ((3, 3, 2, 2), None, False),
+    "half-integral m": ((5, 5, 2, 2), None, False),
+    "EXTREMAL Biggs-Smith Graph": ((3, 3, 7, 7), None, False),
+    "VIOLATION": ((3, 3, 7, 7), 200, True),
+    "D = 1": ((3, 6, 1, 1), None, False),
+    "empty --only-biggs": ((3, 4, 1, 2), None, True),
+}
+
+
+def _with_scan_examples(test):
+    for case in SCAN_EXAMPLES.values():
+        test = example(case)(test)
+    return test
+
+
+class TestScanBytes:
+    # the CLI writes the kernel's tuples; the reference writes the records
+    # of scan(), as the CLI did before
+    @_with_scan_examples
+    @given(scan_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_main_writes_the_reference_bytes(self, case):
+        (k_lo, k_hi, d_lo, d_hi), n_max, only_biggs = case
+        argv = ["scan", "--k", f"{k_lo}..{k_hi}", "--diameter", f"{d_lo}..{d_hi}"]
+        argv += [] if n_max is None else ["--n-max", str(n_max)]
+        argv += ["--only-biggs"] if only_biggs else []
+        for fmt in ("json", "table"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--format", fmt]) == 0
+            assert out.getvalue() == scan_payload_reference.scan_text(*case, fmt), fmt
+
+    def test_examples_cover_every_case(self):
+        def records(case):
+            box, n_max, only_biggs = case
+            found = scan(ScanQuery(*box, n_max=n_max))
+            return [r for r in found if r.ruled_out_by_biggs_alone] if only_biggs else found
+
+        cases = {name: records(case) for name, case in SCAN_EXAMPLES.items()}
+        assert any(r.n.denominator > 1 for r in cases["fractional n"])
+        assert any(r.verdict and r.n % 2 == 1 and r.array.k % 2 == 1 for r in cases["half-integral m"])
+        assert "Biggs-Smith Graph" in {r.verdict.matched_extremal for r in cases["EXTREMAL Biggs-Smith Graph"] if r.verdict}
+        assert cases["VIOLATION"] and all(r.verdict.category.value == "VIOLATION" for r in cases["VIOLATION"])
+        assert {r.array.D for r in cases["D = 1"]} == {1} and len(cases["D = 1"]) == 4
+        assert cases["empty --only-biggs"] == []
+        assert all(box in small_scan_boxes() for box, _, _ in SCAN_EXAMPLES.values())
 
 
 def reference_main(argv):

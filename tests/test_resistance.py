@@ -17,7 +17,7 @@ from drglab import (
     scan,
 )
 from drglab.rational import decimal_string
-from drglab.resistance import classify_ratio
+from drglab.resistance import _classify, classify_ratio
 
 CUBE = parse_intersection_array("(3,2,1;1,2,3)")
 PETERSEN = parse_intersection_array("(3,2;1,1)")
@@ -124,6 +124,28 @@ class TestIntegerThreshold:
         ratio = BIGGS_THRESHOLD + Fraction(offset, 10**12)
         strict = classify_ratio(CUBE, ratio).category is BiggsClass.PASS_STRICT
         assert strict == (ratio < BIGGS_THRESHOLD) == (offset < 0)
+
+    # the scanner classifies by the integer rule on the reduced p/q alone,
+    # which classify_ratio wraps; each case must give the same verdict
+    @pytest.mark.parametrize("arr", [CUBE, TWELVE_CAGE], ids=["cube", "12-cage"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_integer_rule_at_the_threshold(self, arr, offset):
+        ratio = BIGGS_THRESHOLD + Fraction(offset, 10**12)
+        verdict = classify_ratio(arr, ratio)
+        assert _classify(arr, ratio.numerator, ratio.denominator) == (verdict.category, verdict.matched_extremal)
+        assert (verdict.category is BiggsClass.PASS_STRICT) == (offset < 0)
+
+    @pytest.mark.parametrize("entry", extremal_set(), ids=lambda entry: entry.name)
+    def test_integer_rule_on_the_extremal_arrays(self, entry):
+        verdict = classify_ratio(entry.array, entry.ratio)
+        expected = (BiggsClass.EXTREMAL, entry.name)
+        assert _classify(entry.array, entry.ratio.numerator, entry.ratio.denominator) == (verdict.category, verdict.matched_extremal) == expected
+
+    @pytest.mark.parametrize("entry", extremal_set(), ids=lambda entry: entry.name)
+    def test_integer_rule_on_a_cube_at_an_extremal_ratio(self, entry):
+        verdict = classify_ratio(CUBE, entry.ratio)
+        expected = (BiggsClass.VIOLATION, None)
+        assert _classify(CUBE, entry.ratio.numerator, entry.ratio.denominator) == (verdict.category, verdict.matched_extremal) == expected
 
     def test_agrees_with_fraction_comparison_over_a_scan(self):
         sides = set()
