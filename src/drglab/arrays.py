@@ -11,6 +11,8 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
+from .rational import _fractions, _reduced
+
 
 class _Record:
     """The base of drglab's immutable records: each behaves as a frozen
@@ -101,7 +103,7 @@ def _unchecked_array(b: tuple[int, ...], c: tuple[int, ...]) -> IntersectionArra
     """An `IntersectionArray` from halves the caller guarantees are
     equal-length tuples of positive ints, without the constructor's checks: the
     enumerator builds only such halves, and the checks would be most of
-    the cost of each candidate."""
+    the cost of each candidate; the parser reads only such halves."""
     arr = object.__new__(IntersectionArray)
     fields = arr.__dict__
     fields["b"] = b
@@ -120,7 +122,6 @@ def _c_half(c: tuple[int, ...]) -> str:
 
 
 # ASCII digits only: `\d` and `int` also read other scripts' digits
-_TOKEN = re.compile(r"[0-9]+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -144,7 +145,9 @@ def parse_intersection_array(text: str) -> IntersectionArray:
 
     Lenient about whitespace, strict about everything else; entries of more
     than `MAX_ARRAY_DIGITS` digits in all are refused.  Structural
-    invariants are not checked here.
+    invariants are not checked here.  The halves are read as equal-length
+    tuples of positive ASCII ints, so the array is built without the
+    constructor's checks of them.
     """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -164,7 +167,9 @@ def parse_intersection_array(text: str) -> IntersectionArray:
             raise ValueError(f"empty {label} half in {text!r}")
         values = []
         for t in tokens:
-            if not _TOKEN.fullmatch(t):
+            # ASCII digits only, as `integer` reads them; of the ASCII
+            # characters, `isdigit` admits just 0-9
+            if not (t.isascii() and t.isdigit()):
                 raise ValueError(f"bad token {t!r} in {text!r}")
             digits += len(t)
             if digits > MAX_ARRAY_DIGITS:
@@ -179,7 +184,7 @@ def parse_intersection_array(text: str) -> IntersectionArray:
     c = read_half(halves[1], "c")
     if len(b) != len(c):
         raise ValueError(f"halves of {text!r} have lengths {len(b)} and {len(c)}")
-    return IntersectionArray(b, c)
+    return _unchecked_array(b, c)
 
 
 class CheckResult(NamedTuple):
@@ -250,9 +255,10 @@ def validate_basic(arr: IntersectionArray) -> FeasibilityReport:
         )
     )
 
+    # a_i = k - b_i - c_i, with b_D = 0 and c_0 = 0
     bad = None
-    for i in range(0, D + 1):
-        if arr.a_at(i) < 0:
+    for i, (b, c) in enumerate(zip(arr.b + (0,), (0,) + arr.c)):
+        if b + c > k:
             bad = i
             break
     checks.append(
@@ -281,27 +287,46 @@ class DistanceDistribution(_Record):
 
 def compute_distance_distribution(arr: IntersectionArray) -> DistanceDistribution:
     """The shells k_j, n, the edge counts e_i = k_i b_i and m = n k / 2,
-    carried over the one denominator C = c_1...c_D.
+    each one `Fraction` of `_distribution_terms`."""
+    return _distribution(_distribution_terms(arr))
+
+
+# the distance distribution in ints, each rational a reduced (numerator,
+# denominator) pair: (shells, n, edge counts, m, integral, shells_integral,
+# weights), the weights being the shells W_j over their one denominator
+_Counts = tuple[list[tuple[int, int]], tuple[int, int], list[tuple[int, int]], tuple[int, int], bool, bool, list[int]]
+
+
+def _distribution_terms(arr: IntersectionArray) -> _Counts:
+    """`compute_distance_distribution` in ints, over the one denominator
+    C = c_1...c_D.
 
     W_j = k_j C = b_0...b_{j-1} c_{j+1}...c_D is an integer, and
     W_{j+1} = W_j b_j / c_{j+1} divides exactly, so the recurrence runs in
-    ints and each reported value is one `Fraction` of them.
+    ints and each reported value is one reduced pair of them.
     """
     den = math.prod(arr.c)
     weights = [den]
     for b, c in zip(arr.b, arr.c):
         weights.append(weights[-1] * b // c)
     total = sum(weights)
-    m = Fraction(arr.k * total, 2 * den)
+    m = _reduced(arr.k * total, 2 * den)
     shells_integral = not any(w % den for w in weights)
-    return DistanceDistribution(
-        tuple(Fraction(w, den) for w in weights),
-        Fraction(total, den),
-        tuple(Fraction(w * b, den) for w, b in zip(weights, arr.b)),
+    return (
+        [_reduced(w, den) for w in weights],
+        _reduced(total, den),
+        [_reduced(w * b, den) for w, b in zip(weights, arr.b)],
         m,
-        shells_integral and m.denominator == 1,
+        shells_integral and m[1] == 1,
         shells_integral,
+        weights,
     )
+
+
+def _distribution(counts: _Counts) -> DistanceDistribution:
+    """The `DistanceDistribution` of `_distribution_terms`' counts."""
+    shells, n, edges, m, integral, shells_integral, _ = counts
+    return DistanceDistribution(_fractions(shells), Fraction(*n), _fractions(edges), Fraction(*m), integral, shells_integral)
 
 
 def _vertex_count(arr: IntersectionArray) -> Fraction:

@@ -14,9 +14,9 @@ import os
 from fractions import Fraction
 from typing import Optional
 
-from .arrays import IntersectionArray, _Record, compute_distance_distribution, parse_intersection_array
-from .potentials import potentials_closed_form
-from .rational import decimal_string
+from .arrays import IntersectionArray, _distribution_terms, _Record, parse_intersection_array
+from .potentials import _closed_form_terms, _ratio_terms
+from .rational import _decimal
 from .resistance import extremal_set
 
 
@@ -85,14 +85,14 @@ class RecomputedEntry(_Record):
 
 
 def recompute_entry(entry: CatalogEntry) -> RecomputedEntry:
-    dist = compute_distance_distribution(entry.array)
-    ratio = potentials_closed_form(entry.array, dist).ratio()
+    _, (n, n_den), _, _, integral, _, weights = _distribution_terms(entry.array)
+    p, q = _ratio_terms(_closed_form_terms(entry.array, weights))
     places = len(entry.printed_ratio.split(".")[1]) if "." in entry.printed_ratio else 0
-    rendered = decimal_string(ratio, places)
+    rendered = _decimal(p, q, places)
     return RecomputedEntry(
-        n=int(dist.n),
-        ratio=ratio,
+        n=n // n_den,
+        ratio=Fraction(p, q),
         ratio_rendered=rendered,
-        n_matches=dist.integral and dist.n == entry.vertices,
+        n_matches=integral and n == entry.vertices,
         ratio_matches=rendered == entry.printed_ratio,
     )

@@ -9,8 +9,9 @@ JSON output carries a top-level  "schema": 1  and is byte-stable: fixed key
 order, fixed enumeration order, exact fractions as strings, decimals
 rendered half-even to six places.  Every payload has the bytes that
 `json.dumps` gives with `indent=2`, without the standard library's
-pure-Python indenting encoder: `analyze` fills one template from its report,
-`scan` fills one per record, and every other payload, with the scan's head
+pure-Python indenting encoder: `analyze` fills one template from the ints
+of its kernel (`walks._analysis`), with no `Fraction` built, `scan` fills
+one per record, and every other payload, with the scan's head
 and foot, is written by `_json_text`.  `scan` streams: the scanner's kernel
 yields one tuple per candidate in canonical order, and each is written from
 its ints as soon as it is rendered, with no `ScanRecord` built, so memory
@@ -37,12 +38,12 @@ import sys
 # the C string escaper that `json.encoder` itself imports: importing the json
 # package for it would load its decoder and scanner as well
 from _json import encode_basestring_ascii
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .arrays import _b_half, _c_half, integer, parse_intersection_array
 from .catalog import catalog, recompute_entry
 from .rational import _decimal, decimal_string
+from .resistance import BiggsClass
 
 if TYPE_CHECKING:
     from .graphs import ExplicitGraph
@@ -208,7 +209,7 @@ _ANALYZE_REALIZABLE = """  "potentials": {
     ],
     "decimals": [%s
     ],
-    "source": %s
+    "source": "recursive"
   },
   "resistance": {
     "d": [%s
@@ -255,67 +256,85 @@ def _quoted(texts: Iterable[str]) -> str:
     return _ITEM + '"' + _QUOTED_ITEMS.join(texts) + '"'
 
 
-def _number(value: Fraction) -> str:
-    """A whole rational as a JSON number, any other as a 'p/q' string."""
-    return str(value) if value.denominator == 1 else f'"{value}"'
+def _fraction_text(p: int, q: int) -> str:
+    """The text of the rational p/q, reduced with q > 0, as `str` gives it
+    for its `Fraction`."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
-def _analyze_json(arr, report) -> str:
+def _fraction_texts(terms: Iterable[tuple[int, int]]) -> list[str]:
+    """`_fraction_text` of each reduced (numerator, denominator) pair."""
+    return [_fraction_text(p, q) for p, q in terms]
+
+
+def _decimal_texts(terms: Iterable[tuple[int, int]]) -> list[str]:
+    """The six-place half-even decimal of each (numerator, denominator) pair."""
+    return [_decimal(p, q) for p, q in terms]
+
+
+def _number(term: tuple[int, int]) -> str:
+    """A reduced (numerator, denominator) pair: a whole rational as a JSON
+    number, any other as a 'p/q' string."""
+    p, q = term
+    return str(p) if q == 1 else f'"{p}/{q}"'
+
+
+def _analyze_json(arr, analysis) -> str:
     """The analyze payload, in the bytes `json.dumps` gives with `indent=2`,
-    from the templates.  No list in it is empty: an array has D >= 1 and
-    five structural screens.  `analyze_array` builds the verdict and the
-    walk bounds of `arr` itself and classifies the profile's ratio, so the
-    texts of the array and the ratio are rendered once."""
-    screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
+    from the templates, filled from the kernel's ints (`walks._analysis`).
+    No list in it is empty: an array has D >= 1 and five structural
+    screens.  The verdict and the walk bounds are those of `arr` itself,
+    and the verdict's ratio is the profile's, so the texts of the array and
+    the ratio are rendered once."""
+    screens, (shells, n, edges, m, integral, _, _), divisibility, head, derived = analysis
     array = str(arr)
     checks = (_ANALYZE_CHECK % (encode_basestring_ascii(c.name), _BOOL[c.passed], encode_basestring_ascii(c.detail)) for c in screens.checks)
     # one line of arguments per object of the payload
     text = _ANALYZE_HEAD % (
         SCHEMA, array, _BOOL[screens.overall], _items(checks),
-        _items(map(_number, dist.k_sizes)), _number(dist.n), _number(dist.m), _items(map(_number, dist.e)), _BOOL[dist.integral],
+        _items(map(_number, shells)), _number(n), _number(m), _items(map(_number, edges)), _BOOL[integral],
         _BOOL[divisibility.passed], encode_basestring_ascii(divisibility.detail),
         head.j, head.bound, _BOOL[head.passed],
     )
-    if not report.realizable:
+    if derived is None:
         return text + _ANALYZE_INFEASIBLE
-    phi, profile, verdict, bounds = report.potentials.phi, report.profile, report.verdict, report.bounds
-    ratio, ratio_decimal = str(profile.ratio), decimal_string(profile.ratio)
-    matched = "null" if verdict.matched_extremal is None else encode_basestring_ascii(verdict.matched_extremal)
+    phi, d, ratio, K, _, category, matched, (commutes, hitting, commute_cap, cover, spectral_floor, *_) = derived
+    ratio_text, ratio_decimal = _fraction_text(*ratio), _decimal(*ratio)
+    matched = "null" if matched is None else encode_basestring_ascii(matched)
     return text + _ANALYZE_REALIZABLE % (
-        _quoted(map(str, phi)), _quoted(map(decimal_string, phi)), encode_basestring_ascii(report.potentials.source),
-        _quoted(map(str, profile.d)), _quoted(map(decimal_string, profile.d)), ratio, ratio_decimal, profile.K_factor,
-        array, ratio, ratio_decimal, encode_basestring_ascii(verdict.category.value), matched,
-        array, bounds.n, _number(bounds.m), _quoted(map(str, bounds.commute_times)), bounds.hitting_bound, bounds.commute_bound,
-        _float_text(bounds.cover_bound_dominant), bounds.spectral_lower_bound,
+        _quoted(_fraction_texts(phi)), _quoted(_decimal_texts(phi)),
+        _quoted(_fraction_texts(d)), _quoted(_decimal_texts(d)), ratio_text, ratio_decimal, _fraction_text(*K),
+        array, ratio_text, ratio_decimal, encode_basestring_ascii(category.value), matched,
+        array, n[0], _number(m), _quoted(_fraction_texts(commutes)), hitting, commute_cap, _float_text(cover), _fraction_text(*spectral_floor),
     )
 
 
-def _analyze_table(arr, report) -> str:
-    """The analyze table, one line a field."""
-    screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
-    p, profile, verdict, bounds = report.potentials, report.profile, report.verdict, report.bounds
+def _analyze_table(arr, analysis) -> str:
+    """The analyze table, one line a field, from the kernel's ints."""
+    screens, (shells, n, _, m, integral, _, _), divisibility, head, derived = analysis
     lines = [
         f"array            {arr}",
         f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",
-        f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+        f"shells           {_fraction_texts(shells)}  n={_fraction_text(*n)}  m={_fraction_text(*m)}  integral={integral}",
         f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
         f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
     ]
-    if not report.realizable:
+    if derived is None:
         lines.append("verdict          INFEASIBLE (fails structural or shell-integrality screens)")
     else:
+        phi, d, ratio, _, _, category, matched, (commutes, _, commute_cap, *_) = derived
         lines += [
-            f"potentials       {[str(x) for x in p.phi]}",
-            f"resistances      {[str(x) for x in profile.d]}",
-            f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
-            f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
-            f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
+            f"potentials       {_fraction_texts(phi)}",
+            f"resistances      {_fraction_texts(d)}",
+            f"ratio            {_fraction_text(*ratio)} = {_decimal(*ratio)}",
+            f"verdict          {category.value}" + (f" ({matched})" if matched else ""),
+            f"commute times    {_fraction_texts(commutes)}  cap {commute_cap}",
         ]
     return "\n".join(lines)
 
 
 def _cmd_analyze(args) -> int:
-    from .walks import analyze_array
+    from .walks import _analysis
 
     try:
         arr = parse_intersection_array(args.array)
@@ -327,11 +346,16 @@ def _cmd_analyze(args) -> int:
         return 1
 
     with _output(args) as out:
-        report = analyze_array(arr)
-        out.write((_analyze_json if args.format == "json" else _analyze_table)(arr, report) + "\n")
-        if not report.routes_agree:
-            print(f"analyze: the recursion's ratio {report._recursion_ratio} differs from the closed form's {report.profile.ratio}", file=sys.stderr)
-        return 0 if report.passed else 2
+        analysis = _analysis(arr)
+        out.write((_analyze_json if args.format == "json" else _analyze_table)(arr, analysis) + "\n")
+        derived = analysis[4]
+        if derived is None:  # not realizable
+            return 2
+        _, _, ratio, _, recursion_ratio, category, _, _ = derived
+        if recursion_ratio != ratio:
+            print(f"analyze: the recursion's ratio {_fraction_text(*recursion_ratio)} differs from the closed form's {_fraction_text(*ratio)}", file=sys.stderr)
+            return 2
+        return 2 if category is BiggsClass.VIOLATION else 0
 
 
 # ------------------------------------------------------------------------- scan

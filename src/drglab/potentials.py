@@ -10,11 +10,13 @@ builds no distribution, so the two routes share nothing.  The recursion is
 the reference behind `classify_biggs`; `drglab analyze` prints it and
 `drglab verify` builds its harmonic function from it.
 
-Both routes run in ints and build one `Fraction` per potential.  The
-closed form reads the shells over one common denominator as integers W_j,
-so phi_i = k * sum_{j>i} W_j / (W_i b_i); the recursion carries the
-numerator of phi_i over its denominator den * b_1 ... b_i.  `ratio` sums
-the potentials over their least common denominator.
+Both routes run in ints, as (numerator, denominator) pairs that `drglab
+analyze` reduces and renders and the `PotentialSequence` functions wrap in
+one `Fraction` each.  The closed form reads the shells over one common
+denominator as integers W_j, so phi_i = k * sum_{j>i} W_j / (W_i b_i); the
+recursion carries the numerator of phi_i over its denominator
+den * b_1 ... b_i.  `ratio` sums the potentials over their least common
+denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _Record, _vertex_count
+from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _Record, _vertex_count, _vertex_terms
+from .rational import _fractions, _reduced, _terms
 
 RECURSIVE = "recursive"
 CLOSED_FORM = "closed-form"
@@ -49,38 +52,63 @@ class PotentialSequence(_Record):
 
     def ratio(self) -> Fraction:
         """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""
-        scaled = _over_one_denominator(self.phi)[1]
-        return Fraction(sum(scaled[1:-1]), scaled[0])
+        return Fraction(*_ratio_terms(_terms(self.phi)))
 
 
 def _over_one_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The least common denominator of the values and their numerators over it."""
-    den = math.lcm(*(value.denominator for value in values))
-    return den, [value.numerator * (den // value.denominator) for value in values]
+    return _common_terms(_terms(values))
+
+
+def _common_terms(terms: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The least common denominator of (numerator, denominator) pairs, each
+    denominator positive, and their numerators over it."""
+    den = math.lcm(*(q for _, q in terms))
+    return den, [p * (den // q) for p, q in terms]
+
+
+def _ratio_terms(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """`PotentialSequence.ratio` of potentials given as (numerator,
+    denominator) pairs, reduced or not, as a reduced pair."""
+    scaled = _common_terms(terms)[1]
+    return _reduced(sum(scaled[1:-1]), scaled[0])
 
 
 def potentials_recursive(arr: IntersectionArray) -> PotentialSequence:
     """Evaluate the recursion phi_i = (c_i phi_{i-1} - k) / b_i."""
-    n = _vertex_count(arr)
-    num, den = n.numerator - n.denominator, n.denominator
-    k, phi = arr.k, [Fraction(num, den)]
+    return PotentialSequence(arr, _fractions(_recursive_terms(arr)), RECURSIVE)
+
+
+def _recursive_terms(arr: IntersectionArray) -> list[tuple[int, int]]:
+    """`potentials_recursive` as (numerator, denominator) pairs, not reduced:
+    phi_i over n's denominator times b_1 ... b_i."""
+    num, den = _vertex_terms(arr)
+    num -= den
+    k, phi = arr.k, [(num, den)]
     for c, b in zip(arr.c, arr.b[1:]):
         num, den = c * num - k * den, den * b
-        phi.append(Fraction(num, den))
-    phi.append(Fraction(0))
-    return PotentialSequence(arr, tuple(phi), RECURSIVE)
+        phi.append((num, den))
+    phi.append((0, 1))
+    return phi
 
 
 def potentials_closed_form(arr: IntersectionArray, dist: DistanceDistribution) -> PotentialSequence:
-    """Evaluate phi_i = k * sum_{j>i} k_j / e_i from precomputed counts, as
-    k * sum_{j>i} W_j / (W_i b_i) with W_j the shells over one denominator."""
+    """Evaluate phi_i = k * sum_{j>i} k_j / e_i from precomputed counts."""
     weights = _over_one_denominator(dist.k_sizes)[1]
+    return PotentialSequence(arr, _fractions(_closed_form_terms(arr, weights)), CLOSED_FORM)
+
+
+def _closed_form_terms(arr: IntersectionArray, weights: Sequence[int]) -> list[tuple[int, int]]:
+    """`potentials_closed_form` as (numerator, denominator) pairs, not
+    reduced, from the shells W_j over any one denominator:
+    phi_i = k * sum_{j>i} W_j / (W_i b_i)."""
     suffix = 0
-    reversed_phi = [Fraction(0)]
+    reversed_phi = [(0, 1)]
     for i in range(arr.D - 1, -1, -1):
         suffix += weights[i + 1]
-        reversed_phi.append(Fraction(arr.k * suffix, weights[i] * arr.b[i]))
-    return PotentialSequence(arr, tuple(reversed(reversed_phi)), CLOSED_FORM)
+        reversed_phi.append((arr.k * suffix, weights[i] * arr.b[i]))
+    reversed_phi.reverse()
+    return reversed_phi
 
 
 def check_potential_properties(p: PotentialSequence, arr: IntersectionArray) -> tuple[CheckResult, ...]:

@@ -1,12 +1,13 @@
-"""Shared exact-arithmetic helpers: half-even decimal rendering and a
-fraction-free (Bareiss) integer linear solver for several right-hand sides
-at once."""
+"""Shared exact-arithmetic helpers: half-even decimal rendering, rationals
+as reduced (numerator, denominator) pairs of ints, and a fraction-free
+(Bareiss) integer linear solver for several right-hand sides at once."""
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def decimal_string(value: Fraction, places: int = 6) -> str:
@@ -31,6 +32,23 @@ def _decimal(p: int, q: int, places: int = 6) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return "%s%d.%0*d" % (sign, whole // scale, places, whole % scale)
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms as (numerator, denominator), for q > 0: the pair
+    that `Fraction(p, q)` holds, without building it."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _fractions(terms: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """The `Fraction` of each (numerator, denominator) pair."""
+    return tuple(Fraction(p, q) for p, q in terms)
+
+
+def _terms(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+    """The (numerator, denominator) pair of each `Fraction`."""
+    return [(value.numerator, value.denominator) for value in values]
 
 
 def solve_exact(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .arrays import (
     DistanceDistribution,
@@ -20,7 +20,8 @@ from .arrays import (
     compute_distance_distribution,
     parse_intersection_array,
 )
-from .potentials import _over_one_denominator, potentials_closed_form, potentials_recursive
+from .potentials import _closed_form_terms, _common_terms, _over_one_denominator, potentials_recursive
+from .rational import _fractions, _reduced
 
 #: Ratios at or above this are impossible outside the four extremal graphs.
 BIGGS_THRESHOLD = Fraction(87, 100)
@@ -82,25 +83,32 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
 
 
 def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
-    """`resistance_profile` from the array's precomputed distance distribution:
-    the closed-form potentials over their one denominator q, and
-    d_j = 2 (q phi_0 + ... + q phi_{j-1}) / (n k q) from the integer prefixes."""
+    """`resistance_profile` from the array's precomputed distance
+    distribution, each value one `Fraction` of `_profile_terms`."""
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
-    den, scaled = _over_one_denominator(potentials_closed_form(arr, dist).phi)
-    n = dist.n.numerator
-    current = n * arr.k * den
+    phi = _closed_form_terms(arr, _over_one_denominator(dist.k_sizes)[1])
+    return _profile(arr, dist, _profile_terms(arr.k, dist.n.numerator, phi))
+
+
+def _profile_terms(k: int, n: int, phi: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
+    """d_j, the ratio and K = 1 + ratio, each a reduced (numerator,
+    denominator) pair, from the closed-form potentials as pairs: over their
+    one denominator q, d_j = 2 (q phi_0 + ... + q phi_{j-1}) / (n k q) from
+    the integer prefixes."""
+    den, scaled = _common_terms(phi)
+    current = n * k * den
     prefixes = list(itertools.accumulate(scaled[:-1]))
     # (phi_1 + ... + phi_{D-1}) / phi_0, as `PotentialSequence.ratio` gives it
-    ratio = Fraction(prefixes[-1] - prefixes[0], prefixes[0])
-    return ResistanceProfile(
-        d=tuple(Fraction(2 * prefix, current) for prefix in prefixes),
-        ratio=ratio,
-        K_factor=1 + ratio,
-        n=n,
-        m=dist.m,
-        k=arr.k,
-    )
+    p, q = _reduced(prefixes[-1] - prefixes[0], prefixes[0])
+    return [_reduced(2 * prefix, current) for prefix in prefixes], (p, q), (p + q, q)
+
+
+def _profile(arr: IntersectionArray, dist: DistanceDistribution, terms: tuple) -> ResistanceProfile:
+    """The `ResistanceProfile` of `_profile_terms`' pairs, with n and m from
+    the array's distance distribution."""
+    d, ratio, K = terms
+    return ResistanceProfile(d=_fractions(d), ratio=Fraction(*ratio), K_factor=Fraction(*K), n=dist.n.numerator, m=dist.m, k=arr.k)
 
 
 class BiggsVerdict(NamedTuple):

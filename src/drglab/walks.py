@@ -1,8 +1,11 @@
 """Random-walk consequences of the resistance formulas: exact commute times,
 the hitting/commute/cover bounds, the spectral-gap chain, seeded Monte Carlo
-estimation of hitting times on explicit graphs, and the three reports the
-CLI renders: `analyze_array`, every screen and formula of one array with its
-verdict, `verify_graph`, which grounds every formula of a graph's verified
+estimation of hitting times on explicit graphs, and the three commands'
+reports: `_analysis`, analyze's integer kernel, every screen and formula of
+one array with its verdict as reduced (numerator, denominator) ints, which
+the CLI renders and `analyze_array` builds its `AnalyzeReport` from (the
+`Fraction` functions of the other modules wrap the same int helpers),
+`verify_graph`, which grounds every formula of a graph's verified
 array on the graph itself: the harmonic function, the exact oracle and the
 spectral chain, with the verdict, and `walk_graph`, a seeded hitting time
 against the exact m d_j.
@@ -35,7 +38,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .arrays import (
     CheckResult,
@@ -43,14 +46,26 @@ from .arrays import (
     FeasibilityReport,
     HeadBound,
     IntersectionArray,
+    _Counts,
+    _distribution,
+    _distribution_terms,
     _Record,
     check_divisibility,
-    compute_distance_distribution,
     diameter_head_bound,
     validate_basic,
 )
-from .potentials import PotentialSequence, potentials_recursive
-from .resistance import BiggsClass, BiggsVerdict, ResistanceProfile, classify_ratio, profile_from_distribution, resistance_profile
+from .potentials import RECURSIVE, PotentialSequence, _closed_form_terms, _ratio_terms, _recursive_terms, potentials_recursive
+from .rational import _fractions, _reduced, _terms
+from .resistance import (
+    BiggsClass,
+    BiggsVerdict,
+    ResistanceProfile,
+    _check_valency,
+    _classify,
+    _profile,
+    _profile_terms,
+    resistance_profile,
+)
 
 # the graph side imports circuits and graphs when it is called, so that the
 # array side (analyze) does not load them
@@ -107,18 +122,23 @@ def commute_time(arr: IntersectionArray, j: int) -> Fraction:
     profile = resistance_profile(arr)
     if not 1 <= j <= arr.D:
         raise ValueError(f"distance {j} outside 1..{arr.D}")
-    return _commute(profile.m, profile.at(j))
+    return Fraction(*_commute_terms(*_terms((profile.m, profile.at(j)))))
 
 
-def _commute(m: Fraction, d: Fraction) -> Fraction:
-    """2 m d as one `Fraction` of integers."""
-    return Fraction(2 * m.numerator * d.numerator, m.denominator * d.denominator)
+def _commute_terms(m: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """2 m d for m and d as reduced (numerator, denominator) pairs, reduced."""
+    return _reduced(2 * m[0] * d[0], m[1] * d[1])
 
 
 def _gap_bounds(profile: ResistanceProfile) -> tuple[Fraction, Fraction]:
     """1/(n d_D) and k/(4(n-1)); unlike `walk_bounds`, defined for every valency."""
     d = profile.d[-1]
-    return Fraction(d.denominator, profile.n * d.numerator), Fraction(profile.k, 4 * (profile.n - 1))
+    return _fractions(_gap_terms(profile.k, profile.n, (d.numerator, d.denominator)))
+
+
+def _gap_terms(k: int, n: int, d: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """`_gap_bounds` from d_D as a reduced pair, as reduced pairs."""
+    return _reduced(d[1], n * d[0]), _reduced(k, 4 * (n - 1))
 
 
 def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
@@ -130,22 +150,49 @@ def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile)
     """Commute times and walk bounds of an array from its resistance profile."""
     if arr.k <= 2:
         raise ValueError(f"walk bounds need valency >= 3, got k = {arr.k}")
-    n, m = profile.n, profile.m
-    commutes = tuple(_commute(m, d) for d in profile.d)
+    m = profile.m
+    return _bounds(arr, profile.n, m, _bounds_terms(arr.k, profile.n, (m.numerator, m.denominator), _terms(profile.d)))
+
+
+# the walk bounds in ints, each rational a reduced (numerator, denominator)
+# pair: (commute_times, hitting_bound, commute_bound, cover_bound_dominant,
+# spectral_lower_bound, resistance_gap_bound, middle_inequality_holds,
+# over_commute_bound), in `WalkBoundsReport`'s order
+_Bounds = tuple[list[tuple[int, int]], int, int, float, tuple[int, int], tuple[int, int], bool, tuple[int, ...]]
+
+
+def _bounds_terms(k: int, n: int, m: tuple[int, int], d: Sequence[tuple[int, int]]) -> _Bounds:
+    """`walk_bounds_from_profile` in ints, from n, m and the d_j."""
+    commutes = [_commute_terms(m, d_j) for d_j in d]
     commute_cap = 4 * (n - 1)
-    gap_bound, spectral_floor = _gap_bounds(profile)
+    gap_bound, spectral_floor = _gap_terms(k, n, d[-1])
+    return (
+        commutes,
+        2 * (n - 1),
+        commute_cap,
+        commute_cap * math.log(n),
+        spectral_floor,
+        gap_bound,
+        gap_bound[0] * spectral_floor[1] >= spectral_floor[0] * gap_bound[1],
+        tuple(j + 1 for j, (p, q) in enumerate(commutes) if p > commute_cap * q),
+    )
+
+
+def _bounds(arr: IntersectionArray, n: int, m: Fraction, terms: _Bounds) -> WalkBoundsReport:
+    """The `WalkBoundsReport` of `_bounds_terms`' values."""
+    commutes, hitting, commute_cap, cover, spectral_floor, gap_bound, middle, over = terms
     return WalkBoundsReport(
         array=arr,
         n=n,
         m=m,
-        commute_times=commutes,
-        hitting_bound=2 * (n - 1),
+        commute_times=_fractions(commutes),
+        hitting_bound=hitting,
         commute_bound=commute_cap,
-        cover_bound_dominant=4 * (n - 1) * math.log(n),
-        spectral_lower_bound=spectral_floor,
-        resistance_gap_bound=gap_bound,
-        middle_inequality_holds=gap_bound >= spectral_floor,
-        over_commute_bound=tuple(j + 1 for j, c in enumerate(commutes) if c > commute_cap),
+        cover_bound_dominant=cover,
+        spectral_lower_bound=Fraction(*spectral_floor),
+        resistance_gap_bound=Fraction(*gap_bound),
+        middle_inequality_holds=middle,
+        over_commute_bound=over,
     )
 
 
@@ -549,12 +596,60 @@ class AnalyzeReport(_Record):
 
 
 def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
-    """The `AnalyzeReport` of an array; raises `ValueError` for a
-    realizable array of valency k <= 2, which the classification excludes."""
-    feasibility, dist = validate_basic(arr), compute_distance_distribution(arr)
-    screens = (feasibility, dist, check_divisibility(arr), diameter_head_bound(arr))
-    if not (feasibility.overall and dist.shells_integral):  # the report's `realizable`
-        return AnalyzeReport(*screens)
-    profile = profile_from_distribution(arr, dist)
-    verdict = classify_ratio(arr, profile.ratio)
-    return AnalyzeReport(*screens, potentials_recursive(arr), profile, verdict, walk_bounds_from_profile(arr, profile))
+    """The `AnalyzeReport` of an array, the library's form of `_analysis`;
+    raises `ValueError` for a realizable array of valency k <= 2, which the
+    classification excludes."""
+    return _report(arr, _analysis(arr))
+
+
+# analyze's kernel result, each rational a reduced (numerator, denominator)
+# pair: (feasibility, counts, divisibility, head, derived), with counts as
+# `arrays._distribution_terms` gives them and derived None unless the array
+# is realizable, else (phi, d, ratio, K, recursion_ratio, category,
+# matched_extremal, bounds): phi the recursion's potentials, ratio the closed
+# form's, and bounds as `_bounds_terms` gives them
+_Analysis = tuple[FeasibilityReport, _Counts, CheckResult, HeadBound, Optional[tuple]]
+
+
+def _analysis(arr: IntersectionArray) -> _Analysis:
+    """Every screen of an array and, when it is realizable, every value its
+    report prints, in ints, with no `Fraction` built.  Raises `ValueError`
+    for a realizable array of valency k <= 2."""
+    feasibility, counts = validate_basic(arr), _distribution_terms(arr)
+    shells_integral = counts[5]
+    derived = _derived(arr, counts) if feasibility.overall and shells_integral else None  # the report's `realizable`
+    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived
+
+
+def _derived(arr: IntersectionArray, counts: _Counts) -> tuple:
+    """The derived part of `_analysis` for an array of whole shells with
+    these counts.  The verdict reads the closed form's ratio; the
+    recursion's ratio, summed from its own potentials, is the cross-check."""
+    _check_valency(arr)
+    _, (n, _), _, m, _, _, weights = counts
+    d, ratio, K = _profile_terms(arr.k, n, _closed_form_terms(arr, weights))
+    category, matched = _classify(arr, *ratio)
+    phi = _recursive_terms(arr)
+    reduced_phi = [_reduced(p, q) for p, q in phi]
+    return reduced_phi, d, ratio, K, _ratio_terms(phi), category, matched, _bounds_terms(arr.k, n, m, d)
+
+
+def _report(arr: IntersectionArray, analysis: _Analysis) -> AnalyzeReport:
+    """The `AnalyzeReport` of a kernel result."""
+    feasibility, counts, divisibility, head, derived = analysis
+    dist = _distribution(counts)
+    if derived is None:
+        return AnalyzeReport(feasibility, dist, divisibility, head)
+    # the report sums the recursion's ratio from its own potentials when asked
+    phi, d, ratio, K, _, category, matched, bounds = derived
+    profile = _profile(arr, dist, (d, ratio, K))
+    return AnalyzeReport(
+        feasibility,
+        dist,
+        divisibility,
+        head,
+        PotentialSequence(arr, _fractions(phi), RECURSIVE),
+        profile,
+        BiggsVerdict(arr, category, profile.ratio, matched),
+        _bounds(arr, profile.n, dist.m, bounds),
+    )

@@ -1,7 +1,10 @@
-"""`analyze`'s JSON payload as the dict that drglab built and handed to its
-JSON writer before the command wrote its output from one template over the
-report.  Tests check that `json.dumps(payload(arr, report), indent=2)` is
-the text the template gives, byte for byte."""
+"""`analyze`'s output as drglab rendered it from the library's
+`AnalyzeReport`: the JSON payload as the dict that it handed to its JSON
+writer before the command wrote its output from one template over the
+report, and the table as the command wrote it before it rendered the
+integer kernel's values.  Tests check that the command writes
+`json.dumps(payload(arr, report), indent=2)` and `table(arr, report)`, byte
+for byte."""
 
 from fractions import Fraction
 
@@ -72,3 +75,27 @@ def payload(arr: IntersectionArray, report: AnalyzeReport) -> dict:
             "spectral_lower_bound": str(bounds.spectral_lower_bound),
         },
     }
+
+
+def table(arr: IntersectionArray, report: AnalyzeReport) -> str:
+    """The analyze table, one line a field."""
+    screens, dist, divisibility, head = report.feasibility, report.distribution, report.divisibility, report.head
+    p, profile, verdict, bounds = report.potentials, report.profile, report.verdict, report.bounds
+    lines = [
+        f"array            {arr}",
+        f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",
+        f"shells           {[str(x) for x in dist.k_sizes]}  n={dist.n}  m={dist.m}  integral={dist.integral}",
+        f"divisibility     {'pass' if divisibility.passed else 'FAIL'} ({divisibility.detail})",
+        f"head bound       j={head.j} D<={head.bound} {'pass' if head.passed else 'FAIL'}",
+    ]
+    if not report.realizable:
+        lines.append("verdict          INFEASIBLE (fails structural or shell-integrality screens)")
+    else:
+        lines += [
+            f"potentials       {[str(x) for x in p.phi]}",
+            f"resistances      {[str(x) for x in profile.d]}",
+            f"ratio            {profile.ratio} = {decimal_string(profile.ratio)}",
+            f"verdict          {verdict.category.value}" + (f" ({verdict.matched_extremal})" if verdict.matched_extremal else ""),
+            f"commute times    {[str(x) for x in bounds.commute_times]}  cap {bounds.commute_bound}",
+        ]
+    return "\n".join(lines)

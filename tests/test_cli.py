@@ -23,13 +23,11 @@ import scan_payload_reference
 from drglab import (
     FeasibilityReport,
     IntersectionArray,
-    PotentialSequence,
     ResistanceProfile,
     circuits,
     cli,
     construct_named_graph,
     parse_intersection_array,
-    potentials_recursive,
     resistance,
     resistance_profile,
     scanner,
@@ -38,6 +36,7 @@ from drglab import (
     walks,
 )
 from drglab.cli import _build_parser, _load_graph, main
+from drglab.potentials import _recursive_terms
 from drglab.scanner import ScanQuery, scan
 
 
@@ -150,14 +149,16 @@ class TestAnalyze:
 
     def test_recursion_off_the_closed_form_fails(self, monkeypatch, capsys):
         # the verdict reads the closed form's ratio; the recursion's printed
-        # potentials must give the same one
+        # potentials must give the same one.  The kernel reads the recursion's
+        # potentials as (numerator, denominator) pairs: put phi_1 off there
         def phi1_off_by_a_seventh(arr):
-            p = potentials_recursive(arr)
-            return PotentialSequence(p.array, (p.phi[0], p.phi[1] + Fraction(1, 7), *p.phi[2:]), p.source)
+            phi = _recursive_terms(arr)
+            num, den = phi[1]
+            return [phi[0], (7 * num + den, 7 * den), *phi[2:]]
 
         assert main(["analyze", "(3,2,1;1,2,3)"]) == 0
         unpatched = capsys.readouterr().out
-        monkeypatch.setattr(walks, "potentials_recursive", phi1_off_by_a_seventh)
+        monkeypatch.setattr(walks, "_recursive_terms", phi1_off_by_a_seventh)
         assert main(["analyze", "(3,2,1;1,2,3)"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "analyze: the recursion's ratio 22/49 differs from the closed form's 3/7\n"
@@ -723,7 +724,8 @@ GOLDEN = [
     (["walk", "complete", "2", "--from-distance", "1", "--trials", "10", "--seed", "3", "--format", "json"], "58582bba83d64dce691bc07f51d25690670846009403c9aebf2e925c744c2cf1", 0),
 ]
 
-ANALYZE_JSON_PINS = [pin for pin in GOLDEN if pin[0][0] == "analyze" and "json" in pin[0]]
+ANALYZE_PINS = [pin for pin in GOLDEN if pin[0][0] == "analyze"]
+ANALYZE_JSON_PINS = [pin for pin in ANALYZE_PINS if "json" in pin[0]]
 SCAN_PINS = [pin for pin in GOLDEN if pin[0][0] == "scan"]
 
 # the verify pins at n = 128 and n = 210 spend 1.3-3.8 s each in Jacobi
@@ -769,6 +771,19 @@ class TestGoldenBytes:
         assert stdout_digest(argv, None, capsys) == (digest, code)
         with pytest.raises(AssertionError, match="^the scan built a record$"):
             scan(ScanQuery(3, 3, 1, 2))
+
+    @pytest.mark.parametrize("argv,digest,code", ANALYZE_PINS, ids=[" ".join(pin[0][1:]) for pin in ANALYZE_PINS])
+    def test_analyze_builds_no_fraction(self, argv, digest, code, monkeypatch, capsys):
+        # the command renders the kernel's ints: no module that analyze loads
+        # builds a Fraction on its way; the library's analyze_array builds them
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze built a Fraction")
+
+        for name in CATALOG_PATH + ("cli", "walks"):
+            monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "Fraction", refuse, raising=False)
+        assert stdout_digest(argv, None, capsys) == (digest, code)
+        with pytest.raises(AssertionError, match="^analyze built a Fraction$"):
+            walks.analyze_array(parse_intersection_array(argv[1]))
 
     def test_repeated_calls_in_one_process(self, prism, capsys):
         # the parser is built once per process; no state may leak from one
@@ -894,19 +909,29 @@ class TestAnalyzeJson:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_payload_dict(self, arr):
         report = walks.analyze_array(arr)
-        assert cli._analyze_json(arr, report) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+        assert cli._analyze_json(arr, walks._analysis(arr)) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
 
-    def test_free_text_is_escaped(self):
-        # no text drglab writes today needs escaping, so put some in by hand
+    def test_free_text_is_escaped(self, monkeypatch, capsys):
+        # no text drglab writes today needs escaping, so put some in the
+        # kernel's result by hand: the check names and details, the
+        # divisibility detail and the matched name; the command and the
+        # library's report both read the patched kernel
+        odd = 'a "quoted" \\ téxt\n\U0001f600'
+        kernel = walks._analysis
+
+        def odd_texts(arr):
+            screens, counts, divisibility, head, derived = kernel(arr)
+            screens = FeasibilityReport(tuple(check._replace(name=odd, detail=odd) for check in screens.checks))
+            return screens, counts, divisibility._replace(detail=odd), head, (*derived[:6], odd, *derived[7:])
+
+        monkeypatch.setattr(walks, "_analysis", odd_texts)
         arr = parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)")
         report = walks.analyze_array(arr)
-        odd = 'a "quoted" \\ téxt\n\U0001f600'
-        screens = FeasibilityReport(tuple(check._replace(name=odd, detail=odd) for check in report.feasibility.checks))
-        fields = {name: getattr(report, name) for name in report._fields}
-        fields.update(feasibility=screens, divisibility=report.divisibility._replace(detail=odd))
-        fields.update(potentials=PotentialSequence(arr, report.potentials.phi, odd), verdict=report.verdict._replace(matched_extremal=odd))
-        report = walks.AnalyzeReport(**fields)
-        assert cli._analyze_json(arr, report) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+        assert report.verdict.matched_extremal == report.divisibility.detail == odd
+        references = {"json": json.dumps(analyze_payload_reference.payload(arr, report), indent=2), "table": analyze_payload_reference.table(arr, report)}
+        for fmt, reference in references.items():
+            assert main(["analyze", str(arr), "--format", fmt]) == 0
+            assert capsys.readouterr() == (reference + "\n", ""), fmt
 
     def test_examples_cover_every_case(self):
         reports = {case: walks.analyze_array(parse_intersection_array(text)) for case, text in ANALYZE_EXAMPLES.items()}
@@ -923,6 +948,24 @@ class TestAnalyzeJson:
         assert len({report.verdict.matched_extremal for report in extremal.values()}) == 4
         assert reports["300 digits, realizable"].realizable
         assert reports["300 digits, fractional shell"].distribution.n.denominator == 5
+
+
+class TestAnalyzeBytes:
+    # the command renders the kernel's ints; the references render the
+    # library's report, as the command did before
+    @_with_examples
+    @given(analyze_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_main_writes_the_reference_bytes(self, arr):
+        report = walks.analyze_array(arr)
+        references = {"json": json.dumps(analyze_payload_reference.payload(arr, report), indent=2), "table": analyze_payload_reference.table(arr, report)}
+        for fmt, reference in references.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", str(arr), "--format", fmt])
+            assert out.getvalue() == reference + "\n", fmt
+            assert code == (0 if report.passed else 2)
+            assert (err.getvalue() != "") == (not report.routes_agree)
 
 
 # the scan boxes of k 3..6, D 1..8 that hold at most this many candidates
@@ -1069,7 +1112,7 @@ class TestUnwritableOutput:
     # each command's work, which must not start before --output is open,
     # named in the module the handler looks it up in
     WORK = {
-        "analyze": (["analyze", "(3,2;1,3)"], walks, ["analyze_array"]),
+        "analyze": (["analyze", "(3,2;1,3)"], walks, ["_analysis"]),
         "catalog": (["catalog", "--recompute"], cli, ["recompute_entry"]),
         "verify": (["verify", "johnson", "8", "3", "--exhaustive"], walks, ["verify_graph"]),
         "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], walks, ["simulate_hitting_time"]),

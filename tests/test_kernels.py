@@ -1,10 +1,14 @@
 """The integer kernels behind `analyze` against the `Fraction` route in
 `fraction_reference`: the distance distribution, both potential routes and
 their ratio, the resistance profile and the walk bounds, value for value
-and type for type (the reprs must be equal); and `validate_basic`'s cross
+and type for type (the reprs must be equal); the ints of `analyze`'s own
+kernel, `walks._analysis`, pair for pair; and `validate_basic`'s cross
 condition against the double loop over i + j <= D."""
 
+from fractions import Fraction
+
 import fraction_reference as ref
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +20,9 @@ from drglab import (
     potentials_recursive,
     validate_basic,
 )
-from drglab.arrays import MAX_ARRAY_DIGITS
-from drglab.resistance import profile_from_distribution
-from drglab.walks import walk_bounds_from_profile
+from drglab.arrays import MAX_ARRAY_DIGITS, _distribution_terms
+from drglab.resistance import classify_ratio, profile_from_distribution
+from drglab.walks import _analysis, _derived, walk_bounds_from_profile
 
 # m = 55/2 on whole shells; n = 28/3 on fractional ones
 HALF_M = parse_intersection_array("(5,4;1,4)")
@@ -94,6 +98,62 @@ def test_profile_and_walk_bounds(arr):
     profile = profile_from_distribution(arr, compute_distance_distribution(arr))
     assert repr(profile) == repr(ref.resistance_profile(arr))
     assert repr(walk_bounds_from_profile(arr, profile)) == repr(ref.walk_bounds(arr))
+
+
+def pairs(values) -> list[tuple[int, int]]:
+    return [(value.numerator, value.denominator) for value in values]
+
+
+@given(any_arrays)
+@example(HALF_M)
+@example(THIRD_N)
+@settings(max_examples=300, deadline=None)
+def test_analysis_counts(arr):
+    # the screens and counts of every array, and the derived values exactly
+    # when the array is realizable (refused at valency k <= 2)
+    dist = ref.distance_distribution(arr)
+    realizable = validate_basic(arr).overall and dist.shells_integral
+    if realizable and arr.k <= 2:
+        with pytest.raises(ValueError, match="valency"):
+            _analysis(arr)
+        return
+    screens, counts, _, _, derived = _analysis(arr)
+    shells, n, edges, m, integral, shells_integral, weights = counts
+    assert screens == validate_basic(arr)
+    assert (shells, edges) == (pairs(dist.k_sizes), pairs(dist.e))
+    assert [n, m] == pairs((dist.n, dist.m))
+    assert (integral, shells_integral) == (dist.integral, dist.shells_integral)
+    # the shells over their one denominator, k_0 = 1
+    assert [Fraction(w, weights[0]) for w in weights] == list(dist.k_sizes)
+    assert derived == (_derived(arr, counts) if realizable else None)
+
+
+@given(whole_arrays.filter(lambda arr: arr.k >= 3))
+@example(HALF_M)
+@example(parse_intersection_array("(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"))  # EXTREMAL, Biggs-Smith
+@example(parse_intersection_array("(5,2,2,1,1,1,1;1,1,1,1,1,1,4)"))  # VIOLATION
+@settings(max_examples=300, deadline=None)
+def test_analysis_derived(arr):
+    # every array of whole shells and valency >= 3, realizable or not
+    dist = ref.distance_distribution(arr)
+    phi, d, ratio, K, recursion_ratio, category, matched, bounds = _derived(arr, _distribution_terms(arr))
+    recursive, profile, expected = ref.potentials_recursive(arr), ref.resistance_profile(arr), ref.walk_bounds(arr)
+    assert phi == pairs(recursive.phi)
+    assert [recursion_ratio] == pairs([ref.ratio(recursive)])
+    assert d == pairs(profile.d)
+    assert [ratio, K] == pairs((profile.ratio, profile.K_factor)) == pairs((ref.ratio(ref.potentials_closed_form(arr, dist)), profile.K_factor))
+    verdict = classify_ratio(arr, profile.ratio)
+    assert (category, matched) == (verdict.category, verdict.matched_extremal)
+    commutes, hitting, commute_cap, cover, spectral_floor, gap_bound, middle, over = bounds
+    assert commutes == pairs(expected.commute_times)
+    assert [spectral_floor, gap_bound] == pairs((expected.spectral_lower_bound, expected.resistance_gap_bound))
+    assert (hitting, commute_cap, cover, middle, over) == (
+        expected.hitting_bound,
+        expected.commute_bound,
+        expected.cover_bound_dominant,
+        expected.middle_inequality_holds,
+        expected.over_commute_bound,
+    )
 
 
 def monotone(arr: IntersectionArray) -> IntersectionArray:

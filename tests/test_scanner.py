@@ -31,6 +31,7 @@ from drglab import (
     scan,
     validate_basic,
 )
+from drglab.arrays import _distribution_terms
 from drglab.cli import main
 from drglab.resistance import classify_ratio
 
@@ -461,13 +462,14 @@ class TestBulkInvariants:
 
 
 class TestOneDerivation:
-    # each layer builds one distance distribution per array and reuses it
+    # each layer derives one distance distribution per array and reuses it:
+    # the integer one, which `compute_distance_distribution` wraps
     MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "walks", "cli")
 
     @pytest.fixture
     def distribution_calls(self, monkeypatch):
         calls = []
-        original = compute_distance_distribution
+        original = _distribution_terms
 
         def counted(arr):
             calls.append(arr)
@@ -476,9 +478,7 @@ class TestOneDerivation:
         for name in self.MODULES:
             # raising=False: the scanner imports no distribution today, and
             # a later import of one would still be counted
-            monkeypatch.setattr(
-                importlib.import_module(f"drglab.{name}"), "compute_distance_distribution", counted, raising=False
-            )
+            monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "_distribution_terms", counted, raising=False)
         return calls
 
     @pytest.mark.parametrize(
