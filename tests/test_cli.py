@@ -703,6 +703,10 @@ GOLDEN = [
     (["analyze", "(3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3)", "--format", "json"], "6fe9a27ed6656ded86fb8a29284e80d751d88ff3ee320c9d79091fdd408c7e78", 0),
     (["analyze", "(4,2,2,2,2,2;1,1,1,1,1,2)", "--format", "json"], "e2b9c04d380ecd80c8e796837eaed35aff0ac282e171f3dbe2452ffd3528e271", 0),
     (["analyze", "(3,2,2,2,2,2;1,1,1,1,1,3)", "--format", "json"], "ee12f36fb01cb8c13706131cac3d297f47e30d67a1457f89fee4a64e17af4dfe", 0),
+    # recorded before analyze ran the scan's stage sequence: a c_monotone
+    # failure, whose detail reads "index 3: c3 = 1 below c2 = 2"
+    (["analyze", "(3,2,1;1,2,1)"], "bee3583e705645e202d9aab7316082637539ccb3c727f1cf49ac11c629b280fa", 2),
+    (["analyze", "(3,2,1;1,2,1)", "--format", "json"], "63d92155d18fb00cb3c276481ac74845e24ae080b21e6530e059007dc1a0f709", 2),
     # Q7 (n = 128) in both formats: the JSON recorded before each Jacobi
     # rotation became one stacked update (its sigma is the eigensolver's
     # float), the table before the command started rendering the library's
