@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .arrays import IntersectionArray, _distribution_terms, _Record, parse_intersection_array
-from .potentials import _closed_form_terms, _ratio_terms
 from .rational import _decimal
-from .resistance import extremal_set
+from .resistance import _closed_form_ratio, extremal_set
 
 
 class CatalogEntry(_Record):
@@ -86,7 +85,7 @@ class RecomputedEntry(_Record):
 
 def recompute_entry(entry: CatalogEntry) -> RecomputedEntry:
     _, (n, n_den), _, _, integral, _, weights = _distribution_terms(entry.array)
-    p, q = _ratio_terms(_closed_form_terms(entry.array, weights))
+    p, q = _closed_form_ratio(entry.array.b, weights)
     places = len(entry.printed_ratio.split(".")[1]) if "." in entry.printed_ratio else 0
     rendered = _decimal(p, q, places)
     return RecomputedEntry(

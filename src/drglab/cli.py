@@ -286,7 +286,7 @@ def _analyze_json(arr, analysis) -> str:
     screens.  The verdict and the walk bounds are those of `arr` itself,
     and the verdict's ratio is the profile's, so the texts of the array and
     the ratio are rendered once."""
-    screens, (shells, n, edges, m, integral, _, _), divisibility, head, derived = analysis
+    screens, (shells, n, edges, m, integral, _, _), divisibility, head, derived, _ = analysis
     array = str(arr)
     checks = (_ANALYZE_CHECK % (encode_basestring_ascii(c.name), _BOOL[c.passed], encode_basestring_ascii(c.detail)) for c in screens.checks)
     # one line of arguments per object of the payload
@@ -311,7 +311,7 @@ def _analyze_json(arr, analysis) -> str:
 
 def _analyze_table(arr, analysis) -> str:
     """The analyze table, one line a field, from the kernel's ints."""
-    screens, (shells, n, _, m, integral, _, _), divisibility, head, derived = analysis
+    screens, (shells, n, _, m, integral, _, _), divisibility, head, derived, _ = analysis
     lines = [
         f"array            {arr}",
         f"validation       {'pass' if screens.overall else 'FAIL: ' + '; '.join(c.detail for c in screens.failed())}",

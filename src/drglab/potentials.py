@@ -4,19 +4,19 @@ Two independent routes to the same numbers: the downward recursion
 phi_0 = n - 1, phi_i = (c_i phi_{i-1} - k) / b_i, and the closed form
 phi_i = k * (sum of shell sizes beyond i) / e_i.  They must agree exactly;
 keeping both alive is a permanent self-check.  The closed form reuses the
-distance distribution its caller already holds (`resistance_profile`, the
-catalog recomputation); the recursion reads n from the array alone and
-builds no distribution, so the two routes share nothing.  The recursion is
-the reference behind `classify_biggs`; `drglab analyze` prints it and
-`drglab verify` builds its harmonic function from it.
+distance distribution its caller already holds (`resistance_profile`,
+analyze); the recursion reads n from the array alone and builds no
+distribution, so the two routes share nothing.  The recursion is the
+reference behind `classify_biggs`; `drglab analyze` prints it and `drglab
+verify` builds its harmonic function from it.
 
 Both routes run in ints, as (numerator, denominator) pairs that `drglab
 analyze` reduces and renders and the `PotentialSequence` functions wrap in
 one `Fraction` each.  The closed form reads the shells over one common
 denominator as integers W_j, so phi_i = k * sum_{j>i} W_j / (W_i b_i); the
-recursion carries the numerator of phi_i over its denominator
-den * b_1 ... b_i.  `ratio` sums the potentials over their least common
-denominator.
+recursion carries the numerator of phi_i over den * b_1 ... b_i.  `ratio`
+sums a sequence's potentials over their lcm; the recursion's ratio checks
+the one closed-form ratio, `resistance._closed_form_ratio`, of the shells.
 """
 
 from __future__ import annotations

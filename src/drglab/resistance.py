@@ -1,22 +1,30 @@
-"""Per-distance resistances, the head-to-tail resistance ratio, and the
-classification of arrays against the sharp two-terminal bound.
+"""Per-distance resistances, the head-to-tail resistance ratio, the
+classification of arrays against the sharp two-terminal bound, and the
+feasibility stages after `basic`, in PIPELINE_ORDER (`_stages`), which the
+scan, `evaluate_array` and analyze's kernel all run.
 
 The classification threshold 87/100 is an exact rational on purpose: a
 VIOLATION verdict asserts that no distance-regular graph of valency >= 3
 realizes the array, and such a statement must not hinge on rounding.
+`_closed_form_ratio` is the one closed-form ratio of drglab; the
+recursion's (`potentials._ratio_terms`) is separate code, its check.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .arrays import (
     DistanceDistribution,
     IntersectionArray,
+    _divisibility_holds,
+    _head_bound_holds,
     _Record,
+    _vertex_terms,
     compute_distance_distribution,
     parse_intersection_array,
 )
@@ -84,31 +92,42 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
 
 def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
     """`resistance_profile` from the array's precomputed distance
-    distribution, each value one `Fraction` of `_profile_terms`."""
+    distribution, each value one `Fraction` of the int helpers."""
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
-    phi = _closed_form_terms(arr, _over_one_denominator(dist.k_sizes)[1])
-    return _profile(arr, dist, _profile_terms(arr.k, dist.n.numerator, phi))
+    weights = _over_one_denominator(dist.k_sizes)[1]
+    d = _profile_terms(arr.k, dist.n.numerator, _closed_form_terms(arr, weights))
+    return _profile(arr, dist, d, _closed_form_ratio(arr.b, weights))
 
 
-def _profile_terms(k: int, n: int, phi: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int]]:
-    """d_j, the ratio and K = 1 + ratio, each a reduced (numerator,
-    denominator) pair, from the closed-form potentials as pairs: over their
-    one denominator q, d_j = 2 (q phi_0 + ... + q phi_{j-1}) / (n k q) from
-    the integer prefixes."""
+def _profile_terms(k: int, n: int, phi: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The reduced pairs d_j = 2 (q phi_0 + ... + q phi_{j-1}) / (n k q) of
+    the closed-form potentials as pairs, over their one denominator q."""
     den, scaled = _common_terms(phi)
     current = n * k * den
-    prefixes = list(itertools.accumulate(scaled[:-1]))
-    # (phi_1 + ... + phi_{D-1}) / phi_0, as `PotentialSequence.ratio` gives it
-    p, q = _reduced(prefixes[-1] - prefixes[0], prefixes[0])
-    return [_reduced(2 * prefix, current) for prefix in prefixes], (p, q), (p + q, q)
+    return [_reduced(2 * prefix, current) for prefix in itertools.accumulate(scaled[:-1])]
 
 
-def _profile(arr: IntersectionArray, dist: DistanceDistribution, terms: tuple) -> ResistanceProfile:
-    """The `ResistanceProfile` of `_profile_terms`' pairs, with n and m from
-    the array's distance distribution."""
-    d, ratio, K = terms
-    return ResistanceProfile(d=_fractions(d), ratio=Fraction(*ratio), K_factor=Fraction(*K), n=dist.n.numerator, m=dist.m, k=arr.k)
+def _profile(arr: IntersectionArray, dist: DistanceDistribution, d: Sequence[tuple[int, int]], ratio: tuple[int, int]) -> ResistanceProfile:
+    """The `ResistanceProfile` of the d_j and the ratio as reduced pairs,
+    K = 1 + ratio, n and m from the array's distance distribution."""
+    p, q = ratio
+    return ResistanceProfile(d=_fractions(d), ratio=Fraction(p, q), K_factor=Fraction(p + q, q), n=dist.n.numerator, m=dist.m, k=arr.k)
+
+
+def _closed_form_ratio(b: Sequence[int], weights: Sequence[int]) -> tuple[int, int]:
+    """(phi_1 + ... + phi_{D-1}) / phi_0 as a reduced pair, from the b half
+    and the shells W_0 ... W_D over any one denominator W_0, whole or not:
+    k W_0 sum_{i=1}^{D-1} S_i / (W_i b_i) over S_0, S_i the shells beyond i,
+    summed over one integer denominator and reduced once."""
+    num, den, beyond = 0, 1, 0
+    for i in range(len(b) - 1, 0, -1):
+        beyond += weights[i + 1]
+        edges = weights[i] * b[i]
+        num, den = num * edges + beyond * den, den * edges
+    p, q = b[0] * weights[0] * num, den * (beyond + weights[1])
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 class BiggsVerdict(NamedTuple):
@@ -156,3 +175,37 @@ def _classify(arr: IntersectionArray, p: int, q: int) -> tuple[BiggsClass, Optio
         if arr == entry.array:
             return BiggsClass.EXTREMAL, entry.name
     return BiggsClass.VIOLATION, None
+
+
+PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
+
+# the stages' outcome of an array: (array, (n's numerator, n's denominator),
+# p, q, first_failing_check, category, matched_extremal), p/q the reduced
+# ratio; the last four but the check are None unless the biggs stage ran
+_Outcome = tuple[IntersectionArray, tuple[int, int], Optional[int], Optional[int], str, Optional[BiggsClass], Optional[str]]
+
+
+def _screened_out(arr: IntersectionArray, stage: str) -> _Outcome:
+    """The outcome of an array that `stage` screens out, n from its halves."""
+    return arr, _vertex_terms(arr), None, None, stage, None, None
+
+
+def _stages(n_max: Optional[int], arr: IntersectionArray, weights: Optional[Sequence[int]]) -> _Outcome:
+    """The stages after `basic`, up to the first failure, of an array of
+    valency >= 3 that passes it, from its shells W_0 ... W_D over W_0, each
+    a multiple of it, or None if one is not whole; n_max applies if given.
+    Integrality screens shells only: a half-integral m (odd n times odd k)
+    still reaches the classification, by `classify_ratio`'s integer rule."""
+    if weights is None:
+        return _screened_out(arr, "integrality")
+    n = sum(weights) // weights[0]
+    if n_max is not None and n > n_max:
+        return arr, (n, 1), None, None, "n_max", None, None
+    b, c = arr.b, arr.c
+    if not _divisibility_holds(b, c):
+        return arr, (n, 1), None, None, "divisibility", None, None
+    if not _head_bound_holds(b, c):
+        return arr, (n, 1), None, None, "head_bound", None, None
+    p, q = _closed_form_ratio(b, weights)
+    category, matched = _classify(arr, p, q)
+    return arr, (n, 1), p, q, "biggs_violation" if category is BiggsClass.VIOLATION else "pass", category, matched

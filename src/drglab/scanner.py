@@ -1,32 +1,24 @@
-"""Candidate-array enumeration and the stacked feasibility pipeline.
+"""Candidate-array enumeration and the scan over the feasibility pipeline.
 
 Stage order is fixed (PIPELINE_ORDER): basic -> integrality -> n_max ->
 divisibility -> head_bound -> biggs, cheap structural screens ahead of
 rational computations, so "ruled out by the resistance bound alone" always
 means every earlier screen passed; n_max applies only under a vertex cap.
-Enumeration is a deterministic generator in lexicographic (k, D, b, c)
-order that only yields arrays passing the structural battery, so `scan`
-runs the stages after `basic` alone; it builds those arrays without the
-constructor's entry checks, since their halves are positive ints by
-construction.  Those stages are an integer kernel fused into the
-enumerator: the recursion carries the whole shell sizes
-k_{j+1} = k_j b_j / c_{j+1} down as it fills each c slot, the kernel reads
-divisibility and the head bound through the integer predicates that
-`check_divisibility` and `diameter_head_bound` report from, and the
-resistance ratio stays in exact ints, reduced once by their gcd and
-classified by `classify_ratio`'s integer rule.  The kernel's outcome of a
-candidate is a plain tuple: the array, n as (numerator, denominator), the
-reduced ratio as ints p and q, the first failing check, the category and
-the matched extremal name.  Outcomes stream: `_outcomes` yields them one at
-a time in canonical order, and the CLI writes each as it comes, with no
-`Fraction` or record built.  `ScanRecord` (with its `BiggsVerdict`, each a
-named tuple) is the library's form: `scan` lists one per outcome, and
-`evaluate_array` computes the sizes of a single array for the same kernel.
-Tests check every record against the `Fraction` route (distance
-distribution, closed-form potentials, `classify_ratio`, each a chain of
-`Fraction` operations) that they keep as their reference.
-The scan runs in one process: shipping an array to a worker and its record
-back costs the parent more than evaluating it.
+The stages after `basic`, with the one closed-form ratio, are
+`resistance._stages`, which analyze's kernel runs too.  Enumeration is a
+deterministic generator in lexicographic (k, D, b, c) order that yields
+only arrays passing the structural battery, built without the
+constructor's entry checks, so `scan` runs the later stages alone, on the
+whole shell sizes k_{j+1} = k_j b_j / c_{j+1} that the recursion carries
+down as it fills each c slot.  Their outcome of a candidate is a plain
+tuple of ints and names, streamed by `_outcomes` in canonical order for the
+CLI to write with no `Fraction` or record built.  `ScanRecord` is the
+library's form: `scan` lists one per outcome, and `evaluate_array` runs one
+array through `validate_basic`, then the stages on the shells of its
+distance distribution.  Tests check every record against the `Fraction`
+route that they keep as their reference.  The scan runs in one process:
+shipping an array to a worker and its record back costs the parent more
+than evaluating it.
 """
 
 from __future__ import annotations
@@ -36,12 +28,12 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
-from .arrays import IntersectionArray, _divisibility_holds, _head_bound_holds, _Record, _unchecked_array, _vertex_terms, validate_basic
-from .resistance import BiggsClass, BiggsVerdict, _check_valency, _classify
+from .arrays import IntersectionArray, _distribution_terms, _Record, _unchecked_array, validate_basic
+from .resistance import PIPELINE_ORDER, BiggsVerdict, _check_valency, _Outcome, _screened_out, _stages
 
-PIPELINE_ORDER = ("basic", "integrality", "n_max", "divisibility", "head_bound", "biggs")
+__all__ = ["PIPELINE_ORDER", "ScanQuery", "ScanRecord", "enumerate_arrays", "evaluate_array", "scan"]
 
 # the most raw candidates one scan may enumerate, fixed like MAX_VERTICES: a
 # mistyped box (D 1..80) is refused at once, not streamed for hours; k 3..8,
@@ -165,13 +157,6 @@ class ScanRecord(NamedTuple):
         return self.first_failing_check == "biggs_violation"
 
 
-# the kernel's outcome of one candidate: (array, (n's numerator, n's
-# denominator), p, q, first_failing_check, category, matched_extremal), where
-# p/q is the reduced ratio; the last four but the check are None unless the
-# biggs stage ran
-_Outcome = tuple[IntersectionArray, tuple[int, int], Optional[int], Optional[int], str, Optional[BiggsClass], Optional[str]]
-
-
 def _record(outcome: _Outcome) -> ScanRecord:
     """The `ScanRecord` of a kernel outcome."""
     arr, (n, n_den), p, q, failing, category, matched = outcome
@@ -181,63 +166,18 @@ def _record(outcome: _Outcome) -> ScanRecord:
     return ScanRecord(arr, Fraction(n, n_den), ratio, failing, BiggsVerdict(arr, category, ratio, matched))
 
 
-def _screened_out(arr: IntersectionArray, stage: str) -> _Outcome:
-    """The outcome of an array that `stage` screens out, n from its halves."""
-    return arr, _vertex_terms(arr), None, None, stage, None, None
-
-
 def evaluate_array(arr: IntersectionArray, n_max: Optional[int] = None) -> ScanRecord:
     """Run one candidate through the pipeline, stopping at the first failure:
-    the structural battery, then its shell sizes and the integer kernel."""
+    the structural battery, then the stages after it on the shells of its
+    distance distribution."""
     if not validate_basic(arr).overall:
         return _record(_screened_out(arr, "basic"))
-    sizes = [1]
-    for b_i, c_next in zip(arr.b, arr.c):
-        size, rem = divmod(sizes[-1] * b_i, c_next)
-        if rem:
-            return _record(_screened_out(arr, "integrality"))
-        sizes.append(size)
-    outcome = _outcome(n_max, arr, sizes)
+    *_, shells_integral, weights = _distribution_terms(arr)
+    outcome = _stages(n_max, arr, weights if shells_integral else None)
     if outcome[2] is not None:
         # classify_ratio's refusal; a scan box starts at k = 3
         _check_valency(arr)
     return _record(outcome)
-
-
-def _outcome(n_max: Optional[int], arr: IntersectionArray, sizes: Optional[Sequence[int]]) -> _Outcome:
-    """The stages after `basic` for an array of valency >= 3, in exact
-    integers, from its shell sizes k_0 ... k_D, or None if one of them is
-    not whole.
-
-    Integrality screens shell sizes only: a half-integral edge count (odd n
-    times odd k) still reaches the resistance classification, mirroring how
-    the known non-realizable examples are presented.  The ratio
-    (phi_1 + ... + phi_{D-1}) / phi_0 is k * sum_{i=1}^{D-1} S_i / (k_i b_i)
-    over n - 1, with S_i the shell total beyond i, summed over one integer
-    denominator and reduced once.  The tests' `Fraction` route (the
-    distance distribution, then the closed-form potentials) is the
-    reference it is checked against.
-    """
-    if sizes is None:
-        return _screened_out(arr, "integrality")
-    n = sum(sizes)
-    if n_max is not None and n > n_max:
-        return arr, (n, 1), None, None, "n_max", None, None
-    b, c = arr.b, arr.c
-    if not _divisibility_holds(b, c):
-        return arr, (n, 1), None, None, "divisibility", None, None
-    if not _head_bound_holds(b, c):
-        return arr, (n, 1), None, None, "head_bound", None, None
-    num, den, beyond = 0, 1, 0
-    for i in range(len(b) - 1, 0, -1):
-        beyond += sizes[i + 1]
-        edges = sizes[i] * b[i]
-        num, den = num * edges + beyond * den, den * edges
-    p, q = b[0] * num, den * (n - 1)
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    category, matched = _classify(arr, p, q)
-    return arr, (n, 1), p, q, "biggs_violation" if category is BiggsClass.VIOLATION else "pass", category, matched
 
 
 def _outcomes(query: ScanQuery, jobs: int = 1) -> Iterator[_Outcome]:
@@ -249,9 +189,9 @@ def _outcomes(query: ScanQuery, jobs: int = 1) -> Iterator[_Outcome]:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # the enumerator enforces the structural battery, so the `basic` stage
-    # is skipped, and each leaf is evaluated from the shell sizes the
+    # is skipped, and each leaf runs the stages on the shell sizes the
     # enumerator carried down to it
-    return itertools.starmap(functools.partial(_outcome, query.n_max), _candidates(query))
+    return itertools.starmap(functools.partial(_stages, query.n_max), _candidates(query))
 
 
 def scan(query: ScanQuery, jobs: int = 1) -> list[ScanRecord]:

@@ -62,8 +62,11 @@ from .resistance import (
     ResistanceProfile,
     _check_valency,
     _classify,
+    _closed_form_ratio,
     _profile,
     _profile_terms,
+    _screened_out,
+    _stages,
     resistance_profile,
 )
 
@@ -602,47 +605,52 @@ def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
     return _report(arr, _analysis(arr))
 
 
-# analyze's kernel result, each rational a reduced (numerator, denominator)
-# pair: (feasibility, counts, divisibility, head, derived), with counts as
-# `arrays._distribution_terms` gives them and derived None unless the array
-# is realizable, else (phi, d, ratio, K, recursion_ratio, category,
-# matched_extremal, bounds): phi the recursion's potentials, ratio the closed
-# form's, and bounds as `_bounds_terms` gives them
-_Analysis = tuple[FeasibilityReport, _Counts, CheckResult, HeadBound, Optional[tuple]]
+# analyze's kernel result, rationals as reduced (numerator, denominator) pairs:
+# (feasibility, counts, divisibility, head, derived, stages), counts as
+# `arrays._distribution_terms` gives them, derived None unless the array is
+# realizable, else (phi, d, ratio, K, recursion_ratio, category, matched,
+# bounds), phi the recursion's potentials, ratio the closed form's; stages,
+# not printed or gated on, is the scan's (first_failing_check, class, matched)
+_Analysis = tuple[FeasibilityReport, _Counts, CheckResult, HeadBound, Optional[tuple], tuple[str, Optional[BiggsClass], Optional[str]]]
 
 
 def _analysis(arr: IntersectionArray) -> _Analysis:
-    """Every screen of an array and, when it is realizable, every value its
-    report prints, in ints, with no `Fraction` built.  Raises `ValueError`
-    for a realizable array of valency k <= 2."""
+    """Every screen of an array, its stages and, when it is realizable,
+    every value its report prints, in ints, with no `Fraction` built.
+    Raises `ValueError` for a realizable array of valency k <= 2."""
     feasibility, counts = validate_basic(arr), _distribution_terms(arr)
-    shells_integral = counts[5]
-    derived = _derived(arr, counts) if feasibility.overall and shells_integral else None  # the report's `realizable`
-    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived
+    shells_integral, weights = counts[5], counts[6]
+    outcome = _stages(None, arr, weights if shells_integral else None) if feasibility.overall else _screened_out(arr, "basic")
+    derived = _derived(arr, counts, outcome) if feasibility.overall and shells_integral else None  # the report's `realizable`
+    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived, outcome[4:]
 
 
-def _derived(arr: IntersectionArray, counts: _Counts) -> tuple:
+def _derived(arr: IntersectionArray, counts: _Counts, outcome: tuple) -> tuple:
     """The derived part of `_analysis` for an array of whole shells with
-    these counts.  The verdict reads the closed form's ratio; the
-    recursion's ratio, summed from its own potentials, is the cross-check."""
+    these counts and stages.  The verdict reads the closed form's ratio, the
+    stages' unless a screen stopped them short of it; the recursion's ratio,
+    summed from its own potentials, is the cross-check."""
     _check_valency(arr)
     _, (n, _), _, m, _, _, weights = counts
-    d, ratio, K = _profile_terms(arr.k, n, _closed_form_terms(arr, weights))
-    category, matched = _classify(arr, *ratio)
+    _, _, p, q, _, category, matched = outcome
+    if p is None:
+        p, q = _closed_form_ratio(arr.b, weights)
+        category, matched = _classify(arr, p, q)
+    d = _profile_terms(arr.k, n, _closed_form_terms(arr, weights))
     phi = _recursive_terms(arr)
-    reduced_phi = [_reduced(p, q) for p, q in phi]
-    return reduced_phi, d, ratio, K, _ratio_terms(phi), category, matched, _bounds_terms(arr.k, n, m, d)
+    reduced_phi = [_reduced(num, den) for num, den in phi]
+    return reduced_phi, d, (p, q), (p + q, q), _ratio_terms(phi), category, matched, _bounds_terms(arr.k, n, m, d)
 
 
 def _report(arr: IntersectionArray, analysis: _Analysis) -> AnalyzeReport:
     """The `AnalyzeReport` of a kernel result."""
-    feasibility, counts, divisibility, head, derived = analysis
+    feasibility, counts, divisibility, head, derived, _ = analysis
     dist = _distribution(counts)
     if derived is None:
         return AnalyzeReport(feasibility, dist, divisibility, head)
     # the report sums the recursion's ratio from its own potentials when asked
-    phi, d, ratio, K, _, category, matched, bounds = derived
-    profile = _profile(arr, dist, (d, ratio, K))
+    phi, d, ratio, _, _, category, matched, bounds = derived
+    profile = _profile(arr, dist, d, ratio)
     return AnalyzeReport(
         feasibility,
         dist,

@@ -924,9 +924,9 @@ class TestAnalyzeJson:
         kernel = walks._analysis
 
         def odd_texts(arr):
-            screens, counts, divisibility, head, derived = kernel(arr)
+            screens, counts, divisibility, head, derived, stages = kernel(arr)
             screens = FeasibilityReport(tuple(check._replace(name=odd, detail=odd) for check in screens.checks))
-            return screens, counts, divisibility._replace(detail=odd), head, (*derived[:6], odd, *derived[7:])
+            return screens, counts, divisibility._replace(detail=odd), head, (*derived[:6], odd, *derived[7:]), stages
 
         monkeypatch.setattr(walks, "_analysis", odd_texts)
         arr = parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)")

@@ -21,7 +21,7 @@ from drglab import (
     validate_basic,
 )
 from drglab.arrays import MAX_ARRAY_DIGITS, _distribution_terms
-from drglab.resistance import classify_ratio, profile_from_distribution
+from drglab.resistance import _screened_out, _stages, classify_ratio, profile_from_distribution
 from drglab.walks import _analysis, _derived, walk_bounds_from_profile
 
 # m = 55/2 on whole shells; n = 28/3 on fractional ones
@@ -117,7 +117,7 @@ def test_analysis_counts(arr):
         with pytest.raises(ValueError, match="valency"):
             _analysis(arr)
         return
-    screens, counts, _, _, derived = _analysis(arr)
+    screens, counts, _, _, derived, _ = _analysis(arr)
     shells, n, edges, m, integral, shells_integral, weights = counts
     assert screens == validate_basic(arr)
     assert (shells, edges) == (pairs(dist.k_sizes), pairs(dist.e))
@@ -125,7 +125,7 @@ def test_analysis_counts(arr):
     assert (integral, shells_integral) == (dist.integral, dist.shells_integral)
     # the shells over their one denominator, k_0 = 1
     assert [Fraction(w, weights[0]) for w in weights] == list(dist.k_sizes)
-    assert derived == (_derived(arr, counts) if realizable else None)
+    assert derived == (_derived(arr, counts, _stages(None, arr, weights)) if realizable else None)
 
 
 @given(whole_arrays.filter(lambda arr: arr.k >= 3))
@@ -136,7 +136,11 @@ def test_analysis_counts(arr):
 def test_analysis_derived(arr):
     # every array of whole shells and valency >= 3, realizable or not
     dist = ref.distance_distribution(arr)
-    phi, d, ratio, K, recursion_ratio, category, matched, bounds = _derived(arr, _distribution_terms(arr))
+    counts = _distribution_terms(arr)
+    # the ratio and class of the stages, or its own where a screen stopped them
+    derived = _derived(arr, counts, _stages(None, arr, counts[6]))
+    assert _derived(arr, counts, _screened_out(arr, "head_bound")) == derived
+    phi, d, ratio, K, recursion_ratio, category, matched, bounds = derived
     recursive, profile, expected = ref.potentials_recursive(arr), ref.resistance_profile(arr), ref.walk_bounds(arr)
     assert phi == pairs(recursive.phi)
     assert [recursion_ratio] == pairs([ref.ratio(recursive)])

@@ -476,8 +476,8 @@ class TestOneDerivation:
             return original(arr)
 
         for name in self.MODULES:
-            # raising=False: the scanner imports no distribution today, and
-            # a later import of one would still be counted
+            # raising=False: potentials and resistance import no distribution
+            # today, and a later import of one would still be counted
             monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "_distribution_terms", counted, raising=False)
         return calls
 
@@ -486,10 +486,10 @@ class TestOneDerivation:
         ["(3,2;1,1)", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "(3,2,2,1,1,1,1;1,1,1,1,1,1,3)"],
     )
     def test_evaluate_array(self, distribution_calls, text):
-        # the integer kernel builds no Fraction distribution at all
+        # one integer distribution, whose shells the stages read, as analyze's
         record = evaluate_array(parse_intersection_array(text))
         assert record.verdict is not None
-        assert len(distribution_calls) == 0
+        assert len(distribution_calls) == 1
 
     def test_analyze(self, distribution_calls, capsys):
         # its own; the profile and the walk bounds reuse it, and the
