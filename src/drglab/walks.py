@@ -14,9 +14,13 @@ Seeded contract: every walk step picks the `c`-th entry of the current
 vertex's sorted adjacency list, where `c` runs through the stream that
 `random.Random(seed).randrange(degree)` returns call after call.  That
 stream is drawn in bulk: one `getrandbits(32 * size)` call gives the next
-`size` Mersenne Twister words, lowest word first; each word is shifted right
-to `degree.bit_length()` bits and kept only if it is below `degree`, the
-same shift and rejection as CPython's `Random._randbelow_with_getrandbits`.
+`size` Mersenne Twister words, lowest word first, read back as explicit
+little-endian bytes; each word is shifted right to `degree.bit_length()`
+bits and kept only if it is below `degree`, the same shift and rejection as
+CPython's `Random._randbelow_with_getrandbits`.  Below degree 256 those bits
+all lie in the word's high byte, so the draw takes every fourth byte and one
+`bytes.translate` shifts it and drops the rejected ones; above, it unpacks
+whole words.
 So a (seed, trials) pair pins the estimate exactly, and the seed must be a
 non-negative int (`random.Random` folds a negative seed onto its absolute
 value).  One stream serves every vertex, so the simulators take regular
@@ -36,9 +40,10 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .arrays import (
     CheckResult,
@@ -73,8 +78,6 @@ from .resistance import (
 # the graph side imports circuits and graphs when it is called, so that the
 # array side (analyze) does not load them
 if TYPE_CHECKING:
-    import numpy as np
-
     from .circuits import PotentialAssignment
     from .graphs import ExplicitGraph, RegularityFailure
 
@@ -215,23 +218,35 @@ def _estimate(total: int, total_sq: int, trials: int, seed: int) -> MonteCarloEs
     return MonteCarloEstimate(mean, stderr, trials, seed)
 
 
-def _choice_chunks(seed: int, degree: int) -> Iterator[np.ndarray]:
+def _choice_chunks(seed: int, degree: int) -> Generator[bytes | list[int], Optional[int], None]:
     """The `random.Random(seed).randrange(degree)` stream, drawn in bulk, as
-    successive numpy arrays of choices; degree >= 1."""
-    import numpy as np
-
+    successive chunks of choices: bytes below degree 256, else lists; degree
+    >= 1.  Each chunk doubles the last, up to 16384 words, unless the caller
+    sends the number of choices it still expects to need, which sizes the
+    next chunk instead; either way the stream is the same."""
     rng = random.Random(seed)
-    shift = 32 - degree.bit_length()
+    bits = degree.bit_length()
+    if bits <= 8:
+        keep = bytes(x >> (8 - bits) for x in range(256))
+        drop = bytes(x for x in range(256) if x >> (8 - bits) >= degree)
+    shift = 32 - bits
+    limit = degree << shift  # word >> shift < degree exactly when word < limit
     size = 1024
     while True:
-        words = np.frombuffer(rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4") >> shift
-        yield np.compress(words < degree, words)
-        size = min(2 * size, 16384)
+        words = rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        if bits <= 8:
+            # a choice is the top `bits` bits of a word, all in its high byte
+            wanted = yield words[3::4].translate(keep, drop)
+        else:
+            wanted = yield [word >> shift for word in struct.unpack(f"<{size}I", words) if word < limit]
+        # a choice takes 2**bits / degree words on average; at least 64
+        # words, so that a long last trial does not draw many tiny chunks
+        size = min(2 * size if wanted is None else max(-(-(wanted << bits) // degree), 64), 16384)
 
 
 def _choices(seed: int, degree: int) -> Iterator[int]:
     """The `_choice_chunks` stream one choice at a time."""
-    return chain.from_iterable(chunk.tolist() for chunk in _choice_chunks(seed, degree))
+    return chain.from_iterable(_choice_chunks(seed, degree))
 
 
 def _block_length(n: int, degree: int) -> int:
@@ -243,25 +258,30 @@ def _block_length(n: int, degree: int) -> int:
     return length
 
 
-def _blocks(seed: int, degree: int, length: int) -> Iterator[bytes | list[int]]:
+def _blocks(seed: int, degree: int, length: int) -> Generator[bytes | list[int], Optional[int], None]:
     """The `_choice_chunks` stream as block indices c_1 d^(L-1) + ... + c_L
-    of `length` choices each, one sequence per chunk: bytes where the indices
-    fit one, else a list.  The fewer than `length` choices left at a chunk's
-    end lead the next chunk's first block."""
-    import numpy as np
-
-    carry = ()
-    for choices in _choice_chunks(seed, degree):
-        if len(carry):
-            choices = np.concatenate((carry, choices))
+    of `length` choices each, one sequence per chunk: bytes where the choices
+    fit one, else a list (then `length` is 1 and the blocks are the choices).
+    The fewer than `length` choices left at a chunk's end lead the next
+    chunk's first block."""
+    if length == 1:
+        yield from _choice_chunks(seed, degree)
+        return
+    carry = b""
+    chunks = _choice_chunks(seed, degree)
+    chunk = next(chunks)
+    while True:
+        choices = carry + chunk
         whole = len(choices) - len(choices) % length
-        blocks = choices[0:whole:length]
-        for t in range(1, length):
-            blocks = blocks * degree + choices[t:whole:length]
+        # degree**length <= 256, so Horner's rule over whole byte strings
+        # never carries from one block's byte into the next
+        x = 0
+        for t in range(length):
+            x = x * degree + int.from_bytes(choices[t:whole:length], "little")
         carry = choices[whole:]
         # a bytes iterator hands a Python loop cached small ints, the cheapest
-        # way, and says how many are left
-        yield blocks.astype(np.uint8).tobytes() if degree**length <= 256 else blocks.tolist()
+        # way, and says how many are left; a number sent back sizes the draw
+        chunk = chunks.send((yield x.to_bytes(whole // length, "little")))
 
 
 def _block_table(g: ExplicitGraph, u: int, v: int, length: int) -> list[Sequence[int]]:
@@ -271,27 +291,23 @@ def _block_table(g: ExplicitGraph, u: int, v: int, length: int) -> list[Sequence
     A state is y + n * mask: the walk stands at y, and bit t of mask is set
     when step t + 1 of the block hit v.  Row y + n * mask is row y, so
     `table[state][block]` is the state after the block."""
-    n, degree = g.n, len(g.adjacency[0])
+    n, adjacency = g.n, g.adjacency
     if length == 1:
         # the adjacency itself, v marked in the rows of its neighbors only:
         # n * degree may be far past TABLE_CAP
-        rows: list[Sequence[int]] = list(g.adjacency)
-        for w in g.adjacency[v]:
+        rows: list[Sequence[int]] = list(adjacency)
+        for w in adjacency[v]:
             row = rows[w] = list(rows[w])
             row[row.index(v)] = u + n
         return rows * 2
-    import numpy as np
-
-    adjacency = np.array(g.adjacency)
-    index = np.arange(degree**length)
-    state = np.arange(n)[:, None]
-    mask = 0
-    for t in range(length):
-        state = adjacency[state, index // degree ** (length - 1 - t) % degree]
-        hit = state == v
-        mask = mask | hit << t
-        state = np.where(hit, u, state)
-    return (state + n * mask).tolist() * (1 << length)
+    # backward from the last step: rows[y] holds the state after steps j..L
+    # from y, for each index of their choices; step j's choice is the more
+    # significant digit, so a row is its neighbors' rows laid end to end
+    rows = [[y] for y in range(n)]
+    for j in range(length, 0, -1):
+        hit = [s + (n << (j - 1)) for s in rows[u]]
+        rows = [list(chain.from_iterable([hit if w == v else rows[w] for w in adjacency[y]])) for y in range(n)]
+    return rows * (1 << length)
 
 
 def _hit_summaries(n: int, length: int) -> list[tuple[int, int, int, int] | None]:
@@ -338,7 +354,9 @@ def simulate_hitting_time(
     start = 0  # the step the running trial started after, the sum of the ended trials
     drawn = 0  # the steps of the blocks drawn so far
     cur = u
-    for blocks in _blocks(seed, degree, length):  # endless; the last trial returns
+    stream = _blocks(seed, degree, length)
+    blocks = next(stream)
+    while True:  # endless; the last trial returns
         drawn += len(blocks) * length
         it = iter(blocks)
         left = it.__length_hint__  # bound once: operator.length_hint costs 4x a call
@@ -361,6 +379,8 @@ def simulate_hitting_time(
                         done += 1
                         if done == trials:
                             return _estimate(start, total_sq, trials, seed)
+        # the trials left at the mean length of those ended so far
+        blocks = stream.send((trials - done) * start // done if done else None)
 
 
 def simulate_cover_time(

@@ -1297,6 +1297,7 @@ for argv in (
     ["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"],
     ["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"],
     ["catalog", "--recompute"],
+    ["walk", "petersen", "--from-distance", "2", "--trials", "500"],
     ["verify", "petersen"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1309,7 +1310,7 @@ def test_numpy_loads_only_for_graph_commands():
     # numpy is over half of the start-up of a command that loads it (~190 ms
     # for verify against ~63 ms for catalog, sources compiled cold) and
     # ~12 MB of resident memory; only verify's oracle (its float solve) and
-    # Jacobi spectrum and the walk's bulk draws use it
+    # Jacobi spectrum use it
     result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
@@ -1317,6 +1318,7 @@ def test_numpy_loads_only_for_graph_commands():
         "scan 0 False",
         "analyze 0 False",
         "catalog 0 False",
+        "walk 0 False",
         "verify 0 True",
     ]
 
@@ -1366,8 +1368,8 @@ def test_each_command_imports_only_the_modules_it_runs(argv, extra):
     assert result.returncode == 0, result.stderr
     drglab_modules, slow_modules = result.stdout.splitlines()
     assert drglab_modules.split() == sorted(f"drglab.{name}" for name in CATALOG_PATH + extra)
-    # `dataclasses` loads `inspect`; numpy loads `inspect` on the graph commands
-    if "graphs" not in extra:
+    # `dataclasses` loads `inspect`; numpy, which only verify loads, does too
+    if argv[:1] != ["verify"]:
         assert slow_modules == ""
 
 

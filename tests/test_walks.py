@@ -389,19 +389,37 @@ SEEDS = (0, 1, 7, 20240809, 2**31 - 1)
 
 
 class TestBulkDrawnStream:
-    @pytest.mark.parametrize("degree", range(1, 65))
+    # past 64: both sides of the one-byte boundary and the largest degree a
+    # graph within MAX_VERTICES can have; 2**40 + 3 is a two-word seed key
+    @pytest.mark.parametrize("degree", [*range(1, 65), 127, 128, 130, 255, 256, 257, 1023])
     def test_choices_equal_randrange(self, degree):
-        for seed in (0, 1, 20240809):
+        for seed in (0, 1, 20240809, 2**40 + 3):
             reference = random.Random(seed)
             expected = [reference.randrange(degree) for _ in range(2500)]
             assert list(islice(walks._choices(seed, degree), 2500)) == expected
 
-    @pytest.mark.parametrize("degree", (3, 20, 64))
+    @pytest.mark.parametrize("degree", (3, 20, 64, 127, 128, 130, 255, 256, 257, 1023))
     def test_choices_equal_randrange_across_refills(self, degree):
         # 70k choices need more than the 1k + 2k + 4k + 8k + 16k + 16k words of the first six chunks
         reference = random.Random(5)
         expected = [reference.randrange(degree) for _ in range(70_000)]
         assert list(islice(walks._choices(5, degree), 70_000)) == expected
+
+    @given(
+        st.sampled_from([1, 2, 3, 7, 127, 128, 130, 255, 256, 257, 1023]),
+        st.one_of(st.just(0), st.integers(1, 2**70)),
+        st.lists(st.one_of(st.none(), st.integers(1, 5000)), max_size=6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sent_sizes_keep_the_stream(self, degree, seed, wanted):
+        # the hitting walk sends the choices it still expects to need, which
+        # size the next chunk; whatever it sends, the stream is the same
+        chunks = walks._choice_chunks(seed, degree)
+        drawn = [*next(chunks)]
+        for choices in wanted:
+            drawn += chunks.send(choices)
+        reference = random.Random(seed)
+        assert drawn == [reference.randrange(degree) for _ in drawn]
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
     def test_hitting_time_equals_reference(self, name):
@@ -478,7 +496,7 @@ class TestBlockWalk:
         assert estimate.mean * trials > 250_000
         assert estimate == walk_reference.hitting_time(g, 0, v, trials, seed)
 
-    @pytest.mark.parametrize("degree,length", [(1, 8), (2, 8), (3, 5), (4, 4), (6, 3), (16, 2), (19, 1), (256, 1), (257, 1)])
+    @pytest.mark.parametrize("degree,length", [(1, 8), (2, 8), (3, 5), (4, 4), (6, 3), (16, 2), (19, 1), (128, 1), (255, 1), (256, 1), (257, 1), (1023, 1)])
     def test_blocks_spell_the_choice_stream(self, degree, length):
         # 100k choices cross many chunks, whose leftover choices lead the next
         # chunk's first block; a degree-257 index does not fit a byte
@@ -486,7 +504,11 @@ class TestBlockWalk:
         digits = [b // degree ** (length - 1 - t) % degree for b in islice(blocks, 100_000 // length) for t in range(length)]
         assert digits == list(islice(walks._choices(11, degree), len(digits)))
 
-    @pytest.mark.parametrize("name,params", [("complete", (257,)), ("complete_bipartite_minus_matching", (258,))], ids=["degree 256", "degree 257"])
+    @pytest.mark.parametrize(
+        "name,params",
+        [("cocktail_party", (66,)), ("complete", (257,)), ("complete_bipartite_minus_matching", (258,))],
+        ids=["degree 130", "degree 256", "degree 257"],
+    )
     def test_degrees_at_and_past_one_byte(self, name, params):
         g = construct_named_graph(name, params)
         for seed in (0, 7):
@@ -521,15 +543,19 @@ class TestWalkArguments:
 
 
 def test_walk_command_leaves_numpy_random_unimported():
-    # importing numpy.random costs ~6 MB of resident memory
+    # the walk draws, blocks and tables its stream with the standard library:
+    # numpy costs ~12 MB of resident memory, numpy.random ~6 MB more
     code = (
         "import sys\n"
         "from drglab.cli import main\n"
         "main(['walk', 'petersen', '--from-distance', '2', '--trials', '500', '--format', 'json'])\n"
-        "print('numpy.random' in sys.modules)\n"
+        "from drglab.graphs import construct_named_graph\n"
+        "from drglab.walks import simulate_cover_time\n"
+        "simulate_cover_time(construct_named_graph('petersen', ()), 0, 20, 1)\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(drglab.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert '"command": "walk"' in result.stdout
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False False"
