@@ -8,9 +8,8 @@ graphs ground the formulas through an independent Laplacian oracle, and a
 scanner sieves candidate arrays through stacked feasibility screens.
 
 Importing the package loads only the catalog path (arrays, catalog,
-potentials, rational, resistance); every other public name is imported
-from its module on first use (PEP 562), so a command loads only what it
-runs.  The catalog's names are bound here at once: `catalog` is also the
+rational, resistance); every other public name is imported from its
+module on first use (PEP 562), so a command loads only what it runs.  The catalog's names are bound here at once: `catalog` is also the
 name of their submodule, whose import would otherwise rebind
 `drglab.catalog` to the module.
 """

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .arrays import IntersectionArray, _Record
 from .graphs import ExplicitGraph, bfs_distances, verify_distance_regular
-from .potentials import PotentialSequence, _over_one_denominator
-from .rational import solve_exact
+from .potentials import PotentialSequence
+from .rational import _over_one_denominator, solve_exact
 
 if TYPE_CHECKING:
     import numpy as np

@@ -21,12 +21,11 @@ the one closed-form ratio, `resistance._closed_form_ratio`, of the shells.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .arrays import CheckResult, DistanceDistribution, IntersectionArray, _Record, _vertex_count, _vertex_terms
-from .rational import _fractions, _reduced, _terms
+from .rational import _common_terms, _fractions, _over_one_denominator, _reduced, _terms
 
 RECURSIVE = "recursive"
 CLOSED_FORM = "closed-form"
@@ -53,18 +52,6 @@ class PotentialSequence(_Record):
     def ratio(self) -> Fraction:
         """(phi_1 + ... + phi_{D-1}) / phi_0, the head-to-tail resistance ratio."""
         return Fraction(*_ratio_terms(_terms(self.phi)))
-
-
-def _over_one_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The least common denominator of the values and their numerators over it."""
-    return _common_terms(_terms(values))
-
-
-def _common_terms(terms: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
-    """The least common denominator of (numerator, denominator) pairs, each
-    denominator positive, and their numerators over it."""
-    den = math.lcm(*(q for _, q in terms))
-    return den, [p * (den // q) for p, q in terms]
 
 
 def _ratio_terms(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:

@@ -51,6 +51,18 @@ def _terms(values: Iterable[Fraction]) -> list[tuple[int, int]]:
     return [(value.numerator, value.denominator) for value in values]
 
 
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of the values and their numerators over it."""
+    return _common_terms(_terms(values))
+
+
+def _common_terms(terms: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The least common denominator of (numerator, denominator) pairs, each
+    denominator positive, and their numerators over it."""
+    den = math.lcm(*(q for _, q in terms))
+    return den, [p * (den // q) for p, q in terms]
+
+
 def solve_exact(
     matrix: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]]:

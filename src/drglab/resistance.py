@@ -8,6 +8,11 @@ VIOLATION verdict asserts that no distance-regular graph of valency >= 3
 realizes the array, and such a statement must not hinge on rounding.
 `_closed_form_ratio` is the one closed-form ratio of drglab; the
 recursion's (`potentials._ratio_terms`) is separate code, its check.
+
+The potentials are imported by the two functions that read them,
+`profile_from_distribution` and `classify_biggs`, not at import: the
+catalog and the scan, which need only the ratio and the stages, load this
+module without compiling `potentials`.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from .arrays import (
     compute_distance_distribution,
     parse_intersection_array,
 )
-from .potentials import _closed_form_terms, _common_terms, _over_one_denominator, potentials_recursive
-from .rational import _fractions, _reduced
+from .rational import _common_terms, _fractions, _over_one_denominator, _reduced
 
 #: Ratios at or above this are impossible outside the four extremal graphs.
 BIGGS_THRESHOLD = Fraction(87, 100)
@@ -93,6 +97,8 @@ def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
 def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
     """`resistance_profile` from the array's precomputed distance
     distribution, each value one `Fraction` of the int helpers."""
+    from .potentials import _closed_form_terms
+
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
     weights = _over_one_denominator(dist.k_sizes)[1]
@@ -139,6 +145,8 @@ class BiggsVerdict(NamedTuple):
 
 def classify_biggs(arr: IntersectionArray) -> BiggsVerdict:
     """Classify an array by its ratio from the recursion; see `classify_ratio`."""
+    from .potentials import potentials_recursive
+
     return classify_ratio(arr, potentials_recursive(arr).ratio())
 
 

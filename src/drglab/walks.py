@@ -70,7 +70,6 @@ from .resistance import (
     _closed_form_ratio,
     _profile,
     _profile_terms,
-    _screened_out,
     _stages,
     resistance_profile,
 )
@@ -639,10 +638,12 @@ def _analysis(arr: IntersectionArray) -> _Analysis:
     every value its report prints, in ints, with no `Fraction` built.
     Raises `ValueError` for a realizable array of valency k <= 2."""
     feasibility, counts = validate_basic(arr), _distribution_terms(arr)
-    shells_integral, weights = counts[5], counts[6]
-    outcome = _stages(None, arr, weights if shells_integral else None) if feasibility.overall else _screened_out(arr, "basic")
-    derived = _derived(arr, counts, outcome) if feasibility.overall and shells_integral else None  # the report's `realizable`
-    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived, outcome[4:]
+    if feasibility.overall and counts[5]:  # whole shells: the report's `realizable`
+        outcome = _stages(None, arr, counts[6])
+        derived, stages = _derived(arr, counts, outcome), outcome[4:]
+    else:  # screened out, with no stage after the failing one run
+        derived, stages = None, ("integrality" if feasibility.overall else "basic", None, None)
+    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived, stages
 
 
 def _derived(arr: IntersectionArray, counts: _Counts, outcome: tuple) -> tuple:

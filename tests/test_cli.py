@@ -26,6 +26,8 @@ from drglab import (
     ResistanceProfile,
     circuits,
     cli,
+    cli_analyze,
+    cli_graph,
     construct_named_graph,
     parse_intersection_array,
     resistance,
@@ -35,7 +37,8 @@ from drglab import (
     verify_distance_regular,
     walks,
 )
-from drglab.cli import _build_parser, _load_graph, main
+from drglab.cli import _build_parser, _command_parser, _handler, main
+from drglab.cli_graph import _load_graph
 from drglab.potentials import _recursive_terms
 from drglab.scanner import ScanQuery, scan
 
@@ -783,7 +786,7 @@ class TestGoldenBytes:
         def refuse(*args, **kwargs):
             raise AssertionError("analyze built a Fraction")
 
-        for name in CATALOG_PATH + ("cli", "walks"):
+        for name in CATALOG_PATH + ("cli", "cli_analyze", "potentials", "walks"):
             monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "Fraction", refuse, raising=False)
         assert stdout_digest(argv, None, capsys) == (digest, code)
         with pytest.raises(AssertionError, match="^analyze built a Fraction$"):
@@ -843,8 +846,9 @@ class TestJsonWriter:
     def test_writes_no_reference_cycle(self, capsys):
         # a cycle would keep each output's chunks alive until a collection
         payload = {"outer": [{"inner": ["1/2", 3, 0.5, None, True]}, [], {}], "text": "\u00e9"}
-        # the parser, built once per process, leaves argparse's own garbage
-        _build_parser()
+        # the parsers, built once per process, leave argparse's own garbage
+        for command in ("analyze", "catalog"):
+            _command_parser(command)
         gc.collect()
         gc.disable()
         try:
@@ -913,7 +917,7 @@ class TestAnalyzeJson:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_payload_dict(self, arr):
         report = walks.analyze_array(arr)
-        assert cli._analyze_json(arr, walks._analysis(arr)) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+        assert cli_analyze._analyze_json(arr, walks._analysis(arr)) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
 
     def test_free_text_is_escaped(self, monkeypatch, capsys):
         # no text drglab writes today needs escaping, so put some in the
@@ -929,6 +933,7 @@ class TestAnalyzeJson:
             return screens, counts, divisibility._replace(detail=odd), head, (*derived[:6], odd, *derived[7:]), stages
 
         monkeypatch.setattr(walks, "_analysis", odd_texts)
+        monkeypatch.setattr(cli_analyze, "_analysis", odd_texts)
         arr = parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)")
         report = walks.analyze_array(arr)
         assert report.verdict.matched_extremal == report.divisibility.detail == odd
@@ -1056,7 +1061,7 @@ def reference_main(argv):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    return _handler(args.command)(args)
 
 
 class TestRouting:
@@ -1088,6 +1093,140 @@ class TestRouting:
         assert routed.out or routed.err
 
 
+GRAPH_HELP = """
+positional arguments:
+  family
+  params
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json}
+  --output PATH
+  --edges FILE          edge-list file: 'n m' then one 'a b' line per edge
+"""
+
+# (argv, exit code, stdout, stderr) of the help and usage errors, in
+# argparse's text of Python 3.11 at 80 columns
+USAGE_PINS = [
+    (
+        ["--help"],
+        0,
+        """usage: drglab [-h] {analyze,scan,catalog,verify,walk} ...
+
+Exact resistance analysis of distance-regular graph parameters.
+
+positional arguments:
+  {analyze,scan,catalog,verify,walk}
+    analyze             full report for one intersection array
+    scan                enumerate candidates and run the feasibility pipeline
+    catalog             print the embedded catalog
+    verify              construct or load a graph and ground every formula on
+                        it
+    walk                Monte Carlo hitting time against the exact formula
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ([], 1, "", "drglab: error: the following arguments are required: command\n"),
+    (
+        ["frobnicate"],
+        1,
+        "",
+        "drglab: error: argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'scan', 'catalog', 'verify', 'walk')\n",
+    ),
+    (
+        ["analyze", "--help"],
+        0,
+        """usage: drglab analyze [-h] [--format {table,json}] [--output PATH] array
+
+positional arguments:
+  array                 array text, e.g. "(3,2,1;1,2,3)"
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json}
+  --output PATH
+""",
+        "",
+    ),
+    (
+        ["scan", "--help"],
+        0,
+        """usage: drglab scan [-h] [--format {table,json}] [--output PATH] --k A..B
+                   --diameter C..E [--n-max N_MAX] [--only-biggs]
+                   [--jobs JOBS]
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json}
+  --output PATH
+  --k A..B              valency range (lower bound >= 3)
+  --diameter C..E       diameter range
+  --n-max N_MAX         drop candidates above this vertex count, at least 1
+  --only-biggs          print only arrays ruled out by the resistance bound
+                        alone
+  --jobs JOBS           accepted for compatibility, at least 1; the scan
+                        always runs in one process
+""",
+        "",
+    ),
+    (
+        ["catalog", "--help"],
+        0,
+        """usage: drglab catalog [-h] [--format {table,json}] [--output PATH]
+                      [--recompute]
+
+options:
+  -h, --help            show this help message and exit
+  --format {table,json}
+  --output PATH
+  --recompute           recompute counts and ratios; exit 2 on mismatch
+""",
+        "",
+    ),
+    (
+        ["verify", "--help"],
+        0,
+        """usage: drglab verify [-h] [--format {table,json}] [--output PATH]
+                     [--edges FILE] [--exhaustive]
+                     [family] [params ...]
+"""
+        + GRAPH_HELP
+        + "  --exhaustive          check every pair, not one per distance\n",
+        "",
+    ),
+    (
+        ["walk", "--help"],
+        0,
+        """usage: drglab walk [-h] [--format {table,json}] [--output PATH] [--edges FILE]
+                   --from-distance J [--trials TRIALS] [--seed SEED]
+                   [family] [params ...]
+"""
+        + GRAPH_HELP
+        + """  --from-distance J
+  --trials TRIALS
+  --seed SEED           seed of the walks' random.Random stream, at least 0
+""",
+        "",
+    ),
+    (["analyze"], 1, "", "drglab analyze: error: the following arguments are required: array\n"),
+    (["scan", "--k", "3"], 1, "", "drglab scan: error: the following arguments are required: --diameter\n"),
+    (["catalog", "--format"], 1, "", "drglab catalog: error: argument --format: expected one argument\n"),
+    (["verify", "--edges"], 1, "", "drglab verify: error: argument --edges: expected one argument\n"),
+    (["walk", "petersen"], 1, "", "drglab walk: error: the following arguments are required: --from-distance\n"),
+    (["catalog", "--recompute", "x"], 1, "", "drglab: error: unrecognized arguments: x\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_PINS, ids=[" ".join(pin[0]) or "no arguments" for pin in USAGE_PINS])
+def test_usage_text(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 class TestUnwritableOutput:
     COMMANDS = {
         "analyze": ["analyze", "(3,2;1,3)"],
@@ -1116,9 +1255,9 @@ class TestUnwritableOutput:
     # each command's work, which must not start before --output is open,
     # named in the module the handler looks it up in
     WORK = {
-        "analyze": (["analyze", "(3,2;1,3)"], walks, ["_analysis"]),
+        "analyze": (["analyze", "(3,2;1,3)"], cli_analyze, ["_analysis"]),
         "catalog": (["catalog", "--recompute"], cli, ["recompute_entry"]),
-        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], walks, ["verify_graph"]),
+        "verify": (["verify", "johnson", "8", "3", "--exhaustive"], cli_graph, ["verify_graph"]),
         "walk": (["walk", "hypercube", "3", "--from-distance", "1", "--trials", "10"], walks, ["simulate_hitting_time"]),
     }
 
@@ -1346,20 +1485,21 @@ print(*sorted(name for name in sys.modules if name.startswith("drglab.")))
 print(*sorted(name for name in ("dataclasses", "inspect", "json") if name in sys.modules and name not in at_start))
 """
 
-CATALOG_PATH = ("arrays", "catalog", "potentials", "rational", "resistance")
+CATALOG_PATH = ("arrays", "catalog", "rational", "resistance")
 
 
 @pytest.mark.parametrize(
     "argv, extra",
     [
         ([], ()),
+        (["--help"], ("cli",)),
         (["catalog", "--recompute"], ("cli",)),
-        (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], ("cli", "scanner")),
-        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("cli", "walks")),
-        (["verify", "petersen"], ("circuits", "cli", "graphs", "walks")),
-        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("circuits", "cli", "graphs", "walks")),
+        (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], ("cli", "cli_scan", "scanner")),
+        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("cli", "cli_analyze", "potentials", "walks")),
+        (["verify", "petersen"], ("circuits", "cli", "cli_graph", "graphs", "potentials", "walks")),
+        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("circuits", "cli", "cli_graph", "graphs", "potentials", "walks")),
     ],
-    ids=["import", "catalog", "scan", "analyze", "verify", "walk"],
+    ids=["import", "help", "catalog", "scan", "analyze", "verify", "walk"],
 )
 def test_each_command_imports_only_the_modules_it_runs(argv, extra):
     # importing and compiling a module is most of a short command's time; one

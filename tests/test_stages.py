@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from test_kernels import HALF_M, THIRD_N, any_arrays
 
 from drglab import ScanQuery, catalog, evaluate_array, extremal_set, parse_intersection_array, scan
-from drglab.cli import _analyze_json
+from drglab.cli_analyze import _analyze_json
 from drglab.walks import _analysis
 
 
