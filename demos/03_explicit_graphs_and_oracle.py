@@ -1,11 +1,12 @@
 """Grounding the formulas on explicit graphs.
 
 Build a real graph and verify it: `verify_graph` checks distance-regularity
-by brute-force counting, lays the predicted voltage function onto the
-vertices, and checks the two facts the formulas promise: the function is
-harmonic off the terminals with source current exactly n*k, and an exact
-Laplacian solve returns the same resistance as the array formula, at every
-distance.
+by direct counting (from vertex 0 alone once the family's declared
+automorphisms are checked to reach every vertex), lays the predicted
+voltage function onto the vertices, and checks the two facts the formulas
+promise: the function is harmonic off the terminals with source current
+exactly n*k, and an exact Laplacian solve returns the same resistance as
+the array formula, at every distance.
 """
 
 from drglab import bfs_distances, construct_named_graph, laplacian_spectral_gap, verify_graph

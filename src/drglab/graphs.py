@@ -1,5 +1,7 @@
 """Explicit small graphs: standard constructions, breadth-first distances,
-and intersection-array verification by direct counting."""
+and intersection-array verification by direct counting: from every vertex,
+or from vertex 0 alone when the graph's declared automorphisms are checked
+to move vertex 0 onto every vertex."""
 
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from .arrays import IntersectionArray, _Record, integer
 
 
 # the most vertices an explicit graph may have: every check on one grows as
-# n^2 or faster (the all-pairs regularity count, the dense oracle and the
-# spectrum), so a graph past this size is refused before anything is built
+# n^2 or faster (the dense oracle, the spectrum, and the all-pairs
+# regularity count on a graph without certified automorphisms), so a graph
+# past this size is refused before anything is built
 MAX_VERTICES = 1024
 
 
@@ -28,11 +31,16 @@ class ExplicitGraph:
 
     Immutable after construction; over MAX_VERTICES vertices, loops, parallel
     edges, out-of-range endpoints and disconnected edge sets are rejected.
+
+    `automorphisms` are vertex permutations (sequences p with vertex v sent
+    to p[v]) that the family constructors declare; edge-list graphs have
+    none.  They are stored unchecked: `verify_distance_regular` checks them
+    on every call before it relies on them.
     """
 
-    __slots__ = ("n", "edges", "adjacency")
+    __slots__ = ("n", "edges", "adjacency", "automorphisms")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], *, automorphisms: Iterable[Sequence[int]] = ()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         _refuse_oversized(f"graph on {n} vertices", n)
@@ -53,6 +61,7 @@ class ExplicitGraph:
             neighbors[a].append(b)
             neighbors[b].append(a)
         self.adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
+        self.automorphisms = tuple(map(tuple, automorphisms))
         if -1 in bfs_distances(self, 0):
             raise ValueError(f"graph on {n} vertices is not connected")
 
@@ -91,18 +100,61 @@ class RegularityFailure(_Record):
         )
 
 
-def verify_distance_regular(g: ExplicitGraph):
-    """Check distance-regularity by counting over every ordered pair, one BFS row at a time.
+def _moves_zero_everywhere(g: ExplicitGraph) -> bool:
+    """Whether g's declared automorphisms are checked to be automorphisms
+    that together move vertex 0 onto every vertex.
 
-    Returns the IntersectionArray on success, or a RegularityFailure naming
-    the first offending pair.
+    Each must be a bijection of 0..n-1 that maps every adjacency row onto
+    the row of its image; the orbit of 0 under the group they generate
+    must be the whole vertex set.
+    """
+    n, perms = g.n, g.automorphisms
+    if not perms:
+        return False
+    vertices = list(range(n))
+    if any(sorted(p) != vertices for p in perms):
+        return False
+    # the orbit before the edges: generators that cannot reach every vertex
+    # fall back to the full count without the O(m) edge check of each
+    seen = bytearray(n)
+    seen[0] = 1
+    orbit = [0]
+    for x in orbit:  # grows while it is read
+        for p in perms:
+            y = p[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    if len(orbit) != n:
+        return False
+    # a bijection maps the m edges onto m distinct pairs: all of them edges
+    # means every adjacency row goes onto the row of its image
+    edges = g.edges
+    for p in perms:
+        for a, b in edges:
+            x, y = p[a], p[b]
+            if ((x, y) if x < y else (y, x)) not in edges:
+                return False
+    return True
+
+
+def verify_distance_regular(g: ExplicitGraph):
+    """Check distance-regularity by counting each vertex's b and c neighbors
+    from a source, one BFS row at a time.
+
+    The sources are every vertex, or vertex 0 alone when g's declared
+    automorphisms are checked to move 0 onto every vertex: an automorphism
+    sigma with sigma(0) = x gives the pair (x, sigma(y)) the counts of
+    (0, y), so the other sources could only repeat vertex 0's counts.  Both
+    ways return the same IntersectionArray on success, or the same
+    RegularityFailure naming the first offending pair.
     """
     if g.n < 2:
         raise ValueError("a single vertex has no intersection array")
     adjacency = g.adjacency
     b_counts: dict[int, int] = {}
     c_counts: dict[int, int] = {}
-    for x in range(g.n):
+    for x in range(1 if _moves_zero_everywhere(g) else g.n):
         # the BFS from x counts each y's neighbors one step farther from x
         # (forward) and one step nearer (backward) as it goes: an edge joins
         # consecutive distances exactly when it reaches the farther end
@@ -181,18 +233,24 @@ def from_edge_list(text: str) -> ExplicitGraph:
 _EXPONENT_CUT = MAX_VERTICES.bit_length()
 
 
+def _rotation(n: int, blocks: int = 1) -> tuple[int, ...]:
+    """The permutation i -> i+1 mod n within each block of n vertices:
+    0..n-1, then n..2n-1, and so on."""
+    return tuple(start + (i + 1) % n for start in range(0, blocks * n, n) for i in range(n))
+
+
 def _complete(n: int) -> ExplicitGraph:
     """K_n on vertices 0..n-1."""
     if n < 2:
         raise ValueError("complete(n) needs n >= 2")
-    return ExplicitGraph(n, itertools.combinations(range(n), 2))
+    return ExplicitGraph(n, itertools.combinations(range(n), 2), automorphisms=[_rotation(n)])
 
 
 def _cycle(n: int) -> ExplicitGraph:
     """C_n with vertex i adjacent to i+1 mod n."""
     if n < 3:
         raise ValueError("cycle(n) needs n >= 3")
-    return ExplicitGraph(n, ((i, (i + 1) % n) for i in range(n)))
+    return ExplicitGraph(n, ((i, (i + 1) % n) for i in range(n)), automorphisms=[_rotation(n)])
 
 
 def _hypercube(d: int) -> ExplicitGraph:
@@ -201,21 +259,29 @@ def _hypercube(d: int) -> ExplicitGraph:
         raise ValueError("hypercube(d) needs d >= 1")
     _refuse_oversized(f"hypercube({d})", 2 ** min(d, _EXPONENT_CUT))
     n = 1 << d
-    return ExplicitGraph(n, ((x, x ^ (1 << i)) for x in range(n) for i in range(d) if x < x ^ (1 << i)))
+    edges = ((x, x ^ (1 << i)) for x in range(n) for i in range(d) if x < x ^ (1 << i))
+    return ExplicitGraph(n, edges, automorphisms=[[x ^ (1 << i) for x in range(n)] for i in range(d)])
+
+
+def _part_symmetries(k: int) -> list[tuple[int, ...]]:
+    """On parts 0..k-1 and k..2k-1: i -> i+1 mod k within each part, and
+    the swap i <-> k+i."""
+    return [_rotation(k, 2), (*range(k, 2 * k), *range(k))]
 
 
 def _complete_bipartite(k: int) -> ExplicitGraph:
     """K_{k,k} with parts 0..k-1 and k..2k-1."""
     if k < 1:
         raise ValueError("complete_bipartite(k) needs k >= 1")
-    return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k)))
+    return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k)), automorphisms=_part_symmetries(k))
 
 
 def _complete_bipartite_minus_matching(k: int) -> ExplicitGraph:
     """K_{k,k} minus the perfect matching i -- k+i (the crown graph)."""
     if k < 3:
         raise ValueError("complete_bipartite_minus_matching(k) needs k >= 3 to stay connected")
-    return ExplicitGraph(2 * k, ((i, k + j) for i in range(k) for j in range(k) if i != j))
+    edges = ((i, k + j) for i in range(k) for j in range(k) if i != j)
+    return ExplicitGraph(2 * k, edges, automorphisms=_part_symmetries(k))
 
 
 def _cocktail_party(parts: int) -> ExplicitGraph:
@@ -223,7 +289,8 @@ def _cocktail_party(parts: int) -> ExplicitGraph:
     if parts < 2:
         raise ValueError("cocktail_party(parts) needs parts >= 2")
     n = 2 * parts
-    return ExplicitGraph(n, ((a, b) for a, b in itertools.combinations(range(n), 2) if a // 2 != b // 2))
+    edges = ((a, b) for a, b in itertools.combinations(range(n), 2) if a // 2 != b // 2)
+    return ExplicitGraph(n, edges, automorphisms=[[v ^ 1 for v in range(n)], (*range(2, n), 0, 1)])
 
 
 def _hamming(d: int, q: int) -> ExplicitGraph:
@@ -242,7 +309,10 @@ def _hamming(d: int, q: int) -> ExplicitGraph:
         for pos in range(d):
             for value in range(digits[pos] + 1, q):
                 edges.append((x, x + (value - digits[pos]) * q**pos))
-    return ExplicitGraph(n, edges)
+    # +1 mod q in the coordinate of weight w: the digit q-1 wraps to 0
+    weights = [q**pos for pos in range(d)]
+    steps = [[x - (q - 1) * w if x // w % q == q - 1 else x + w for x in range(n)] for w in weights]
+    return ExplicitGraph(n, edges, automorphisms=steps)
 
 
 def _johnson(n: int, k: int) -> ExplicitGraph:
@@ -251,29 +321,40 @@ def _johnson(n: int, k: int) -> ExplicitGraph:
         raise ValueError("johnson(n,k) needs n >= 2 and 1 <= k <= n-1")
     # C(n, j) grows with j up to n/2, and C(n, j) >= 2**j there
     _refuse_oversized(f"johnson({n},{k})", math.comb(n, min(k, n - k, _EXPONENT_CUT)))
-    subsets = list(itertools.combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
+    # subset s as the bitmask sum of 2**i over i in s, labelled in the
+    # lexicographic order of the sorted tuples
+    bits = [1 << i for i in range(n)]
+    masks = [sum(bits[i] for i in s) for s in itertools.combinations(range(n), k)]
+    index = {mask: a for a, mask in enumerate(masks)}
     edges = []
-    for s, a in index.items():
-        members = set(s)
-        for out in s:
-            for into in range(n):
-                if into not in members:
-                    t = tuple(sorted(members - {out} | {into}))
-                    b = index[t]
-                    if a < b:
-                        edges.append((a, b))
-    return ExplicitGraph(len(subsets), edges)
+    for a, mask in enumerate(masks):
+        for i, out in enumerate(bits):
+            if mask & out:
+                # swapping out for a larger element gives a later subset
+                rest = mask ^ out
+                edges.extend([(a, index[rest | into]) for into in bits[i + 1 :] if not mask & into])
+    # the n-cycle i -> i+1 mod n and the transposition (0 1) on the ground set
+    full = (1 << n) - 1
+    rotation = [index[(mask << 1 & full) | mask >> (n - 1)] for mask in masks]
+    transposition = [index[mask ^ 3] if (mask & 3) in (1, 2) else a for a, mask in enumerate(masks)]
+    return ExplicitGraph(len(masks), edges, automorphisms=[rotation, transposition])
 
 
 def _generalized_petersen(n: int, step: int) -> ExplicitGraph:
-    """GP(n,step): outer cycle 0..n-1, inner vertices n..2n-1 with step chords."""
+    """GP(n,step): outer cycle 0..n-1, inner vertices n..2n-1 with step chords.
+
+    With step^2 = +-1 mod n, the rotation of both rings and the ring swap
+    i <-> n + step*i mod n are declared as automorphisms."""
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
         edges.append((n + i, n + (i + step) % n))
         edges.append((i, n + i))
-    return ExplicitGraph(2 * n, edges)
+    automorphisms = []
+    if step * step % n in (1, n - 1):
+        swap = [step * i % n for i in range(n)]
+        automorphisms = [_rotation(n, 2), (*(n + j for j in swap), *swap)]
+    return ExplicitGraph(2 * n, edges, automorphisms=automorphisms)
 
 
 def _petersen() -> ExplicitGraph:
@@ -298,7 +379,10 @@ def _heawood() -> ExplicitGraph:
     for j in range(7):
         for p in (j, (j + 1) % 7, (j + 3) % 7):
             edges.append((p, 7 + j))
-    return ExplicitGraph(14, edges)
+    # the rotation mod 7 of points and lines, and the duality point p <->
+    # line -p: p lies on line j exactly when -j lies on line -p
+    duality = (*(7 + -p % 7 for p in range(7)), *(-j % 7 for j in range(7)))
+    return ExplicitGraph(14, edges, automorphisms=[_rotation(7, 2), duality])
 
 
 def _pappus() -> ExplicitGraph:

@@ -1,5 +1,7 @@
 """Constructions, distance-regularity verification, and edge-list IO."""
 
+import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -185,6 +187,20 @@ class TestVerification:
         assert verified == parse_intersection_array("(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)")
         assert peak < 64 * 1024
 
+    def test_full_count_in_flat_memory(self):
+        # the same bound on the count from every vertex: Q9's edge-list copy
+        # declares no automorphisms
+        g = from_edge_list(to_edge_list(construct_named_graph("hypercube", (9,))))
+        assert not g.automorphisms
+        tracemalloc.start()
+        try:
+            verified = verify_distance_regular(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verified == parse_intersection_array("(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)")
+        assert peak < 64 * 1024
+
 
 def two_pass_regularity(g):
     """The two-pass regularity count, the reference for the one inside the
@@ -254,6 +270,110 @@ class TestRegularityWitness:
     def test_drawn_graphs(self, text):
         g = from_edge_list(text)
         assert verify_distance_regular(g) == two_pass_regularity(g)
+
+
+# the families whose constructors declare no automorphisms: both have at
+# most 20 vertices and keep the count from every vertex
+UNCERTIFIED = {"pappus", "dodecahedron"}
+
+
+class TestCertifiedCount:
+    # declared automorphisms that move vertex 0 onto every vertex let the
+    # count run from vertex 0 alone; anything short of that runs it from
+    # every vertex, and either way the answer is the full count's
+
+    @pytest.mark.parametrize(
+        "family,params,array_text",
+        [
+            ("hypercube", (9,), "(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)"),
+            ("johnson", (10, 4), "(24,15,8,3;1,4,9,16)"),
+            ("hamming", (5, 4), "(15,12,9,6,3;1,2,3,4,5)"),
+        ],
+    )
+    def test_larger_families(self, family, params, array_text):
+        g = construct_named_graph(family, params)
+        assert graphs._moves_zero_everywhere(g)
+        assert verify_distance_regular(g) == parse_intersection_array(array_text)
+
+    def test_every_small_family(self):
+        # a mistyped generator fails here instead of falling back to the
+        # full count unseen
+        for name, params in SMALL_FAMILY_PARAMS:
+            g = small_family_graph(name, params)
+            assert graphs._moves_zero_everywhere(g) == (name not in UNCERTIFIED), (name, params)
+
+    @pytest.mark.parametrize("n,step", [(5, 1), (8, 3)], ids=["prism_c5_k2", "mobius_kantor"])
+    def test_named_failures(self, n, step):
+        # GP(5,1) and GP(8,3) are vertex-transitive and not distance-regular
+        g = graphs._generalized_petersen(n, step)
+        assert graphs._moves_zero_everywhere(g)
+        failure = verify_distance_regular(g)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == two_pass_regularity(g)
+
+    def test_rotation_alone_on_the_prism(self):
+        # the rotation keeps each ring: vertex 0 never reaches the inner one
+        rotation = (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)
+        g = ExplicitGraph(10, graphs._generalized_petersen(5, 1).edges, automorphisms=[rotation])
+        assert not graphs._moves_zero_everywhere(g)
+        assert verify_distance_regular(g) == two_pass_regularity(g)
+
+    @pytest.mark.parametrize(
+        "automorphisms",
+        [
+            [(1, 2, 3, 0)],  # moves 0 everywhere, but sends the edge 2-3 to 3-0
+            [(3, 2, 1, 0)],  # the reflection: 0 reaches only 3
+            [(1, 0, 1, 0), (2, 3, 2, 3)],  # edges onto edges, not bijections
+            [(1, 2, 3)],
+            [(1, 2, 3, 4)],
+        ],
+        ids=["not_an_automorphism", "not_transitive", "not_bijections", "too_short", "out_of_range"],
+    )
+    def test_false_claims_get_the_full_count(self, automorphisms):
+        # on the path P4 the counts from vertex 0 alone agree with each other
+        # and would read the array (1,1,1;1,1,1)
+        g = ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)], automorphisms=automorphisms)
+        assert not graphs._moves_zero_everywhere(g)
+        failure = verify_distance_regular(g)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == two_pass_regularity(g)
+
+    @given(connected_edge_lists(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_claims(self, text, data):
+        # drawn permutations, true automorphisms or not, never change the answer
+        g = from_edge_list(text)
+        claims = data.draw(st.lists(st.permutations(range(g.n)), max_size=3))
+        claimed = ExplicitGraph(g.n, g.edges, automorphisms=claims)
+        assert verify_distance_regular(claimed) == two_pass_regularity(g)
+
+
+def johnson_by_tuples(n, k):
+    """The vertex count and edge set of J(n,k) built from sorted tuples,
+    the reference for the bitmask construction's labels and edges."""
+    subsets = list(itertools.combinations(range(n), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    edges = []
+    for s, a in index.items():
+        members = set(s)
+        for out in s:
+            for into in range(n):
+                if into not in members:
+                    b = index[tuple(sorted(members - {out} | {into}))]
+                    if a < b:
+                        edges.append((a, b))
+    return len(subsets), frozenset(edges)
+
+
+def test_johnson_labels_and_edges():
+    built = 0
+    for n in range(2, 65):
+        for k in range(1, n):
+            if math.comb(n, k) <= graphs.MAX_VERTICES:
+                g = construct_named_graph("johnson", (n, k))
+                assert (g.n, g.edges) == johnson_by_tuples(n, k), (n, k)
+                built += 1
+    assert built == 254
 
 
 class TestVerifiedForms:
