@@ -260,7 +260,17 @@ def _hypercube(d: int) -> ExplicitGraph:
     _refuse_oversized(f"hypercube({d})", 2 ** min(d, _EXPONENT_CUT))
     n = 1 << d
     edges = ((x, x ^ (1 << i)) for x in range(n) for i in range(d) if x < x ^ (1 << i))
-    return ExplicitGraph(n, edges, automorphisms=[[x ^ (1 << i) for x in range(n)] for i in range(d)])
+    return ExplicitGraph(n, edges, automorphisms=_coordinate_symmetries(d, 2))
+
+
+def _coordinate_symmetries(d: int, q: int) -> list[list[int]]:
+    """On words w in [0,q)^d labelled sum of w_i * q^i: +1 mod q in
+    coordinate 0, and the cyclic shift of coordinates i -> i+1 mod d.
+    Together they move the zero word onto every word."""
+    n, top = q**d, q ** (d - 1)
+    step = [x - (q - 1) if x % q == q - 1 else x + 1 for x in range(n)]
+    shift = [x % top * q + x // top for x in range(n)]
+    return [step, shift]
 
 
 def _part_symmetries(k: int) -> list[tuple[int, ...]]:
@@ -309,10 +319,7 @@ def _hamming(d: int, q: int) -> ExplicitGraph:
         for pos in range(d):
             for value in range(digits[pos] + 1, q):
                 edges.append((x, x + (value - digits[pos]) * q**pos))
-    # +1 mod q in the coordinate of weight w: the digit q-1 wraps to 0
-    weights = [q**pos for pos in range(d)]
-    steps = [[x - (q - 1) * w if x // w % q == q - 1 else x + w for x in range(n)] for w in weights]
-    return ExplicitGraph(n, edges, automorphisms=steps)
+    return ExplicitGraph(n, edges, automorphisms=_coordinate_symmetries(d, q))
 
 
 def _johnson(n: int, k: int) -> ExplicitGraph:
@@ -340,21 +347,22 @@ def _johnson(n: int, k: int) -> ExplicitGraph:
     return ExplicitGraph(len(masks), edges, automorphisms=[rotation, transposition])
 
 
-def _generalized_petersen(n: int, step: int) -> ExplicitGraph:
+def _generalized_petersen(n: int, step: int, inward: Optional[Sequence[int]] = None) -> ExplicitGraph:
     """GP(n,step): outer cycle 0..n-1, inner vertices n..2n-1 with step chords.
 
-    With step^2 = +-1 mod n, the rotation of both rings and the ring swap
-    i <-> n + step*i mod n are declared as automorphisms."""
+    The rotation of both rings is declared as an automorphism together with
+    `inward`, an automorphism that takes vertex 0 into the inner ring; with
+    step^2 = +-1 mod n, `inward` defaults to the ring swap i <-> n + step*i
+    mod n.  Without either, none are declared."""
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
         edges.append((n + i, n + (i + step) % n))
         edges.append((i, n + i))
-    automorphisms = []
-    if step * step % n in (1, n - 1):
+    if inward is None and step * step % n in (1, n - 1):
         swap = [step * i % n for i in range(n)]
-        automorphisms = [_rotation(n, 2), (*(n + j for j in swap), *swap)]
-    return ExplicitGraph(2 * n, edges, automorphisms=automorphisms)
+        inward = (*(n + j for j in swap), *swap)
+    return ExplicitGraph(2 * n, edges, automorphisms=() if inward is None else [_rotation(n, 2), inward])
 
 
 def _petersen() -> ExplicitGraph:
@@ -369,7 +377,9 @@ def _desargues() -> ExplicitGraph:
 
 def _dodecahedron() -> ExplicitGraph:
     """The dodecahedron skeleton as GP(10,2)."""
-    return _generalized_petersen(10, 2)
+    # no ring swap: 2^2 = 4 is not +-1 mod 10; this automorphism, found by a
+    # search, takes vertex 0 to the inner vertex 10
+    return _generalized_petersen(10, 2, (10, 0, 9, 19, 17, 15, 5, 4, 14, 12, 18, 1, 8, 11, 7, 13, 6, 3, 16, 2))
 
 
 def _heawood() -> ExplicitGraph:
@@ -395,7 +405,14 @@ def _pappus() -> ExplicitGraph:
             for x in range(3):
                 y = (m * x + b) % 3
                 edges.append((3 * x + y, 9 + 3 * m + b))
-    return ExplicitGraph(18, edges)
+    # the translations x -> x+1, taking line (m,b) to (m,b-m), and y -> y+1,
+    # taking (m,b) to (m,b+1); and the duality point (x,y) <-> line (x,-y):
+    # y = mx + b exactly when -b = xm - y
+    cells = list(itertools.product(range(3), repeat=2))
+    along_x = [3 * (x + 1) % 9 + y for x, y in cells] + [9 + 3 * m + (b - m) % 3 for m, b in cells]
+    along_y = [3 * x + (y + 1) % 3 for x, y in cells] + [9 + 3 * m + (b + 1) % 3 for m, b in cells]
+    duality = [9 + 3 * x + -y % 3 for x, y in cells] + [3 * m + -b % 3 for m, b in cells]
+    return ExplicitGraph(18, edges, automorphisms=[along_x, along_y, duality])
 
 
 _FAMILIES = {

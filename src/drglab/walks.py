@@ -42,7 +42,8 @@ import math
 import random
 import struct
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import iadd
 from typing import TYPE_CHECKING, Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .arrays import (
@@ -226,8 +227,7 @@ def _choice_chunks(seed: int, degree: int) -> Generator[bytes | list[int], Optio
     rng = random.Random(seed)
     bits = degree.bit_length()
     if bits <= 8:
-        keep = bytes(x >> (8 - bits) for x in range(256))
-        drop = bytes(x for x in range(256) if x >> (8 - bits) >= degree)
+        keep, drop = _high_byte_tables(degree)
     shift = 32 - bits
     limit = degree << shift  # word >> shift < degree exactly when word < limit
     size = 1024
@@ -241,6 +241,16 @@ def _choice_chunks(seed: int, degree: int) -> Generator[bytes | list[int], Optio
         # a choice takes 2**bits / degree words on average; at least 64
         # words, so that a long last trial does not draw many tiny chunks
         size = min(2 * size if wanted is None else max(-(-(wanted << bits) // degree), 64), 16384)
+
+
+@functools.cache
+def _high_byte_tables(degree: int) -> tuple[bytes, bytes]:
+    """The `bytes.translate` tables that read a choice below degree 256 from
+    a word's high byte: each byte shifted right to its top
+    `degree.bit_length()` bits, and the bytes whose top bits reach degree.
+    Cached: at most 255 degrees take it."""
+    shift = 8 - degree.bit_length()
+    return bytes(x >> shift for x in range(256)), bytes(range(degree << shift, 256))
 
 
 def _choices(seed: int, degree: int) -> Iterator[int]:
@@ -301,25 +311,34 @@ def _block_table(g: ExplicitGraph, u: int, v: int, length: int) -> list[Sequence
         return rows * 2
     # backward from the last step: rows[y] holds the state after steps j..L
     # from y, for each index of their choices; step j's choice is the more
-    # significant digit, so a row is its neighbors' rows laid end to end
+    # significant digit, so a row is its neighbors' rows laid end to end,
+    # read from `lookup`, where a step onto v goes on as from u with bit
+    # j - 1 set
     rows = [[y] for y in range(n)]
     for j in range(length, 0, -1):
-        hit = [s + (n << (j - 1)) for s in rows[u]]
-        rows = [list(chain.from_iterable([hit if w == v else rows[w] for w in adjacency[y]])) for y in range(n)]
+        lookup = rows[:]
+        lookup[v] = [s + (n << (j - 1)) for s in rows[u]]
+        row = lookup.__getitem__
+        rows = [functools.reduce(iadd, map(row, neighbors), []) for neighbors in adjacency]
     return rows * (1 << length)
 
 
-def _hit_summaries(n: int, length: int) -> list[tuple[int, int, int, int] | None]:
-    """For each state y + n * mask: the first and last step of its block
-    that hit v, how many steps hit, and the sum of the squared gaps between
-    consecutive hits, which are the lengths of the trials the block holds;
-    None for mask 0."""
-    summaries: list[tuple[int, int, int, int] | None] = [None] * n
+@functools.cache
+def _mask_summaries(length: int) -> tuple[tuple[int, int, int, int], ...]:
+    """For each mask 1 .. 2**length - 1 of the steps of a block that hit v:
+    the first and last of them, how many, and the sum of the squared gaps
+    between consecutive ones, which are the lengths of the trials the block
+    holds.  Cached: lengths run 1..MAX_BLOCK."""
+    summaries = []
     for mask in range(1, 1 << length):
         steps = [t + 1 for t in range(length) if mask >> t & 1]
-        gaps_sq = sum((b - a) ** 2 for a, b in zip(steps, steps[1:]))
-        summaries += [(steps[0], steps[-1], len(steps), gaps_sq)] * n
-    return summaries
+        summaries.append((steps[0], steps[-1], len(steps), sum((b - a) ** 2 for a, b in zip(steps, steps[1:]))))
+    return tuple(summaries)
+
+
+def _hit_summaries(n: int, length: int) -> list[tuple[int, int, int, int] | None]:
+    """The `_mask_summaries` entry of each state y + n * mask; None for mask 0."""
+    return [None] * n + list(chain.from_iterable(map(repeat, _mask_summaries(length), repeat(n))))
 
 
 def _walk_degree(g: ExplicitGraph, vertices: tuple[int, ...], trials: int, seed: int) -> int:
@@ -349,37 +368,43 @@ def simulate_hitting_time(
     table = _block_table(g, u, v, length)
     summaries = _hit_summaries(n, length)
     total_sq = 0
-    done = 0  # trials ended
-    start = 0  # the step the running trial started after, the sum of the ended trials
+    to_go = trials  # trials not yet ended
     drawn = 0  # the steps of the blocks drawn so far
+    # the running trial started after step start, the sum of the ended
+    # trials' steps, kept in offset form: s0 = start - drawn + L.  With rl =
+    # L times the blocks left in the chunk, a block starts after step
+    # drawn - rl - L, so a trial that ends at its step t ran t - rl - s0 steps
+    s0 = length
     cur = u
     stream = _blocks(seed, degree, length)
     blocks = next(stream)
     while True:  # endless; the last trial returns
         drawn += len(blocks) * length
+        s0 -= len(blocks) * length
         it = iter(blocks)
         left = it.__length_hint__  # bound once: operator.length_hint costs 4x a call
         for b in it:
             cur = table[cur][b]
             if cur >= n:
-                before = drawn - (left() + 1) * length  # the steps before this block
+                rl = left() * length
                 first, last, hits, gaps_sq = summaries[cur]
-                if done + hits < trials:
-                    steps = before + first - start
+                if hits < to_go:
+                    steps = first - rl - s0
                     total_sq += steps * steps + gaps_sq
-                    done += hits
-                    start = before + last
+                    to_go -= hits
+                    s0 = last - rl
                     continue
-                for t in range(length):  # the block that ends the last trial
-                    if cur // n >> t & 1:
-                        steps = before + t + 1 - start
+                for t in range(1, length + 1):  # the block that ends the last trial
+                    if cur // n >> (t - 1) & 1:
+                        steps = t - rl - s0
                         total_sq += steps * steps
-                        start += steps
-                        done += 1
-                        if done == trials:
-                            return _estimate(start, total_sq, trials, seed)
+                        s0 = t - rl
+                        to_go -= 1
+                        if not to_go:
+                            return _estimate(s0 + drawn - length, total_sq, trials, seed)
         # the trials left at the mean length of those ended so far
-        blocks = stream.send((trials - done) * start // done if done else None)
+        done = trials - to_go
+        blocks = stream.send(to_go * (s0 + drawn - length) // done if done else None)
 
 
 def simulate_cover_time(

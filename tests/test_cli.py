@@ -729,6 +729,13 @@ GOLDEN = [
     # many chunks) and K2 (degree 1, where every step hits)
     (["walk", "complete", "20", "--from-distance", "1", "--trials", "20000", "--seed", "5", "--format", "json"], "494e4b2eb73d8b09be11a0e4a9575d13b0a5e7af700c91267882c08a21423332", 0),
     (["walk", "complete", "2", "--from-distance", "1", "--trials", "10", "--seed", "3", "--format", "json"], "58582bba83d64dce691bc07f51d25690670846009403c9aebf2e925c744c2cf1", 0),
+    # recorded while Pappus and the dodecahedron declared no automorphisms
+    # and counted their regularity from every vertex, and before the hitting
+    # walk kept its trial books in offset form
+    (["verify", "pappus", "--format", "json"], "2981b5713027133a5bc016a74cb4476f86718e11adf6dda416619a1ea112270c", 0),
+    (["verify", "dodecahedron", "--format", "json"], "8e7f581c99dd5b6fffba877f9a554e3d288146fb5d5342344538ced950e078bd", 0),
+    (["walk", "pappus", "--from-distance", "4", "--trials", "3000", "--seed", "11", "--format", "json"], "0d30736729c1be3d4f396caf84ea4936cc55a6b5f498c8d511195c3943aae4c4", 0),
+    (["walk", "dodecahedron", "--from-distance", "5", "--trials", "3000", "--seed", "11", "--format", "json"], "b8fcd0e6fda06eae7080f60a17f1f80662fc47fd0f63e4f01fee062bde96b9a7", 0),
 ]
 
 ANALYZE_PINS = [pin for pin in GOLDEN if pin[0][0] == "analyze"]

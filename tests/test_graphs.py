@@ -272,11 +272,6 @@ class TestRegularityWitness:
         assert verify_distance_regular(g) == two_pass_regularity(g)
 
 
-# the families whose constructors declare no automorphisms: both have at
-# most 20 vertices and keep the count from every vertex
-UNCERTIFIED = {"pappus", "dodecahedron"}
-
-
 class TestCertifiedCount:
     # declared automorphisms that move vertex 0 onto every vertex let the
     # count run from vertex 0 alone; anything short of that runs it from
@@ -288,19 +283,22 @@ class TestCertifiedCount:
             ("hypercube", (9,), "(9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9)"),
             ("johnson", (10, 4), "(24,15,8,3;1,4,9,16)"),
             ("hamming", (5, 4), "(15,12,9,6,3;1,2,3,4,5)"),
+            ("hypercube", (10,), "(10,9,8,7,6,5,4,3,2,1;1,2,3,4,5,6,7,8,9,10)"),
         ],
     )
     def test_larger_families(self, family, params, array_text):
+        # Q10 has MAX_VERTICES vertices: the two coordinate generators of
+        # the hypercube and the Hamming graphs certify it too
         g = construct_named_graph(family, params)
         assert graphs._moves_zero_everywhere(g)
         assert verify_distance_regular(g) == parse_intersection_array(array_text)
 
     def test_every_small_family(self):
-        # a mistyped generator fails here instead of falling back to the
-        # full count unseen
+        # every family certifies its count: a mistyped generator fails here
+        # instead of falling back to the full count unseen
         for name, params in SMALL_FAMILY_PARAMS:
             g = small_family_graph(name, params)
-            assert graphs._moves_zero_everywhere(g) == (name not in UNCERTIFIED), (name, params)
+            assert graphs._moves_zero_everywhere(g), (name, params)
 
     @pytest.mark.parametrize("n,step", [(5, 1), (8, 3)], ids=["prism_c5_k2", "mobius_kantor"])
     def test_named_failures(self, n, step):

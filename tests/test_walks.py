@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import walk_reference
@@ -462,6 +463,56 @@ def hitting_runs(draw):
     return name, params, u, v + (v >= u), trials, seed
 
 
+# Petersen walks blocks of L = 5 steps, K20 and K_{10 x 2} (degree 19 and
+# 18) one step per block
+LONG_RUN_GRAPHS = {
+    "petersen": PETERSEN,
+    "complete 20": DIFFERENTIAL_GRAPHS["complete 20"],
+    "cocktail_party 10": DIFFERENTIAL_GRAPHS["cocktail_party 10"],
+}
+
+
+@st.composite
+def long_runs(draw):
+    """A graph of `LONG_RUN_GRAPHS`, a distance from vertex 0, a seed and
+    the fewest trials, ~18k-80k steps of walk."""
+    name = draw(st.sampled_from(sorted(LONG_RUN_GRAPHS)))
+    distance = draw(st.integers(1, 2 if name != "complete 20" else 1))
+    return name, distance, draw(st.integers(0, 2**40)), draw(st.integers(2000, 4000))
+
+
+def hit_steps(g, u, v, seed, count):
+    """The steps of the one choice stream at which the per-step walk from u,
+    restarted from u at each hit, hits v: the first `count` of them."""
+    adjacency = g.adjacency
+    found = []
+    cur = u
+    for step, c in enumerate(walks._choices(seed, len(adjacency[0])), 1):
+        cur = adjacency[cur][c]
+        if cur == v:
+            found.append(step)
+            if len(found) == count:
+                return found
+            cur = u
+
+
+def capped_blocks(sent):
+    """`walks._blocks`, recording in `sent` what the walk sends at each
+    refill, and failing at the 1,000th refill."""
+    blocks = walks._blocks
+
+    def capped(seed, degree, length):
+        stream = blocks(seed, degree, length)
+        chunk = next(stream)
+        while len(sent) < 1000:
+            wanted = yield chunk
+            sent.append(wanted)
+            chunk = stream.send(wanted)
+        raise AssertionError("the walk drew 1,000 refills")
+
+    return capped
+
+
 class TestBlockWalk:
     # the walk advances one block of choices per table lookup; the per-step
     # loop it replaced, on the same stream, is the reference
@@ -495,6 +546,48 @@ class TestBlockWalk:
         estimate = simulate_hitting_time(g, 0, v, trials, seed)
         assert estimate.mean * trials > 250_000
         assert estimate == walk_reference.hitting_time(g, 0, v, trials, seed)
+
+    @given(long_runs())
+    @example(("petersen", 2, 3, 2000))
+    @example(("complete 20", 1, 0, 2000))
+    @settings(max_examples=40, deadline=None)
+    def test_long_runs_end_inside_a_block(self, run):
+        # the last trial ends inside a block that holds other hits (where a
+        # block holds more than one step), after several chunks sized by the
+        # trials left; a walk that ran past its last trial would fail the
+        # refill cap instead of running on
+        name, distance, seed, floor = run
+        g = LONG_RUN_GRAPHS[name]
+        v = bfs_distances(g, 0).index(distance)
+        length = walks._block_length(g.n, len(g.adjacency[0]))
+        hits = hit_steps(g, 0, v, seed, floor + 400)
+        trials = next(
+            i + 1
+            for i in range(floor - 1, len(hits) - 1)
+            if length == 1 or (hits[i] - 1) // length in ((hits[i - 1] - 1) // length, (hits[i + 1] - 1) // length)
+        )
+        sent = []
+        with mock.patch.object(walks, "_blocks", capped_blocks(sent)):
+            estimate = simulate_hitting_time(g, 0, v, trials, seed)
+        assert sum(wanted is not None for wanted in sent) >= 2
+        assert estimate == walk_reference.hitting_time(g, 0, v, trials, seed)
+        assert round(estimate.mean * trials) == hits[trials - 1]
+
+    def test_tables_equal_the_reference(self):
+        # each row from one row lookup, at every block length up to the one
+        # the walk takes; from 0 to its first neighbor and to a farthest
+        # vertex, and back
+        for name, params in SMALL_FAMILY_PARAMS:
+            g = small_family_graph(name, params)
+            far = bfs_distances(g, 0).index(max(bfs_distances(g, 0)))
+            for u, v in {(0, g.adjacency[0][0]), (0, far), (far, 0)}:
+                for length in range(1, walks._block_length(g.n, len(g.adjacency[0])) + 1):
+                    assert walks._block_table(g, u, v, length) == walk_reference.block_table(g, u, v, length), (name, params, u, v, length)
+
+    @pytest.mark.parametrize("length", range(1, walks.MAX_BLOCK + 1))
+    def test_hit_summaries_equal_the_reference(self, length):
+        for n in (2, 10, 64):
+            assert walks._hit_summaries(n, length) == walk_reference.hit_summaries(n, length)
 
     @pytest.mark.parametrize("degree,length", [(1, 8), (2, 8), (3, 5), (4, 4), (6, 3), (16, 2), (19, 1), (128, 1), (255, 1), (256, 1), (257, 1), (1023, 1)])
     def test_blocks_spell_the_choice_stream(self, degree, length):
