@@ -19,6 +19,13 @@ import importlib
 from .catalog import CatalogEntry, catalog, recompute_entry
 
 _HOMES = {
+    "analysis": (
+        "AnalyzeReport",
+        "WalkBoundsReport",
+        "analyze_array",
+        "commute_time",
+        "walk_bounds",
+    ),
     "arrays": (
         "CheckResult",
         "DistanceDistribution",
@@ -67,7 +74,6 @@ _HOMES = {
         "ResistanceProfile",
         "classify_biggs",
         "extremal_set",
-        "profile_from_distribution",
         "resistance_profile",
     ),
     "scanner": (
@@ -77,22 +83,18 @@ _HOMES = {
         "evaluate_array",
         "scan",
     ),
-    "walks": (
-        "AnalyzeReport",
-        "MonteCarloEstimate",
+    "verification": (
         "OracleRow",
         "SpectralCheckReport",
         "VerifyReport",
-        "WalkBoundsReport",
-        "WalkReport",
-        "analyze_array",
-        "commute_time",
-        "simulate_cover_time",
-        "simulate_hitting_time",
         "spectral_check",
         "verify_graph",
-        "walk_bounds",
-        "walk_bounds_from_profile",
+    ),
+    "walks": (
+        "MonteCarloEstimate",
+        "WalkReport",
+        "simulate_cover_time",
+        "simulate_hitting_time",
         "walk_graph",
     ),
 }

@@ -4,7 +4,7 @@ Laplacian solve, Jacobi spectrum).
 
 For an adjacent terminal pair u ~ v the voltage at z depends only on the
 distance pair (d(u,z), d(v,z)), read from two breadth-first rows;
-`walks.verify_graph` verifies the graph once and builds it with the
+`verification.verify_graph` verifies the graph once and builds it with the
 unguarded `_harmonic_function`.  The harmonic residual and the current are
 summed in integers, over the voltages scaled by one common denominator.  The
 resistance oracle grounds the Laplacian at vertex 0 and solves it once per

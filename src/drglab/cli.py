@@ -22,7 +22,7 @@ with the prog that the top-level parser would give it; every other argv
 goes through the top-level parser, built from the same declarations.  So a
 command compiles, imports and builds only its own code: `catalog` loads
 the catalog path that `import drglab` already holds, `scan` adds the
-scanner, `analyze` the array side of `walks`, and only `verify` and `walk`
+scanner, `analyze` its `analysis` module, and only `verify` and `walk`
 load the graph modules.
 """
 

@@ -1,6 +1,6 @@
 """The `analyze` command: one intersection array's screens and, when it is
 realizable, its potentials, resistances, verdict and walk bounds, rendered
-from the ints of its kernel (`walks._analysis`) with no `Fraction` built.
+from the ints of its kernel (`analysis._analysis`) with no `Fraction` built.
 The JSON is one template filled from those ints, in the bytes that
 `json.dumps` gives with `indent=2`.
 """
@@ -14,11 +14,11 @@ import sys
 from _json import encode_basestring_ascii
 from typing import Iterable
 
+from .analysis import _analysis
 from .arrays import parse_intersection_array
 from .cli import SCHEMA, _float_text, _output
 from .rational import _decimal
 from .resistance import BiggsClass
-from .walks import _analysis
 
 
 # the analyze payload up to its head bound, then _ANALYZE_INFEASIBLE or, for a
@@ -136,7 +136,7 @@ def _number(term: tuple[int, int]) -> str:
 
 def _analyze_json(arr, analysis) -> str:
     """The analyze payload, in the bytes `json.dumps` gives with `indent=2`,
-    from the templates, filled from the kernel's ints (`walks._analysis`).
+    from the templates, filled from the kernel's ints (`analysis._analysis`).
     No list in it is empty: an array has D >= 1 and five structural
     screens.  The verdict and the walk bounds are those of `arr` itself,
     and the verdict's ratio is the profile's, so the texts of the array and

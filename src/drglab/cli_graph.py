@@ -1,6 +1,6 @@
 """The graph commands, `verify` and `walk`: each loads one graph, from a
 named family or an edge-list file, and renders the report the library
-gives for it (`walks.verify_graph`, `walks.walk_graph`).
+gives for it (`verification.verify_graph`, `walks.walk_graph`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from .circuits import NotConverged
 from .cli import SCHEMA, _emit, _output
 from .graphs import ExplicitGraph, RegularityFailure, construct_named_graph, from_edge_list
 from .rational import decimal_string
-from .walks import VerifyReport, verify_graph, walk_graph
+from .verification import VerifyReport, verify_graph
+from .walks import walk_graph
 
 
 def _load_graph(args) -> tuple[ExplicitGraph, dict]:

@@ -10,7 +10,7 @@ realizes the array, and such a statement must not hinge on rounding.
 recursion's (`potentials._ratio_terms`) is separate code, its check.
 
 The potentials are imported by the two functions that read them,
-`profile_from_distribution` and `classify_biggs`, not at import: the
+`resistance_profile` and `classify_biggs`, not at import: the
 catalog and the scan, which need only the ratio and the stages, load this
 module without compiling `potentials`.
 """
@@ -85,20 +85,14 @@ class ResistanceProfile(_Record):
 
 
 def resistance_profile(arr: IntersectionArray) -> ResistanceProfile:
-    """d_j = 2 (phi_0 + ... + phi_{j-1}) / (n k), exactly.
+    """d_j = 2 (phi_0 + ... + phi_{j-1}) / (n k), exactly, each value one
+    `Fraction` of the int helpers.
 
-    Requires whole shell sizes; d_1 always simplifies to (n-1)/m.  A caller
-    already holding the distance distribution passes it to
-    `profile_from_distribution` instead.
+    Requires whole shell sizes; d_1 always simplifies to (n-1)/m.
     """
-    return profile_from_distribution(arr, compute_distance_distribution(arr))
-
-
-def profile_from_distribution(arr: IntersectionArray, dist: DistanceDistribution) -> ResistanceProfile:
-    """`resistance_profile` from the array's precomputed distance
-    distribution, each value one `Fraction` of the int helpers."""
     from .potentials import _closed_form_terms
 
+    dist = compute_distance_distribution(arr)
     if not dist.shells_integral:
         raise ValueError(f"{arr} has a non-integral distance distribution")
     weights = _over_one_denominator(dist.k_sizes)[1]

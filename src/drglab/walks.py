@@ -1,26 +1,14 @@
-"""Random-walk consequences of the resistance formulas: exact commute times,
-the hitting/commute/cover bounds, the spectral-gap chain, seeded Monte Carlo
-estimation of hitting times on explicit graphs, and the three commands'
-reports: `_analysis`, analyze's integer kernel, every screen and formula of
-one array with its verdict as reduced (numerator, denominator) ints, which
-the CLI renders and `analyze_array` builds its `AnalyzeReport` from (the
-`Fraction` functions of the other modules wrap the same int helpers),
-`verify_graph`, which grounds every formula of a graph's verified
-array on the graph itself: the harmonic function, the exact oracle and the
-spectral chain, with the verdict, and `walk_graph`, a seeded hitting time
-against the exact m d_j.
-
-Seeded contract: every walk step picks the `c`-th entry of the current
-vertex's sorted adjacency list, where `c` runs through the stream that
-`random.Random(seed).randrange(degree)` returns call after call.  That
-stream is drawn in bulk: one `getrandbits(32 * size)` call gives the next
-`size` Mersenne Twister words, lowest word first, read back as explicit
-little-endian bytes; each word is shifted right to `degree.bit_length()`
-bits and kept only if it is below `degree`, the same shift and rejection as
-CPython's `Random._randbelow_with_getrandbits`.  Below degree 256 those bits
-all lie in the word's high byte, so the draw takes every fourth byte and one
-`bytes.translate` shifts it and drops the rejected ones; above, it unpacks
-whole words.
+"""The `walk` command's seeded walks.  Seeded contract: every walk step picks
+the `c`-th entry of the current vertex's sorted adjacency list, where `c`
+runs through the stream that `random.Random(seed).randrange(degree)` returns
+call after call.  That stream is drawn in bulk: one `getrandbits(32 * size)`
+call gives the next `size` Mersenne Twister words, lowest word first, read
+back as explicit little-endian bytes; each word is shifted right to
+`degree.bit_length()` bits and kept only if it is below `degree`, the same
+shift and rejection as CPython's `Random._randbelow_with_getrandbits`.  Below
+degree 256 those bits all lie in the word's high byte, so the draw takes
+every fourth byte and one `bytes.translate` shifts it and drops the rejected
+ones; above, it unpacks whole words.
 So a (seed, trials) pair pins the estimate exactly, and the seed must be a
 non-negative int (`random.Random` folds a negative seed onto its absolute
 value).  One stream serves every vertex, so the simulators take regular
@@ -44,44 +32,16 @@ import struct
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import iadd
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
-from .arrays import (
-    CheckResult,
-    DistanceDistribution,
-    FeasibilityReport,
-    HeadBound,
-    IntersectionArray,
-    _Counts,
-    _distribution,
-    _distribution_terms,
-    _Record,
-    check_divisibility,
-    diameter_head_bound,
-    validate_basic,
-)
-from .potentials import RECURSIVE, PotentialSequence, _closed_form_terms, _ratio_terms, _recursive_terms, potentials_recursive
-from .rational import _fractions, _reduced, _terms
-from .resistance import (
-    BiggsClass,
-    BiggsVerdict,
-    ResistanceProfile,
-    _check_valency,
-    _classify,
-    _closed_form_ratio,
-    _profile,
-    _profile_terms,
-    _stages,
-    resistance_profile,
-)
+from .arrays import IntersectionArray, _Record
+from .circuits import representative_pairs
+from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
+from .resistance import resistance_profile
 
-# the graph side imports circuits and graphs when it is called, so that the
-# array side (analyze) does not load them
-if TYPE_CHECKING:
-    from .circuits import PotentialAssignment
-    from .graphs import ExplicitGraph, RegularityFailure
-
-SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
+# bench/ imports these from here until it imports them from their homes
+from .analysis import commute_time, walk_bounds
+from .verification import spectral_check
 
 # the hitting walk advances a block of L steps per table lookup: L is the
 # most steps, at most MAX_BLOCK, whose degree**L block indices fit one byte
@@ -89,117 +49,6 @@ SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D
 # table's build time and memory on graphs of more than 64 vertices
 TABLE_CAP = 1 << 14
 MAX_BLOCK = 8
-
-
-class WalkBoundsReport(_Record):
-    """Exact commute times and the universal bounds they must respect."""
-
-    def __init__(
-        self,
-        array: IntersectionArray,
-        n: int,
-        m: Fraction,
-        commute_times: tuple[Fraction, ...],
-        hitting_bound: int,  # 2(n-1)
-        commute_bound: int,  # 4(n-1)
-        cover_bound_dominant: float,  # 4(n-1) ln n, asymptotic dominant term
-        spectral_lower_bound: Fraction,  # k / (4(n-1))
-        resistance_gap_bound: Fraction,  # 1 / (n d_D)
-        middle_inequality_holds: bool,  # 1/(n d_D) >= k/(4(n-1)), exact
-        over_commute_bound: tuple[int, ...],  # distances j with C_j > 4(n-1)
-    ) -> None:
-        self.__dict__.update(
-            array=array,
-            n=n,
-            m=m,
-            commute_times=commute_times,
-            hitting_bound=hitting_bound,
-            commute_bound=commute_bound,
-            cover_bound_dominant=cover_bound_dominant,
-            spectral_lower_bound=spectral_lower_bound,
-            resistance_gap_bound=resistance_gap_bound,
-            middle_inequality_holds=middle_inequality_holds,
-            over_commute_bound=over_commute_bound,
-        )
-
-
-def commute_time(arr: IntersectionArray, j: int) -> Fraction:
-    """Expected round-trip steps between vertices at distance j: 2 m d_j."""
-    profile = resistance_profile(arr)
-    if not 1 <= j <= arr.D:
-        raise ValueError(f"distance {j} outside 1..{arr.D}")
-    return Fraction(*_commute_terms(*_terms((profile.m, profile.at(j)))))
-
-
-def _commute_terms(m: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
-    """2 m d for m and d as reduced (numerator, denominator) pairs, reduced."""
-    return _reduced(2 * m[0] * d[0], m[1] * d[1])
-
-
-def _gap_bounds(profile: ResistanceProfile) -> tuple[Fraction, Fraction]:
-    """1/(n d_D) and k/(4(n-1)); unlike `walk_bounds`, defined for every valency."""
-    d = profile.d[-1]
-    return _fractions(_gap_terms(profile.k, profile.n, (d.numerator, d.denominator)))
-
-
-def _gap_terms(k: int, n: int, d: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """`_gap_bounds` from d_D as a reduced pair, as reduced pairs."""
-    return _reduced(d[1], n * d[0]), _reduced(k, 4 * (n - 1))
-
-
-def walk_bounds(arr: IntersectionArray) -> WalkBoundsReport:
-    """`walk_bounds_from_profile` on the array's own resistance profile."""
-    return walk_bounds_from_profile(arr, resistance_profile(arr))
-
-
-def walk_bounds_from_profile(arr: IntersectionArray, profile: ResistanceProfile) -> WalkBoundsReport:
-    """Commute times and walk bounds of an array from its resistance profile."""
-    if arr.k <= 2:
-        raise ValueError(f"walk bounds need valency >= 3, got k = {arr.k}")
-    m = profile.m
-    return _bounds(arr, profile.n, m, _bounds_terms(arr.k, profile.n, (m.numerator, m.denominator), _terms(profile.d)))
-
-
-# the walk bounds in ints, each rational a reduced (numerator, denominator)
-# pair: (commute_times, hitting_bound, commute_bound, cover_bound_dominant,
-# spectral_lower_bound, resistance_gap_bound, middle_inequality_holds,
-# over_commute_bound), in `WalkBoundsReport`'s order
-_Bounds = tuple[list[tuple[int, int]], int, int, float, tuple[int, int], tuple[int, int], bool, tuple[int, ...]]
-
-
-def _bounds_terms(k: int, n: int, m: tuple[int, int], d: Sequence[tuple[int, int]]) -> _Bounds:
-    """`walk_bounds_from_profile` in ints, from n, m and the d_j."""
-    commutes = [_commute_terms(m, d_j) for d_j in d]
-    commute_cap = 4 * (n - 1)
-    gap_bound, spectral_floor = _gap_terms(k, n, d[-1])
-    return (
-        commutes,
-        2 * (n - 1),
-        commute_cap,
-        commute_cap * math.log(n),
-        spectral_floor,
-        gap_bound,
-        gap_bound[0] * spectral_floor[1] >= spectral_floor[0] * gap_bound[1],
-        tuple(j + 1 for j, (p, q) in enumerate(commutes) if p > commute_cap * q),
-    )
-
-
-def _bounds(arr: IntersectionArray, n: int, m: Fraction, terms: _Bounds) -> WalkBoundsReport:
-    """The `WalkBoundsReport` of `_bounds_terms`' values."""
-    commutes, hitting, commute_cap, cover, spectral_floor, gap_bound, middle, over = terms
-    return WalkBoundsReport(
-        array=arr,
-        n=n,
-        m=m,
-        commute_times=_fractions(commutes),
-        hitting_bound=hitting,
-        commute_bound=commute_cap,
-        cover_bound_dominant=cover,
-        spectral_lower_bound=Fraction(*spectral_floor),
-        resistance_gap_bound=Fraction(*gap_bound),
-        middle_inequality_holds=middle,
-        over_commute_bound=over,
-    )
 
 
 class MonteCarloEstimate(_Record):
@@ -456,9 +305,6 @@ def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> 
     from 0 to the first vertex at `from_distance` when called and returns
     their `WalkReport`.  Every refusal comes at the call: a `ValueError` for
     a distance outside 1..D, trials < 1 or seed < 0."""
-    from .circuits import representative_pairs
-    from .graphs import verify_distance_regular
-
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray):
         return verified
@@ -469,241 +315,3 @@ def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> 
     profile = resistance_profile(verified)
     expected = profile.m * profile.at(from_distance)
     return lambda: WalkReport(verified, from_distance, pair, expected, simulate_hitting_time(g, *pair, trials, seed))
-
-
-class SpectralCheckReport(_Record):
-    """The chain sigma >= 1/(n d_D) >= k/(4(n-1)) on one graph."""
-
-    def __init__(
-        self,
-        sigma: float,
-        resistance_gap_bound: Fraction,
-        spectral_lower_bound: Fraction,
-        sigma_holds: bool,  # sigma >= 1/(n d_D) within SIGMA_TOL
-        middle_holds: bool,  # exact rational comparison
-    ) -> None:
-        self.__dict__.update(
-            sigma=sigma,
-            resistance_gap_bound=resistance_gap_bound,
-            spectral_lower_bound=spectral_lower_bound,
-            sigma_holds=sigma_holds,
-            middle_holds=middle_holds,
-        )
-
-
-def spectral_check(g: ExplicitGraph, arr: IntersectionArray) -> SpectralCheckReport:
-    """Verify the spectral-gap chain on an explicit graph.
-
-    The graph must verify as distance-regular with exactly `arr`; the two
-    rational bounds are compared exactly, the eigensolver side within
-    `SIGMA_TOL`.
-    """
-    from .graphs import verify_distance_regular
-
-    verified = verify_distance_regular(g)
-    if not isinstance(verified, IntersectionArray) or verified != arr:
-        raise ValueError(f"graph verifies as {verified}, expected {arr}")
-    return _spectral_report(g, resistance_profile(arr))
-
-
-def _spectral_report(g: ExplicitGraph, profile: ResistanceProfile) -> SpectralCheckReport:
-    """`spectral_check` on a graph already verified with the profile's array."""
-    from .circuits import laplacian_spectral_gap
-
-    gap_bound, spectral_floor = _gap_bounds(profile)
-    sigma = laplacian_spectral_gap(g)
-    return SpectralCheckReport(
-        sigma=sigma,
-        resistance_gap_bound=gap_bound,
-        spectral_lower_bound=spectral_floor,
-        sigma_holds=sigma >= float(gap_bound) - SIGMA_TOL,
-        middle_holds=gap_bound >= spectral_floor,
-    )
-
-
-class OracleRow(NamedTuple):
-    """One checked pair: the exact Laplacian resistance against the formula d_j."""
-
-    distance: int
-    pair: tuple[int, int]
-    oracle: Fraction
-    formula: Fraction
-    equal: bool
-
-
-class VerifyReport(_Record):
-    """Every formula of the verified array, grounded on one explicit graph."""
-
-    def __init__(
-        self,
-        array: IntersectionArray,
-        harmonic: PotentialAssignment,  # terminals 0 and its first neighbor
-        residual: Fraction,  # largest neighbor-sum residual off the terminals
-        current: Fraction,  # measured current out of harmonic.u
-        oracle: tuple[OracleRow, ...],
-        spectral: SpectralCheckReport,
-    ) -> None:
-        self.__dict__.update(array=array, harmonic=harmonic, residual=residual, current=current, oracle=oracle, spectral=spectral)
-
-    @property
-    def residual_zero(self) -> bool:
-        return self.residual == 0
-
-    @property
-    def current_matches(self) -> bool:
-        return self.current == self.harmonic.expected_current
-
-    @property
-    def middle_decides(self) -> bool:
-        # the paper claims the middle inequality 1/(n d_D) >= k/(4(n-1)) only for k >= 3
-        return self.array.k >= 3
-
-    @property
-    def spectral_ok(self) -> bool:
-        return self.spectral.sigma_holds and (self.spectral.middle_holds or not self.middle_decides)
-
-    @property
-    def overall(self) -> bool:
-        return self.residual_zero and self.current_matches and all(row.equal for row in self.oracle) and self.spectral_ok
-
-
-def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | RegularityFailure:
-    """The graph's `RegularityFailure`, or its `VerifyReport` at one pair per
-    distance (every pair if `exhaustive`); raises `NotConverged` if the
-    eigensolver does."""
-    from .circuits import (
-        _harmonic_function,
-        all_pairs_by_distance,
-        check_harmonicity,
-        effective_resistances,
-        measure_current,
-        representative_pairs,
-    )
-    from .graphs import verify_distance_regular
-
-    verified = verify_distance_regular(g)
-    if not isinstance(verified, IntersectionArray):
-        return verified
-    harmonic = _harmonic_function(g, 0, g.adjacency[0][0], potentials_recursive(verified))
-    residual, current = check_harmonicity(g, harmonic), measure_current(g, harmonic)
-    profile = resistance_profile(verified)
-    if exhaustive:
-        checked = [(j, pair) for j, pairs in all_pairs_by_distance(g).items() for pair in pairs]
-    else:
-        checked = list(representative_pairs(g).items())
-    measured = effective_resistances(g, [pair for _, pair in checked])
-    oracle = tuple(OracleRow(j, pair, r, profile.at(j), r == profile.at(j)) for (j, pair), r in zip(checked, measured))
-    return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))
-
-
-class AnalyzeReport(_Record):
-    """Every screen of one intersection array and, when it is realizable,
-    its potentials, resistances, verdict and walk bounds."""
-
-    def __init__(
-        self,
-        feasibility: FeasibilityReport,
-        distribution: DistanceDistribution,
-        divisibility: CheckResult,  # reported, not gating
-        head: HeadBound,  # reported, not gating
-        potentials: PotentialSequence | None = None,
-        profile: ResistanceProfile | None = None,
-        verdict: BiggsVerdict | None = None,
-        bounds: WalkBoundsReport | None = None,
-    ) -> None:
-        self.__dict__.update(
-            feasibility=feasibility,
-            distribution=distribution,
-            divisibility=divisibility,
-            head=head,
-            potentials=potentials,
-            profile=profile,
-            verdict=verdict,
-            bounds=bounds,
-        )
-
-    @property
-    def realizable(self) -> bool:
-        return self.feasibility.overall and self.distribution.shells_integral
-
-    @functools.cached_property
-    def _recursion_ratio(self) -> Fraction:
-        """The ratio of the recursion's potentials, computed once per report."""
-        return self.potentials.ratio()
-
-    @property
-    def routes_agree(self) -> bool:
-        """Whether the recursion's potentials give the ratio the closed form
-        classified by; true when nothing was derived."""
-        return self.potentials is None or self._recursion_ratio == self.profile.ratio
-
-    @property
-    def passed(self) -> bool:
-        return self.realizable and self.routes_agree and self.verdict.category is not BiggsClass.VIOLATION
-
-
-def analyze_array(arr: IntersectionArray) -> AnalyzeReport:
-    """The `AnalyzeReport` of an array, the library's form of `_analysis`;
-    raises `ValueError` for a realizable array of valency k <= 2, which the
-    classification excludes."""
-    return _report(arr, _analysis(arr))
-
-
-# analyze's kernel result, rationals as reduced (numerator, denominator) pairs:
-# (feasibility, counts, divisibility, head, derived, stages), counts as
-# `arrays._distribution_terms` gives them, derived None unless the array is
-# realizable, else (phi, d, ratio, K, recursion_ratio, category, matched,
-# bounds), phi the recursion's potentials, ratio the closed form's; stages,
-# not printed or gated on, is the scan's (first_failing_check, class, matched)
-_Analysis = tuple[FeasibilityReport, _Counts, CheckResult, HeadBound, Optional[tuple], tuple[str, Optional[BiggsClass], Optional[str]]]
-
-
-def _analysis(arr: IntersectionArray) -> _Analysis:
-    """Every screen of an array, its stages and, when it is realizable,
-    every value its report prints, in ints, with no `Fraction` built.
-    Raises `ValueError` for a realizable array of valency k <= 2."""
-    feasibility, counts = validate_basic(arr), _distribution_terms(arr)
-    if feasibility.overall and counts[5]:  # whole shells: the report's `realizable`
-        outcome = _stages(None, arr, counts[6])
-        derived, stages = _derived(arr, counts, outcome), outcome[4:]
-    else:  # screened out, with no stage after the failing one run
-        derived, stages = None, ("integrality" if feasibility.overall else "basic", None, None)
-    return feasibility, counts, check_divisibility(arr), diameter_head_bound(arr), derived, stages
-
-
-def _derived(arr: IntersectionArray, counts: _Counts, outcome: tuple) -> tuple:
-    """The derived part of `_analysis` for an array of whole shells with
-    these counts and stages.  The verdict reads the closed form's ratio, the
-    stages' unless a screen stopped them short of it; the recursion's ratio,
-    summed from its own potentials, is the cross-check."""
-    _check_valency(arr)
-    _, (n, _), _, m, _, _, weights = counts
-    _, _, p, q, _, category, matched = outcome
-    if p is None:
-        p, q = _closed_form_ratio(arr.b, weights)
-        category, matched = _classify(arr, p, q)
-    d = _profile_terms(arr.k, n, _closed_form_terms(arr, weights))
-    phi = _recursive_terms(arr)
-    reduced_phi = [_reduced(num, den) for num, den in phi]
-    return reduced_phi, d, (p, q), (p + q, q), _ratio_terms(phi), category, matched, _bounds_terms(arr.k, n, m, d)
-
-
-def _report(arr: IntersectionArray, analysis: _Analysis) -> AnalyzeReport:
-    """The `AnalyzeReport` of a kernel result."""
-    feasibility, counts, divisibility, head, derived, _ = analysis
-    dist = _distribution(counts)
-    if derived is None:
-        return AnalyzeReport(feasibility, dist, divisibility, head)
-    # the report sums the recursion's ratio from its own potentials when asked
-    phi, d, ratio, _, _, category, matched, bounds = derived
-    profile = _profile(arr, dist, d, ratio)
-    return AnalyzeReport(
-        feasibility,
-        dist,
-        divisibility,
-        head,
-        PotentialSequence(arr, _fractions(phi), RECURSIVE),
-        profile,
-        BiggsVerdict(arr, category, profile.ratio, matched),
-        _bounds(arr, profile.n, dist.m, bounds),
-    )

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from drglab.arrays import IntersectionArray
 from drglab.rational import decimal_string
-from drglab.walks import AnalyzeReport
+from drglab.analysis import AnalyzeReport
 
 SCHEMA = 1
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from drglab.arrays import CheckResult, DistanceDistribution, IntersectionArray, _vertex_count
 from drglab.potentials import CLOSED_FORM, RECURSIVE, PotentialSequence
 from drglab.resistance import ResistanceProfile
-from drglab.walks import WalkBoundsReport
+from drglab.analysis import WalkBoundsReport
 
 
 def distance_distribution(arr: IntersectionArray) -> DistanceDistribution:

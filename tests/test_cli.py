@@ -24,6 +24,7 @@ from drglab import (
     FeasibilityReport,
     IntersectionArray,
     ResistanceProfile,
+    analysis,
     circuits,
     cli,
     cli_analyze,
@@ -34,6 +35,7 @@ from drglab import (
     resistance_profile,
     scanner,
     to_edge_list,
+    verification,
     verify_distance_regular,
     walks,
 )
@@ -161,7 +163,7 @@ class TestAnalyze:
 
         assert main(["analyze", "(3,2,1;1,2,3)"]) == 0
         unpatched = capsys.readouterr().out
-        monkeypatch.setattr(walks, "_recursive_terms", phi1_off_by_a_seventh)
+        monkeypatch.setattr(analysis, "_recursive_terms", phi1_off_by_a_seventh)
         assert main(["analyze", "(3,2,1;1,2,3)"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "analyze: the recursion's ratio 22/49 differs from the closed form's 3/7\n"
@@ -384,7 +386,7 @@ class TestVerify:
             profile = resistance_profile(arr)
             return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
 
-        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        monkeypatch.setattr(verification, "resistance_profile", d1_off_by_a_seventh)
         assert main(["verify", "petersen"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[3] == "resistance d_1   pair (0, 1) oracle=3/5 formula=26/35 MISMATCH"
@@ -396,7 +398,7 @@ class TestVerify:
         assert payload["overall"] is False
 
     def test_sigma_below_the_bound_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(circuits, "laplacian_spectral_gap", lambda g: 0.0)
+        monkeypatch.setattr(verification, "laplacian_spectral_gap", lambda g: 0.0)
         assert main(["verify", "petersen"]) == 2
         assert capsys.readouterr().out.splitlines()[-2:] == [
             "spectral         sigma=0.00000000 >= 1/8 >= 1/12 MISMATCH",
@@ -548,8 +550,8 @@ class TestVerify:
 class TestOneCheckPerOp:
     # verify_graph and walk_graph check distance-regularity once; verify_graph
     # hands the verified graph to the unguarded harmonic and spectral bodies;
-    # walks imports the function from graphs when it is called
-    MODULES = ("graphs", "circuits")
+    # each module that imports the check is patched, circuits too
+    MODULES = ("circuits", "graphs", "verification", "walks")
 
     @pytest.fixture
     def verify_calls(self, monkeypatch):
@@ -793,11 +795,11 @@ class TestGoldenBytes:
         def refuse(*args, **kwargs):
             raise AssertionError("analyze built a Fraction")
 
-        for name in CATALOG_PATH + ("cli", "cli_analyze", "potentials", "walks"):
+        for name in CATALOG_PATH + ("analysis", "cli", "cli_analyze", "potentials"):
             monkeypatch.setattr(importlib.import_module(f"drglab.{name}"), "Fraction", refuse, raising=False)
         assert stdout_digest(argv, None, capsys) == (digest, code)
         with pytest.raises(AssertionError, match="^analyze built a Fraction$"):
-            walks.analyze_array(parse_intersection_array(argv[1]))
+            analysis.analyze_array(parse_intersection_array(argv[1]))
 
     def test_repeated_calls_in_one_process(self, prism, capsys):
         # the parser is built once per process; no state may leak from one
@@ -923,8 +925,8 @@ class TestAnalyzeJson:
     @given(analyze_arrays())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_payload_dict(self, arr):
-        report = walks.analyze_array(arr)
-        assert cli_analyze._analyze_json(arr, walks._analysis(arr)) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
+        report = analysis.analyze_array(arr)
+        assert cli_analyze._analyze_json(arr, analysis._analysis(arr)) == json.dumps(analyze_payload_reference.payload(arr, report), indent=2)
 
     def test_free_text_is_escaped(self, monkeypatch, capsys):
         # no text drglab writes today needs escaping, so put some in the
@@ -932,17 +934,17 @@ class TestAnalyzeJson:
         # divisibility detail and the matched name; the command and the
         # library's report both read the patched kernel
         odd = 'a "quoted" \\ téxt\n\U0001f600'
-        kernel = walks._analysis
+        kernel = analysis._analysis
 
         def odd_texts(arr):
             screens, counts, divisibility, head, derived, stages = kernel(arr)
             screens = FeasibilityReport(tuple(check._replace(name=odd, detail=odd) for check in screens.checks))
             return screens, counts, divisibility._replace(detail=odd), head, (*derived[:6], odd, *derived[7:]), stages
 
-        monkeypatch.setattr(walks, "_analysis", odd_texts)
+        monkeypatch.setattr(analysis, "_analysis", odd_texts)
         monkeypatch.setattr(cli_analyze, "_analysis", odd_texts)
         arr = parse_intersection_array("(3,2,2,2,2,2;1,1,1,1,1,3)")
-        report = walks.analyze_array(arr)
+        report = analysis.analyze_array(arr)
         assert report.verdict.matched_extremal == report.divisibility.detail == odd
         references = {"json": json.dumps(analyze_payload_reference.payload(arr, report), indent=2), "table": analyze_payload_reference.table(arr, report)}
         for fmt, reference in references.items():
@@ -950,7 +952,7 @@ class TestAnalyzeJson:
             assert capsys.readouterr() == (reference + "\n", ""), fmt
 
     def test_examples_cover_every_case(self):
-        reports = {case: walks.analyze_array(parse_intersection_array(text)) for case, text in ANALYZE_EXAMPLES.items()}
+        reports = {case: analysis.analyze_array(parse_intersection_array(text)) for case, text in ANALYZE_EXAMPLES.items()}
         failed = reports["structural screen fails"]
         assert not failed.feasibility.overall and failed.feasibility.failed()[0].detail
         assert reports["fractional shells"].distribution.n.denominator == 3
@@ -973,7 +975,7 @@ class TestAnalyzeBytes:
     @given(analyze_arrays())
     @settings(max_examples=200, deadline=None)
     def test_main_writes_the_reference_bytes(self, arr):
-        report = walks.analyze_array(arr)
+        report = analysis.analyze_array(arr)
         references = {"json": json.dumps(analyze_payload_reference.payload(arr, report), indent=2), "table": analyze_payload_reference.table(arr, report)}
         for fmt, reference in references.items():
             out, err = io.StringIO(), io.StringIO()
@@ -1502,9 +1504,9 @@ CATALOG_PATH = ("arrays", "catalog", "rational", "resistance")
         (["--help"], ("cli",)),
         (["catalog", "--recompute"], ("cli",)),
         (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], ("cli", "cli_scan", "scanner")),
-        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("cli", "cli_analyze", "potentials", "walks")),
-        (["verify", "petersen"], ("circuits", "cli", "cli_graph", "graphs", "potentials", "walks")),
-        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("circuits", "cli", "cli_graph", "graphs", "potentials", "walks")),
+        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("analysis", "cli", "cli_analyze", "potentials")),
+        (["verify", "petersen"], ("analysis", "circuits", "cli", "cli_graph", "graphs", "potentials", "verification", "walks")),
+        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("analysis", "circuits", "cli", "cli_graph", "graphs", "potentials", "verification", "walks")),
     ],
     ids=["import", "help", "catalog", "scan", "analyze", "verify", "walk"],
 )

@@ -25,7 +25,7 @@ from drglab import (
 from drglab.circuits import _harmonic_function, build_harmonic_function
 from drglab.potentials import potentials_recursive
 from drglab.resistance import resistance_profile
-from drglab.walks import _spectral_report, spectral_check
+from drglab.verification import _spectral_report, spectral_check
 
 # (family, params, n, m, array text)
 KNOWN = [

@@ -2,7 +2,7 @@
 `fraction_reference`: the distance distribution, both potential routes and
 their ratio, the resistance profile and the walk bounds, value for value
 and type for type (the reprs must be equal); the ints of `analyze`'s own
-kernel, `walks._analysis`, pair for pair; and `validate_basic`'s cross
+kernel, `analysis._analysis`, pair for pair; and `validate_basic`'s cross
 condition against the double loop over i + j <= D."""
 
 from fractions import Fraction
@@ -18,11 +18,13 @@ from drglab import (
     parse_intersection_array,
     potentials_closed_form,
     potentials_recursive,
+    resistance_profile,
     validate_basic,
+    walk_bounds,
 )
+from drglab.analysis import _analysis, _derived
 from drglab.arrays import MAX_ARRAY_DIGITS, _distribution_terms
-from drglab.resistance import _screened_out, _stages, classify_ratio, profile_from_distribution
-from drglab.walks import _analysis, _derived, walk_bounds_from_profile
+from drglab.resistance import _screened_out, _stages, classify_ratio
 
 # m = 55/2 on whole shells; n = 28/3 on fractional ones
 HALF_M = parse_intersection_array("(5,4;1,4)")
@@ -95,9 +97,8 @@ def test_distribution_and_potentials(arr):
 @example(HALF_M)
 @settings(max_examples=300, deadline=None)
 def test_profile_and_walk_bounds(arr):
-    profile = profile_from_distribution(arr, compute_distance_distribution(arr))
-    assert repr(profile) == repr(ref.resistance_profile(arr))
-    assert repr(walk_bounds_from_profile(arr, profile)) == repr(ref.walk_bounds(arr))
+    assert repr(resistance_profile(arr)) == repr(ref.resistance_profile(arr))
+    assert repr(walk_bounds(arr)) == repr(ref.walk_bounds(arr))
 
 
 def pairs(values) -> list[tuple[int, int]]:

@@ -46,11 +46,11 @@ import sys
 import drglab.catalog
 import drglab
 print(drglab.catalog is sys.modules["drglab.catalog"].catalog, callable(drglab.catalog))
-print("drglab.walks" in sys.modules)
-from drglab import walks
-print(walks is sys.modules["drglab.walks"])
+print("drglab.analysis" in sys.modules)
+from drglab import analysis
+print(analysis is sys.modules["drglab.analysis"])
 from drglab import analyze_array
-print(analyze_array is walks.analyze_array, drglab.analyze_array is analyze_array)
+print(analyze_array is analysis.analyze_array, drglab.analyze_array is analyze_array)
 """
 
 

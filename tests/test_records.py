@@ -15,16 +15,9 @@ from drglab.graphs import RegularityFailure
 from drglab.potentials import PotentialSequence
 from drglab.resistance import BiggsClass, BiggsVerdict, ResistanceProfile
 from drglab.scanner import ScanQuery
-from drglab.walks import (
-    AnalyzeReport,
-    MonteCarloEstimate,
-    OracleRow,
-    SpectralCheckReport,
-    VerifyReport,
-    WalkBoundsReport,
-    WalkReport,
-    analyze_array,
-)
+from drglab.analysis import AnalyzeReport, WalkBoundsReport, analyze_array
+from drglab.verification import OracleRow, SpectralCheckReport, VerifyReport
+from drglab.walks import MonteCarloEstimate, WalkReport
 
 K4 = IntersectionArray((3,), (1,))
 K4_REPR = "IntersectionArray(b=(3,), c=(1,))"

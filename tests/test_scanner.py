@@ -464,7 +464,7 @@ class TestBulkInvariants:
 class TestOneDerivation:
     # each layer derives one distance distribution per array and reuses it:
     # the integer one, which `compute_distance_distribution` wraps
-    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "walks", "cli")
+    MODULES = ("arrays", "potentials", "resistance", "scanner", "catalog", "analysis", "cli")
 
     @pytest.fixture
     def distribution_calls(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""One stage sequence for every command: analyze's kernel, `walks._analysis`,
+"""One stage sequence for every command: analyze's kernel, `analysis._analysis`,
 carries the scan's first failing check, class and matched extremal name,
 and where the stages reach the biggs stage, analyze prints the scan's
 ratio.  Scan records are checked against analyze as they come out of
@@ -12,7 +12,7 @@ from test_kernels import HALF_M, THIRD_N, any_arrays
 
 from drglab import ScanQuery, catalog, evaluate_array, extremal_set, parse_intersection_array, scan
 from drglab.cli_analyze import _analyze_json
-from drglab.walks import _analysis
+from drglab.analysis import _analysis
 
 
 def assert_agrees(arr, record) -> None:

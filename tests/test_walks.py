@@ -27,7 +27,6 @@ from drglab import (
     WalkReport,
     analyze_array,
     bfs_distances,
-    circuits,
     commute_time,
     construct_named_graph,
     from_edge_list,
@@ -38,6 +37,7 @@ from drglab import (
     simulate_hitting_time,
     spectral_check,
     validate_basic,
+    verification,
     verify_distance_regular,
     verify_graph,
     walk_bounds,
@@ -202,7 +202,7 @@ class TestVerifyGraph:
         assert report.spectral_ok and report.overall
 
     def test_formula_off_the_oracle_fails(self, monkeypatch):
-        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        monkeypatch.setattr(verification, "resistance_profile", d1_off_by_a_seventh)
         report = verify_graph(PETERSEN)
         assert report.oracle[0] == (1, (0, 1), Fraction(3, 5), Fraction(26, 35), False)
         assert report.oracle[1].equal
@@ -210,7 +210,7 @@ class TestVerifyGraph:
         assert not report.overall
 
     def test_sigma_below_the_bound_fails(self, monkeypatch):
-        monkeypatch.setattr(circuits, "laplacian_spectral_gap", lambda g: 0.0)
+        monkeypatch.setattr(verification, "laplacian_spectral_gap", lambda g: 0.0)
         report = verify_graph(PETERSEN)
         assert not report.spectral.sigma_holds and report.spectral.middle_holds
         assert all(row.equal for row in report.oracle)
