@@ -1,8 +1,8 @@
 """Grounding the formulas on explicit graphs.
 
 Build a real graph and verify it: `verify_graph` checks distance-regularity
-by direct counting (from vertex 0 alone once the family's declared
-automorphisms are checked to reach every vertex), lays the predicted
+by direct counting (from one vertex per orbit of the family's declared
+automorphisms, once they are checked), lays the predicted
 voltage function onto the vertices, and checks the two facts the formulas
 promise: the function is harmonic off the terminals with source current
 exactly n*k, and an exact Laplacian solve returns the same resistance as

@@ -1,7 +1,6 @@
 """Explicit small graphs: standard constructions, breadth-first distances,
-and intersection-array verification by direct counting: from every vertex,
-or from vertex 0 alone when the graph's declared automorphisms are checked
-to move vertex 0 onto every vertex."""
+and intersection-array verification by direct counting from one vertex per
+orbit of the graph's checked automorphisms (every vertex of an edge list)."""
 
 from __future__ import annotations
 
@@ -35,7 +34,8 @@ class ExplicitGraph:
     `automorphisms` are vertex permutations (sequences p with vertex v sent
     to p[v]) that the family constructors declare; edge-list graphs have
     none.  They are stored unchecked: `verify_distance_regular` checks them
-    on every call before it relies on them.
+    on every call, and then counts from one vertex per orbit of the group
+    they generate.
     """
 
     __slots__ = ("n", "edges", "adjacency", "automorphisms")
@@ -100,33 +100,18 @@ class RegularityFailure(_Record):
         )
 
 
-def _moves_zero_everywhere(g: ExplicitGraph) -> bool:
-    """Whether g's declared automorphisms are checked to be automorphisms
-    that together move vertex 0 onto every vertex.
+def _count_sources(g: ExplicitGraph) -> list[int]:
+    """The sources of g's regularity count: the least vertex of each orbit
+    of the group that g's declared automorphisms generate, in increasing
+    order, or every vertex when none is declared or a check fails.
 
     Each must be a bijection of 0..n-1 that maps every adjacency row onto
-    the row of its image; the orbit of 0 under the group they generate
-    must be the whole vertex set.
+    the row of its image.
     """
     n, perms = g.n, g.automorphisms
-    if not perms:
-        return False
     vertices = list(range(n))
-    if any(sorted(p) != vertices for p in perms):
-        return False
-    # the orbit before the edges: generators that cannot reach every vertex
-    # fall back to the full count without the O(m) edge check of each
-    seen = bytearray(n)
-    seen[0] = 1
-    orbit = [0]
-    for x in orbit:  # grows while it is read
-        for p in perms:
-            y = p[x]
-            if not seen[y]:
-                seen[y] = 1
-                orbit.append(y)
-    if len(orbit) != n:
-        return False
+    if not perms or any(sorted(p) != vertices for p in perms):
+        return vertices
     # a bijection maps the m edges onto m distinct pairs: all of them edges
     # means every adjacency row goes onto the row of its image
     edges = g.edges
@@ -134,19 +119,35 @@ def _moves_zero_everywhere(g: ExplicitGraph) -> bool:
         for a, b in edges:
             x, y = p[a], p[b]
             if ((x, y) if x < y else (y, x)) not in edges:
-                return False
-    return True
+                return vertices
+    seen = bytearray(n)
+    sources = []
+    for s in vertices:
+        if not seen[s]:
+            sources.append(s)
+            seen[s] = 1
+            orbit = [s]
+            for x in orbit:  # grows while it is read
+                for p in perms:
+                    y = p[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+    return sources
 
 
 def verify_distance_regular(g: ExplicitGraph):
     """Check distance-regularity by counting each vertex's b and c neighbors
     from a source, one BFS row at a time.
 
-    The sources are every vertex, or vertex 0 alone when g's declared
-    automorphisms are checked to move 0 onto every vertex: an automorphism
-    sigma with sigma(0) = x gives the pair (x, sigma(y)) the counts of
-    (0, y), so the other sources could only repeat vertex 0's counts.  Both
-    ways return the same IntersectionArray on success, or the same
+    The sources are one vertex per orbit of g's checked automorphisms, the
+    least of each (`_count_sources`), and every vertex of an edge list.
+    The answer is the count from every vertex: an automorphism sigma with
+    sigma(s) = x gives the pair (x, sigma(y)) the (distance, b, c) counts
+    of (s, y), so a vertex x that is not the least s of its orbit can
+    neither fail nor add a new distance once s has counted.  The full
+    count's first failure is therefore at a source, after the same counts,
+    and both return the same IntersectionArray on success, or the same
     RegularityFailure naming the first offending pair.
     """
     if g.n < 2:
@@ -154,7 +155,7 @@ def verify_distance_regular(g: ExplicitGraph):
     adjacency = g.adjacency
     b_counts: dict[int, int] = {}
     c_counts: dict[int, int] = {}
-    for x in range(1 if _moves_zero_everywhere(g) else g.n):
+    for x in _count_sources(g):
         # the BFS from x counts each y's neighbors one step farther from x
         # (forward) and one step nearer (backward) as it goes: an edge joins
         # consecutive distances exactly when it reaches the farther end
@@ -347,22 +348,21 @@ def _johnson(n: int, k: int) -> ExplicitGraph:
     return ExplicitGraph(len(masks), edges, automorphisms=[rotation, transposition])
 
 
-def _generalized_petersen(n: int, step: int, inward: Optional[Sequence[int]] = None) -> ExplicitGraph:
+def _generalized_petersen(n: int, step: int) -> ExplicitGraph:
     """GP(n,step): outer cycle 0..n-1, inner vertices n..2n-1 with step chords.
 
-    The rotation of both rings is declared as an automorphism together with
-    `inward`, an automorphism that takes vertex 0 into the inner ring; with
-    step^2 = +-1 mod n, `inward` defaults to the ring swap i <-> n + step*i
-    mod n.  Without either, none are declared."""
+    The rotation of both rings is declared as an automorphism, and so is
+    the ring swap i <-> n + step*i mod n where step^2 = +-1 mod n."""
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
         edges.append((n + i, n + (i + step) % n))
         edges.append((i, n + i))
-    if inward is None and step * step % n in (1, n - 1):
+    automorphisms = [_rotation(n, 2)]
+    if step * step % n in (1, n - 1):
         swap = [step * i % n for i in range(n)]
-        inward = (*(n + j for j in swap), *swap)
-    return ExplicitGraph(2 * n, edges, automorphisms=() if inward is None else [_rotation(n, 2), inward])
+        automorphisms.append((*(n + j for j in swap), *swap))
+    return ExplicitGraph(2 * n, edges, automorphisms=automorphisms)
 
 
 def _petersen() -> ExplicitGraph:
@@ -377,9 +377,7 @@ def _desargues() -> ExplicitGraph:
 
 def _dodecahedron() -> ExplicitGraph:
     """The dodecahedron skeleton as GP(10,2)."""
-    # no ring swap: 2^2 = 4 is not +-1 mod 10; this automorphism, found by a
-    # search, takes vertex 0 to the inner vertex 10
-    return _generalized_petersen(10, 2, (10, 0, 9, 19, 17, 15, 5, 4, 14, 12, 18, 1, 8, 11, 7, 13, 6, 3, 16, 2))
+    return _generalized_petersen(10, 2)
 
 
 def _heawood() -> ExplicitGraph:

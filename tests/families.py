@@ -12,6 +12,11 @@ SMALL = 64
 # the parameterless families and their vertex counts
 SPORADIC = (("petersen", 10), ("heawood", 14), ("pappus", 18), ("desargues", 20), ("dodecahedron", 20))
 
+# how many sources each family's regularity count runs from, one per orbit
+# of its declared automorphisms: 1 for every family not listed (GP(10,2)
+# declares only its ring rotation, with the outer and the inner ring as orbits)
+SOURCE_COUNTS = {"dodecahedron": 2}
+
 
 def family_params(cap):
     """Every (name, params) pair whose graph has at most `cap` vertices."""

@@ -5,7 +5,7 @@ import math
 import tracemalloc
 
 import pytest
-from families import SMALL_FAMILY_PARAMS, small_family_graph
+from families import SMALL_FAMILY_PARAMS, SOURCE_COUNTS, small_family_graph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from drglab import (
     to_edge_list,
     verify_distance_regular,
 )
+from drglab.catalog import catalog
 from drglab.circuits import _harmonic_function, build_harmonic_function
 from drglab.potentials import potentials_recursive
 from drglab.resistance import resistance_profile
@@ -272,10 +273,26 @@ class TestRegularityWitness:
         assert verify_distance_regular(g) == two_pass_regularity(g)
 
 
+@st.composite
+def rotated_generalized_petersen(draw):
+    """GP(n,step) on 3..12 vertices per ring, declaring a drawn power of its
+    ring rotation: a true automorphism whose group has 2*gcd(power, n)
+    orbits, every vertex its own at power 0."""
+    n = draw(st.integers(3, 12))
+    step = draw(st.integers(1, (n - 1) // 2))
+    power = draw(st.integers(0, n - 1))
+    rotation = tuple(start + (i + power) % n for start in (0, n) for i in range(n))
+    return ExplicitGraph(2 * n, graphs._generalized_petersen(n, step).edges, automorphisms=[rotation])
+
+
+# Tutte's 12-cage: the LCF chords of a Hamiltonian 126-cycle, period 18
+TUTTE_12_CAGE_LCF = [17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21, 57, 11, -21, -57, 59, -17]
+
+
 class TestCertifiedCount:
-    # declared automorphisms that move vertex 0 onto every vertex let the
-    # count run from vertex 0 alone; anything short of that runs it from
-    # every vertex, and either way the answer is the full count's
+    # the count runs from the least vertex of each orbit of the declared
+    # automorphisms once they are checked, and from every vertex when a
+    # check fails; either way the answer is the full count's
 
     @pytest.mark.parametrize(
         "family,params,array_text",
@@ -290,59 +307,98 @@ class TestCertifiedCount:
         # Q10 has MAX_VERTICES vertices: the two coordinate generators of
         # the hypercube and the Hamming graphs certify it too
         g = construct_named_graph(family, params)
-        assert graphs._moves_zero_everywhere(g)
+        assert len(graphs._count_sources(g)) == SOURCE_COUNTS.get(family, 1)
         assert verify_distance_regular(g) == parse_intersection_array(array_text)
 
     def test_every_small_family(self):
-        # every family certifies its count: a mistyped generator fails here
-        # instead of falling back to the full count unseen
+        # every family counts from its declared number of sources: a
+        # mistyped generator fails here instead of falling back to the full
+        # count unseen
         for name, params in SMALL_FAMILY_PARAMS:
             g = small_family_graph(name, params)
-            assert graphs._moves_zero_everywhere(g), (name, params)
+            assert len(graphs._count_sources(g)) == SOURCE_COUNTS.get(name, 1), (name, params)
 
     @pytest.mark.parametrize("n,step", [(5, 1), (8, 3)], ids=["prism_c5_k2", "mobius_kantor"])
     def test_named_failures(self, n, step):
         # GP(5,1) and GP(8,3) are vertex-transitive and not distance-regular
         g = graphs._generalized_petersen(n, step)
-        assert graphs._moves_zero_everywhere(g)
+        assert graphs._count_sources(g) == [0]
         failure = verify_distance_regular(g)
         assert isinstance(failure, RegularityFailure)
         assert failure == two_pass_regularity(g)
 
     def test_rotation_alone_on_the_prism(self):
-        # the rotation keeps each ring: vertex 0 never reaches the inner one
+        # the rotation keeps each ring: one source on each
         rotation = (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)
         g = ExplicitGraph(10, graphs._generalized_petersen(5, 1).edges, automorphisms=[rotation])
-        assert not graphs._moves_zero_everywhere(g)
+        assert graphs._count_sources(g) == [0, 5]
         assert verify_distance_regular(g) == two_pass_regularity(g)
+
+    def test_rotation_alone_on_every_generalized_petersen(self):
+        # two orbits, the rings, on GP(n,step) for n < 40; all but four of
+        # these 361 graphs fail, and each at the full count's pair
+        regular = []
+        for n in range(3, 40):
+            for step in range(1, (n + 1) // 2):
+                g = ExplicitGraph(2 * n, graphs._generalized_petersen(n, step).edges, automorphisms=[graphs._rotation(n, 2)])
+                assert graphs._count_sources(g) == [0, n]
+                verified = verify_distance_regular(g)
+                assert verified == two_pass_regularity(g), (n, step)
+                if isinstance(verified, IntersectionArray):
+                    regular.append((n, step))
+        # Q3, Petersen, the dodecahedron and Desargues
+        assert regular == [(4, 1), (5, 2), (10, 2), (10, 3)]
+
+    def test_rotation_alone_on_tutte_12_cage(self):
+        # semisymmetric, so no group is transitive on its vertices; the
+        # rotation by 18 leaves 18 orbits of 7 vertices
+        n = 126
+        chords = [(i, (i + TUTTE_12_CAGE_LCF[i % 18]) % n) for i in range(n)]
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(a, b) for a, b in chords if a < b]
+        g = ExplicitGraph(n, edges, automorphisms=[[(i + 18) % n for i in range(n)]])
+        assert graphs._count_sources(g) == list(range(18))
+        (entry,) = [entry for entry in catalog() if entry.name == "Tutte's 12-cage"]
+        assert g.n == entry.vertices
+        verified = verify_distance_regular(g)
+        assert verified == entry.array
+        assert verified == verify_distance_regular(from_edge_list(to_edge_list(g)))
+
+    def test_reflection_of_the_path(self):
+        # a true automorphism with two orbits, {0, 3} and {1, 2}: the count
+        # from 0 and 1 fails where the full count does
+        g = ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)], automorphisms=[(3, 2, 1, 0)])
+        assert graphs._count_sources(g) == [0, 1]
+        failure = verify_distance_regular(g)
+        assert isinstance(failure, RegularityFailure)
+        assert failure == two_pass_regularity(g)
 
     @pytest.mark.parametrize(
         "automorphisms",
         [
             [(1, 2, 3, 0)],  # moves 0 everywhere, but sends the edge 2-3 to 3-0
-            [(3, 2, 1, 0)],  # the reflection: 0 reaches only 3
             [(1, 0, 1, 0), (2, 3, 2, 3)],  # edges onto edges, not bijections
             [(1, 2, 3)],
             [(1, 2, 3, 4)],
         ],
-        ids=["not_an_automorphism", "not_transitive", "not_bijections", "too_short", "out_of_range"],
+        ids=["not_an_automorphism", "not_bijections", "too_short", "out_of_range"],
     )
     def test_false_claims_get_the_full_count(self, automorphisms):
         # on the path P4 the counts from vertex 0 alone agree with each other
         # and would read the array (1,1,1;1,1,1)
         g = ExplicitGraph(4, [(0, 1), (1, 2), (2, 3)], automorphisms=automorphisms)
-        assert not graphs._moves_zero_everywhere(g)
+        assert graphs._count_sources(g) == [0, 1, 2, 3]
         failure = verify_distance_regular(g)
         assert isinstance(failure, RegularityFailure)
         assert failure == two_pass_regularity(g)
 
-    @given(connected_edge_lists(), st.data())
+    @given(st.one_of(connected_edge_lists().map(from_edge_list), rotated_generalized_petersen()), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_drawn_claims(self, text, data):
-        # drawn permutations, true automorphisms or not, never change the answer
-        g = from_edge_list(text)
+    def test_drawn_claims(self, g, data):
+        # drawn permutations, true automorphisms or not, never change the
+        # answer; a rotated GP graph drawn with no more claims has a true
+        # group with many orbits
         claims = data.draw(st.lists(st.permutations(range(g.n)), max_size=3))
-        claimed = ExplicitGraph(g.n, g.edges, automorphisms=claims)
+        claimed = ExplicitGraph(g.n, g.edges, automorphisms=[*g.automorphisms, *claims])
         assert verify_distance_regular(claimed) == two_pass_regularity(g)
 
 
