@@ -5,8 +5,8 @@ by direct counting (from one vertex per orbit of the family's declared
 automorphisms, once they are checked), lays the predicted
 voltage function onto the vertices, and checks the two facts the formulas
 promise: the function is harmonic off the terminals with source current
-exactly n*k, and an exact Laplacian solve returns the same resistance as
-the array formula, at every distance.
+exactly n*k, and the resistance at every distance is the array formula's,
+proved by an integer check of the hitting times m*d_j on the graph.
 """
 
 from drglab import bfs_distances, construct_named_graph, laplacian_spectral_gap, verify_graph
@@ -34,14 +34,16 @@ print("\nvoltages:", [str(x) for x in f.values])
 print("max residual off terminals:", report.residual)
 print("current out of u:", report.current, "(predicted n*k =", f.expected_current, ")")
 
-# Exact circuit solve vs the formula, one representative pair per distance.
+# The oracle vs the formula, one representative pair per distance: a row
+# whose hitting-time check passes at both ends is equal by proof; an exact
+# Laplacian solve (effective_resistances) measures any other.
 print("\nresistance, oracle vs formula:")
 for row in report.oracle:
     print(f"  distance {row.distance}: pair {row.pair}  oracle {row.oracle}  formula {row.formula}  equal {row.equal}")
 print("every check passes:", report.overall)
 
 # A floating-point result: the Laplacian spectral gap, by cyclic Jacobi.
-# (The oracle above also solves in float64, but only as a hint that an exact
+# (The Laplacian solve also runs in float64, but only as a hint that an exact
 # integer check accepts or rejects.)
 for name, params in [("complete", (4,)), ("hypercube", (3,)), ("petersen", ())]:
     g = construct_named_graph(name, params)

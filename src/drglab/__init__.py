@@ -4,8 +4,9 @@ Everything an intersection array determines is computed in exact rational
 arithmetic: shell sizes, the voltage sequence of the adjacent-terminal
 circuit, per-distance resistances, the resistance-ratio classification with
 its sharp constant 1 + 94/101, and random-walk bounds.  Explicit small
-graphs ground the formulas through an independent Laplacian oracle, and a
-scanner sieves candidate arrays through stacked feasibility screens.
+graphs ground the formulas through exact integer checks on the graph and an
+independent Laplacian oracle, and a scanner sieves candidate arrays through
+stacked feasibility screens.
 
 Importing the package loads only the catalog path (arrays, catalog,
 rational, resistance); every other public name is imported from its

@@ -1,17 +1,20 @@
 """Circuit checks on explicit graphs: the piecewise-constant voltage function
-built from a potential sequence, and two independent numerical routes (exact
-Laplacian solve, Jacobi spectrum).
+built from a potential sequence, the integer hitting-time check, and two
+independent numerical routes (exact Laplacian solve, Jacobi spectrum).
 
 For an adjacent terminal pair u ~ v the voltage at z depends only on the
 distance pair (d(u,z), d(v,z)), read from two breadth-first rows;
 `verification.verify_graph` verifies the graph once and builds it with the
 unguarded `_harmonic_function`.  The harmonic residual and the current are
-summed in integers, over the voltages scaled by one common denominator.  The
-resistance oracle grounds the Laplacian at vertex 0 and solves it once per
-graph for all requested pairs: a float64 solve proposes the rationals, and
-an exact integer product with the Laplacian accepts them or hands the system
-to fraction-free integer elimination, so agreement with the array formulas
-is literal equality.  The float solve decides nothing; the Jacobi spectral
+summed in integers, over the voltages scaled by one common denominator.
+`_hitting_times_hold` checks predicted hitting times to one target in the
+same way, and verify proves its oracle rows with it.  The resistance oracle
+`effective_resistances`, which verify runs only for a row whose check
+fails, grounds the Laplacian at vertex 0 and solves it once per graph for
+all requested pairs: a float64 solve proposes the rationals, and an exact
+integer product with the Laplacian accepts them or hands the system to
+fraction-free integer elimination, so agreement with the array formulas is
+literal equality.  The float solve decides nothing; the Jacobi spectral
 gap, with the fixed thresholds below, is the one floating-point value this
 module reports.  numpy is imported inside the functions that use it, so
 commands that never build a Laplacian never load it.
@@ -101,6 +104,21 @@ def measure_current(g: ExplicitGraph, assignment: PotentialAssignment) -> Fracti
     near = g.adjacency[assignment.u]
     den, f = _over_one_denominator([assignment.values[x] for x in (assignment.u, *near)])
     return Fraction(len(near) * f[0] - sum(f[1:]), den)
+
+
+def _hitting_times_hold(g: ExplicitGraph, t: int, dist: Sequence[int], H: Sequence[int], q: int) -> bool:
+    """Whether H[j] / q is the expected number of steps a simple random walk
+    takes to reach t from every vertex at distance j of it, `dist` the BFS
+    row from t.
+
+    Those times are the one solution of h(t) = 0 and
+    deg(x) (h(x) - 1) = sum_{y ~ x} h(y) at every x != t, so the prediction
+    holds exactly when H[0] = 0 and q times those equations hold in ints.
+    """
+    if H[0] or len(H) <= max(dist):
+        return False
+    h = [H[j] for j in dist]
+    return all(len(near) * (h[x] - q) == sum(map(h.__getitem__, near)) for x, near in enumerate(g.adjacency) if x != t)
 
 
 def effective_resistances(g: ExplicitGraph, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:

@@ -257,7 +257,9 @@ def _handler(command: str) -> Callable[..., int]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # one BLAS thread unless the user chose otherwise: numpy is imported on
-    # first use, after this, and extra threads cost up to 25x at n = 210
+    # first use, after this, and extra threads cost the oracle's float solve,
+    # which verify runs only for a row its hitting-time check fails, up to
+    # 25x at n = 210
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]

@@ -1,6 +1,13 @@
 """The `verify` command's library: `verify_graph` grounds every formula of a
 graph's verified array on the graph itself, through the harmonic function,
 the exact resistance oracle and the spectral chain, with the verdict.
+
+The oracle proves its rows in integers: the array's d_j predict the
+hitting time m d_j between vertices at distance j, and by the commute-time
+identity H(s->t) + H(t->s) = 2 m R(s, t) (Chandra, Raghavan, Ruzzo,
+Smolensky and Tiwari 1989) an exact check of those hitting times at both
+ends of a pair proves R(s, t) = d_j.  Only a pair with an end that fails
+the check is solved, by `effective_resistances`, whose value it prints.
 """
 
 from __future__ import annotations
@@ -13,16 +20,15 @@ from .arrays import IntersectionArray, _Record
 from .circuits import (
     PotentialAssignment,
     _harmonic_function,
-    all_pairs_by_distance,
+    _hitting_times_hold,
     check_harmonicity,
     effective_resistances,
     laplacian_spectral_gap,
     measure_current,
-    representative_pairs,
 )
-from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
+from .graphs import ExplicitGraph, RegularityFailure, bfs_distances, verify_distance_regular
 from .potentials import potentials_recursive
-from .rational import _fractions
+from .rational import _fractions, _over_one_denominator
 from .resistance import ResistanceProfile, resistance_profile
 
 SIGMA_TOL = 1e-8  # slack for the eigensolver's sigma against the exact 1/(n d_D)
@@ -76,7 +82,9 @@ def _spectral_report(g: ExplicitGraph, profile: ResistanceProfile) -> SpectralCh
 
 
 class OracleRow(NamedTuple):
-    """One checked pair: the exact Laplacian resistance against the formula d_j."""
+    """One checked pair: its exact resistance against the formula d_j, the
+    formula's own value when the hitting-time check proves them equal, the
+    Laplacian solve's otherwise."""
 
     distance: int
     pair: tuple[int, int]
@@ -131,10 +139,40 @@ def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | R
     harmonic = _harmonic_function(g, 0, g.adjacency[0][0], potentials_recursive(verified))
     residual, current = check_harmonicity(g, harmonic), measure_current(g, harmonic)
     profile = resistance_profile(verified)
+    return VerifyReport(verified, harmonic, residual, current, _oracle_rows(g, profile, exhaustive), _spectral_report(g, profile))
+
+
+def _oracle_rows(g: ExplicitGraph, profile: ResistanceProfile, exhaustive: bool) -> tuple[OracleRow, ...]:
+    """The oracle's rows at 0 and the first vertex at each distance from it,
+    or at every pair, by distance, if `exhaustive`.
+
+    The hitting times H_j = m d_j of the profile's d_j, over one denominator
+    q, are checked at every end of a checked pair, with the BFS row from it
+    that also gives the pairs; a pair whose two ends pass has R = d_j, and
+    the others are measured by `effective_resistances`.
+    """
+    q, scaled = _over_one_denominator([0, *profile.d])
+    H = [g.m * s for s in scaled]
+    held: dict[int, bool] = {}
     if exhaustive:
-        checked = [(j, pair) for j, pairs in all_pairs_by_distance(g).items() for pair in pairs]
+        pairs_at: dict[int, list[tuple[int, int]]] = {}
+        for t in range(g.n):
+            row = bfs_distances(g, t)
+            held[t] = _hitting_times_hold(g, t, row, H, q)
+            for y in range(t + 1, g.n):
+                pairs_at.setdefault(row[y], []).append((t, y))
+        checked = [(j, pair) for j in sorted(pairs_at) for pair in pairs_at[j]]
     else:
-        checked = list(representative_pairs(g).items())
-    measured = effective_resistances(g, [pair for _, pair in checked])
-    oracle = tuple(OracleRow(j, pair, r, profile.at(j), r == profile.at(j)) for (j, pair), r in zip(checked, measured))
-    return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))
+        row = bfs_distances(g, 0)
+        checked = [(j, (0, row.index(j))) for j in range(1, max(row) + 1)]
+        held[0] = _hitting_times_hold(g, 0, row, H, q)
+        for _, (_, v) in checked:
+            held[v] = _hitting_times_hold(g, v, bfs_distances(g, v), H, q)
+    failing = [pair for _, pair in checked if not (held[pair[0]] and held[pair[1]])]
+    measured = dict(zip(failing, effective_resistances(g, failing))) if failing else {}
+    rows = []
+    for j, pair in checked:
+        d = profile.at(j)
+        r = measured.get(pair, d)
+        rows.append(OracleRow(j, pair, r, d, r == d))
+    return tuple(rows)

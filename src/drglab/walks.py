@@ -34,10 +34,11 @@ from itertools import chain, repeat
 from operator import iadd
 from typing import Callable, Generator, Iterator, Optional, Sequence
 
-from .arrays import IntersectionArray, _Record
+from .arrays import IntersectionArray, _distribution_terms, _Record
 from .circuits import representative_pairs
 from .graphs import ExplicitGraph, RegularityFailure, verify_distance_regular
-from .resistance import resistance_profile
+from .potentials import _closed_form_terms
+from .resistance import _profile_terms
 
 # bench/ imports these from here until it imports them from their homes
 from .analysis import commute_time, walk_bounds
@@ -312,6 +313,8 @@ def walk_graph(g: ExplicitGraph, from_distance: int, trials: int, seed: int) -> 
         raise ValueError(f"--from-distance must lie in 1..{verified.D}")
     pair = representative_pairs(g)[from_distance]
     _walk_degree(g, pair, trials, seed)
-    profile = resistance_profile(verified)
-    expected = profile.m * profile.at(from_distance)
+    weights = _distribution_terms(verified)[6]  # the shells over c_1...c_D
+    phi = _closed_form_terms(verified, weights)
+    p, q = _profile_terms(verified.k, g.n, phi)[from_distance - 1]
+    expected = Fraction(g.m * p, q)
     return lambda: WalkReport(verified, from_distance, pair, expected, simulate_hitting_time(g, *pair, trials, seed))

@@ -12,6 +12,7 @@ from drglab import (
     ArrayMismatch,
     ExplicitGraph,
     PotentialAssignment,
+    RegularityFailure,
     build_harmonic_function,
     check_harmonicity,
     construct_named_graph,
@@ -30,12 +31,14 @@ from drglab.circuits import (
     JACOBI_OFF_TOL,
     NotConverged,
     _certified_solve,
+    _hitting_times_hold,
     all_pairs_by_distance,
     effective_resistances,
     jacobi_eigenvalues,
     laplacian_matrix,
 )
-from drglab.rational import solve_exact
+from drglab.graphs import bfs_distances
+from drglab.rational import _over_one_denominator, solve_exact
 
 CUBE = construct_named_graph("hypercube", (3,))
 PETERSEN = construct_named_graph("petersen")
@@ -556,3 +559,61 @@ class TestCertifiedOracle:
         assert _certified_solve(lap, units, np.full_like(x, np.nan)) is None
         # integers whose product with lap would leave int64
         assert _certified_solve(lap, units, np.full_like(x, 2.0**60)) is None
+
+
+def predicted_hitting_times(g):
+    """q and the hitting times q m d_j, j = 0..D, that a distance-regular
+    graph's array predicts, summed in `Fraction`s."""
+    profile = resistance_profile(verify_distance_regular(g))
+    return _over_one_denominator([Fraction(0), *(g.m * d for d in profile.d)])
+
+
+class TestHittingTimeCheck:
+    """The integer check holds for a walk's true hitting times to a target
+    and refuses any prediction that is off."""
+
+    @pytest.mark.parametrize("family,params", CERTIFIED_SPECS, ids=[f"{f}{list(p)}" for f, p in CERTIFIED_SPECS])
+    def test_array_prediction_holds_at_every_target(self, family, params):
+        g = construct_named_graph(family, params)
+        q, H = predicted_hitting_times(g)
+        assert all(_hitting_times_hold(g, t, bfs_distances(g, t), H, q) for t in range(g.n))
+
+    @pytest.mark.parametrize("family,params", CERTIFIED_SPECS, ids=[f"{f}{list(p)}" for f, p in CERTIFIED_SPECS])
+    @pytest.mark.parametrize("unit", [1, -1])
+    def test_last_hitting_time_off_by_one_unit_fails(self, family, params, unit):
+        g = construct_named_graph(family, params)
+        q, H = predicted_hitting_times(g)
+        off = [*H[:-1], H[-1] + unit]
+        assert not any(_hitting_times_hold(g, t, bfs_distances(g, t), off, q) for t in range(g.n))
+
+    def test_reads_each_vertex_degree(self):
+        # on the path 0 - 1 - 2 the walk reaches 0 from 1 in 3 steps and
+        # from 2 in 4, and vertex 1 has degree 2 where 0 and 2 have 1
+        path = ExplicitGraph(3, [(0, 1), (1, 2)])
+        assert _hitting_times_hold(path, 0, (0, 1, 2), [0, 3, 4], 1)
+        assert _hitting_times_hold(path, 0, (0, 1, 2), [0, 6, 8], 2)
+        assert not _hitting_times_hold(path, 0, (0, 1, 2), [0, 3, 5], 1)
+        # to 1, both ends take one step
+        assert _hitting_times_hold(path, 1, (1, 0, 1), [0, 1], 1)
+        assert not _hitting_times_hold(path, 1, (1, 0, 1), [0, 3, 4], 1)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_LIST_GRAPHS))
+    def test_distance_only_prediction_fails_off_distance_regular(self, name):
+        # m R(t, v_j) from the measured resistances of the first vertex at
+        # each distance: a graph whose hitting times to t depend on more
+        # than the distance fails at every target
+        g = EDGE_LIST_GRAPHS[name]
+        assert isinstance(verify_distance_regular(g), RegularityFailure)
+        for t in range(g.n):
+            row = bfs_distances(g, t)
+            measured = effective_resistances(g, [(t, row.index(j)) for j in range(1, max(row) + 1)])
+            q, H = _over_one_denominator([Fraction(0), *(g.m * r for r in measured)])
+            assert not _hitting_times_hold(g, t, row, H, q)
+
+    def test_refuses_a_prediction_that_cannot_be_read(self):
+        q, H = predicted_hitting_times(PETERSEN)
+        row = bfs_distances(PETERSEN, 0)
+        assert _hitting_times_hold(PETERSEN, 0, row, H, q)
+        # no time for the vertices at distance 2, or a nonzero time at the target
+        assert not _hitting_times_hold(PETERSEN, 0, row, H[:2], q)
+        assert not _hitting_times_hold(PETERSEN, 0, row, [q, *H[1:]], q)

@@ -42,6 +42,7 @@ from drglab import (
 from drglab.cli import _build_parser, _command_parser, _handler, main
 from drglab.cli_graph import _load_graph
 from drglab.potentials import _recursive_terms
+from drglab.resistance import _profile_terms
 from drglab.scanner import ScanQuery, scan
 
 
@@ -604,11 +605,11 @@ class TestWalk:
         assert capsys.readouterr().out.splitlines()[-1] == "within 3 stderr  NO"
 
     def test_formula_off_the_estimate_fails(self, monkeypatch, tmp_path):
-        def d1_off_by_a_seventh(arr):
-            profile = resistance_profile(arr)
-            return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
+        def d1_terms_off_by_a_seventh(k, n, phi):
+            (p, q), *rest = _profile_terms(k, n, phi)
+            return [(7 * p + q, 7 * q), *rest]
 
-        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        monkeypatch.setattr(walks, "_profile_terms", d1_terms_off_by_a_seventh)
         code, payload = run_json(tmp_path, ["walk", "petersen", "--from-distance", "1", "--trials", "2000", "--seed", "1"])
         assert code == 2
         assert payload["expected"] == "78/7"
@@ -746,6 +747,7 @@ SCAN_PINS = [pin for pin in GOLDEN if pin[0][0] == "scan"]
 
 # the verify pins at n = 128 and n = 210 spend 1.3-3.8 s each in Jacobi
 REPEATED_PINS = [pin for pin in GOLDEN if pin[0][:3] not in (["verify", "hypercube", "7"], ["verify", "johnson", "10"])]
+VERIFY_PASS_PINS = [pin for pin in REPEATED_PINS if pin[0][0] == "verify" and pin[2] == 0]
 
 
 def stdout_digest(argv, prism, capsys) -> tuple[str, int]:
@@ -765,6 +767,16 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv,digest,code", GOLDEN, ids=[" ".join(pin[0]) for pin in GOLDEN])
     def test_stdout_digest(self, argv, digest, code, prism, capsys):
         assert stdout_digest(argv, prism, capsys) == (digest, code)
+
+    @pytest.mark.parametrize("argv,digest,code", VERIFY_PASS_PINS, ids=[" ".join(pin[0][1:]) for pin in VERIFY_PASS_PINS])
+    def test_verify_solves_no_proved_row(self, argv, digest, code, monkeypatch, capsys):
+        # every oracle row of a passing verify is proved by the hitting-time
+        # check; the Laplacian solve is only for a row that fails it
+        def refuse(*args):
+            raise AssertionError("verify solved a proved oracle row")
+
+        monkeypatch.setattr(verification, "effective_resistances", refuse)
+        assert stdout_digest(argv, None, capsys) == (digest, code)
 
     @pytest.mark.parametrize("argv,digest,code", ANALYZE_JSON_PINS, ids=[pin[0][1] for pin in ANALYZE_JSON_PINS])
     def test_analyze_json_needs_no_general_writer(self, argv, digest, code, monkeypatch, capsys):

@@ -44,6 +44,9 @@ from drglab import (
     walk_graph,
     walks,
 )
+from drglab.circuits import all_pairs_by_distance, effective_resistances, representative_pairs
+from drglab.resistance import _profile_terms
+from drglab.verification import OracleRow, _oracle_rows
 
 CUBE_ARR = parse_intersection_array("(3,2,1;1,2,3)")
 PETERSEN_ARR = parse_intersection_array("(3,2;1,1)")
@@ -189,6 +192,12 @@ def d1_off_by_a_seventh(arr):
     return ResistanceProfile((profile.d[0] + Fraction(1, 7), *profile.d[1:]), profile.ratio, profile.K_factor, profile.n, profile.m, profile.k)
 
 
+def d1_terms_off_by_a_seventh(k, n, phi):
+    """The profile's (numerator, denominator) pairs with d_1 raised by 1/7."""
+    (p, q), *rest = _profile_terms(k, n, phi)
+    return [(7 * p + q, 7 * q), *rest]
+
+
 class TestVerifyGraph:
     def test_petersen_passes(self):
         report = verify_graph(PETERSEN)
@@ -229,6 +238,54 @@ class TestVerifyGraph:
         assert report.spectral_ok and report.overall
 
 
+class TestOracleRows:
+    """verify's oracle rows come from the hitting-time check at both ends of
+    each pair; only a pair with an end that fails it is solved."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(g, pairs):
+            calls.append(list(pairs))
+            return effective_resistances(g, pairs)
+
+        monkeypatch.setattr(verification, "effective_resistances", counted)
+        return calls
+
+    def test_every_small_family_is_proved_without_a_solve(self, solves):
+        # the exhaustive rows on graphs of at most 20 vertices
+        for name, params in SMALL_FAMILY_PARAMS:
+            g = small_family_graph(name, params)
+            profile = resistance_profile(verify_distance_regular(g))
+            expected = {False: list(representative_pairs(g).items())}
+            if g.n <= 20:
+                expected[True] = [(j, pair) for j, pairs in all_pairs_by_distance(g).items() for pair in pairs]
+            for exhaustive, checked in expected.items():
+                rows = _oracle_rows(g, profile, exhaustive)
+                assert [(row.distance, row.pair) for row in rows] == checked, (name, params, exhaustive)
+                assert [row.oracle for row in rows] == effective_resistances(g, [pair for _, pair in checked]), (name, params)
+                assert all(row.equal and row.formula == profile.at(row.distance) for row in rows), (name, params)
+        assert solves == []
+
+    def test_pair_with_a_failing_end_is_measured(self, solves):
+        # on the path 0 - 1 - 2, d = (3/2, 2) predicts the hitting times
+        # 3 and 4 to vertex 0 and to vertex 2, which hold, and to vertex 1,
+        # which do not: only the pair (0, 1) is solved
+        path = ExplicitGraph(3, [(0, 1), (1, 2)])
+        profile = ResistanceProfile((Fraction(3, 2), Fraction(2)), Fraction(1, 3), Fraction(4, 3), 3, Fraction(2), 1)
+        assert _oracle_rows(path, profile, False) == (
+            OracleRow(1, (0, 1), Fraction(1), Fraction(3, 2), False),
+            OracleRow(2, (0, 2), Fraction(2), Fraction(2), True),
+        )
+        assert solves == [[(0, 1)]]
+
+    def test_formula_off_solves_every_row(self, monkeypatch, solves):
+        monkeypatch.setattr(verification, "resistance_profile", d1_off_by_a_seventh)
+        assert [row.equal for row in verify_graph(PETERSEN, exhaustive=True).oracle] == [False] * 15 + [True] * 30
+        assert solves == [[pair for pairs in all_pairs_by_distance(PETERSEN).values() for pair in pairs]]
+
+
 class TestWalkGraph:
     # the walk command's JSON payloads before the command rendered this report
     @pytest.mark.parametrize(
@@ -250,7 +307,7 @@ class TestWalkGraph:
             assert walk_graph(CUBE, j, 10, 0)().expected == commute_time(CUBE_ARR, j) / 2
 
     def test_formula_off_the_estimate_fails(self, monkeypatch):
-        monkeypatch.setattr(walks, "resistance_profile", d1_off_by_a_seventh)
+        monkeypatch.setattr(walks, "_profile_terms", d1_terms_off_by_a_seventh)
         report = walk_graph(PETERSEN, 1, 2000, 1)()
         assert report.expected == Fraction(78, 7)
         assert not report.within_3_stderr
