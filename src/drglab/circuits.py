@@ -71,15 +71,16 @@ def build_harmonic_function(
         raise ArrayMismatch(
             f"graph verifies as {verified}, potential sequence belongs to {p.array}"
         )
-    return _harmonic_function(g, u, v, p)
-
-
-def _harmonic_function(g: ExplicitGraph, u: int, v: int, p: PotentialSequence) -> PotentialAssignment:
-    """`build_harmonic_function` on a graph already verified with `p.array`."""
     if v not in g.adjacency[u]:
         raise ValueError(f"{u} and {v} are not adjacent")
-    du = bfs_distances(g, u)
-    dv = bfs_distances(g, v)
+    return _harmonic_function(g, u, v, p, bfs_distances(g, u), bfs_distances(g, v))
+
+
+def _harmonic_function(
+    g: ExplicitGraph, u: int, v: int, p: PotentialSequence, du: Sequence[int], dv: Sequence[int]
+) -> PotentialAssignment:
+    """`build_harmonic_function` on a graph already verified with `p.array`,
+    for adjacent u and v, with the BFS rows `du` and `dv` from them."""
     # u ~ v puts every |d(u,z) - d(v,z)| <= 1, so a < b means b = a + 1
     values = tuple(p.phi[a] if a < b else -p.phi[b] if b < a else Fraction(0) for a, b in zip(du, dv))
     return PotentialAssignment(values, u, v, g.n * p.array.k)

@@ -13,7 +13,7 @@ the check is solved, by `effective_resistances`, whose value it prints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .analysis import _gap_terms
 from .arrays import IntersectionArray, _Record
@@ -136,38 +136,47 @@ def verify_graph(g: ExplicitGraph, exhaustive: bool = False) -> VerifyReport | R
     verified = verify_distance_regular(g)
     if not isinstance(verified, IntersectionArray):
         return verified
-    harmonic = _harmonic_function(g, 0, g.adjacency[0][0], potentials_recursive(verified))
+    # the harmonic function's terminals, 0 and its least neighbour, are the
+    # oracle's first pair: their BFS rows serve both
+    v = g.adjacency[0][0]
+    rows = {0: bfs_distances(g, 0), v: bfs_distances(g, v)}
+    harmonic = _harmonic_function(g, 0, v, potentials_recursive(verified), rows[0], rows[v])
     residual, current = check_harmonicity(g, harmonic), measure_current(g, harmonic)
     profile = resistance_profile(verified)
-    return VerifyReport(verified, harmonic, residual, current, _oracle_rows(g, profile, exhaustive), _spectral_report(g, profile))
+    oracle = _oracle_rows(g, profile, exhaustive, rows)
+    return VerifyReport(verified, harmonic, residual, current, oracle, _spectral_report(g, profile))
 
 
-def _oracle_rows(g: ExplicitGraph, profile: ResistanceProfile, exhaustive: bool) -> tuple[OracleRow, ...]:
+def _oracle_rows(
+    g: ExplicitGraph, profile: ResistanceProfile, exhaustive: bool, bfs_rows: Optional[dict[int, tuple[int, ...]]] = None
+) -> tuple[OracleRow, ...]:
     """The oracle's rows at 0 and the first vertex at each distance from it,
     or at every pair, by distance, if `exhaustive`.
 
     The hitting times H_j = m d_j of the profile's d_j, over one denominator
     q, are checked at every end of a checked pair, with the BFS row from it
     that also gives the pairs; a pair whose two ends pass has R = d_j, and
-    the others are measured by `effective_resistances`.
+    the others are measured by `effective_resistances`.  `bfs_rows` holds
+    BFS rows already taken, by source.
     """
+    known = bfs_rows or {}
     q, scaled = _over_one_denominator([0, *profile.d])
     H = [g.m * s for s in scaled]
     held: dict[int, bool] = {}
     if exhaustive:
         pairs_at: dict[int, list[tuple[int, int]]] = {}
         for t in range(g.n):
-            row = bfs_distances(g, t)
+            row = known.get(t) or bfs_distances(g, t)
             held[t] = _hitting_times_hold(g, t, row, H, q)
             for y in range(t + 1, g.n):
                 pairs_at.setdefault(row[y], []).append((t, y))
         checked = [(j, pair) for j in sorted(pairs_at) for pair in pairs_at[j]]
     else:
-        row = bfs_distances(g, 0)
+        row = known.get(0) or bfs_distances(g, 0)
         checked = [(j, (0, row.index(j))) for j in range(1, max(row) + 1)]
         held[0] = _hitting_times_hold(g, 0, row, H, q)
         for _, (_, v) in checked:
-            held[v] = _hitting_times_hold(g, v, bfs_distances(g, v), H, q)
+            held[v] = _hitting_times_hold(g, v, known.get(v) or bfs_distances(g, v), H, q)
     failing = [pair for _, pair in checked if not (held[pair[0]] and held[pair[1]])]
     measured = dict(zip(failing, effective_resistances(g, failing))) if failing else {}
     rows = []

@@ -1114,6 +1114,183 @@ class TestRouting:
         assert routed.out or routed.err
 
 
+
+def argparse_reading(command, tokens):
+    """vars() of what the command's argparse parser reads from `tokens`, with
+    the command set as `main` sets it, and its unrecognized tokens."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args, extra = _command_parser(command).parse_known_args(list(tokens))
+    except SystemExit as exc:
+        pytest.fail(f"argparse refused {tokens!r} with exit {exc.code}")
+    return {**vars(args), "command": command}, extra
+
+
+def typed(namespace: dict) -> dict:
+    # 1 == True and 3 == 3.0: compare the types as well
+    return {key: (type(value), value) for key, value in namespace.items()}
+
+
+FLAGS = {command: [name for name, _ in arguments if name.startswith("-")] for command, arguments in cli._ARGUMENTS.items()}
+ARRAY_TEXTS = ["(3,2,1;1,2,3)", "(5,4;1,4)", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"]
+FAMILIES = ["petersen", "hypercube", "cycle", "a b"]
+# argparse's readings of a leading "-" other than a declared flag: help,
+# abbreviations, "=" forms, "--", a lone "-" and negative numbers; then
+# values, ints that `int` reads and `arrays.integer` refuses, array texts and
+# family names.  TOKENS adds every declared flag.
+OTHER_TOKENS = [
+    "-h", "--help", "--", "-", "-1", "-7", "-x",
+    "--form", "--out", "--n", "--only", "--dia", "--rec", "--exh", "--from", "--tri", "--se", "--ed",
+    "--format=json", "--k=3", "--n-max=5", "--seed=1", "--exhaustive=1",
+    "json", "table", "xml", "", "out.json",
+    "0", "1", "3", "50", "1_000", " 3", "+2", "\u0663", "\uff13",
+    "3..4", "1..4", "2",
+    *ARRAY_TEXTS, *FAMILIES,
+]
+TOKENS = sorted({flag for flags in FLAGS.values() for flag in flags}) + OTHER_TOKENS
+
+
+@st.composite
+def token_argv(draw):
+    """A command and tokens drawn from TOKENS, with option-value pairs mixed
+    in, so that repeated options and split positional runs come up."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    pair = st.tuples(st.sampled_from(FLAGS[command]), st.sampled_from(OTHER_TOKENS))
+    pieces = draw(st.lists(st.one_of(st.sampled_from(TOKENS).map(lambda token: (token,)), pair), max_size=8))
+    return command, [token for piece in pieces for token in piece]
+
+
+def option_value(keywords) -> st.SearchStrategy:
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if "type" in keywords:
+        return st.integers(0, 10**6).map(str)
+    return st.sampled_from(["3..4", "2", "", "out.json", "a b"])
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A command and tokens that argparse reads without error: some of its
+    options, each required one at least once, each with a valid value, in
+    any order, and one run of positionals that its positionals take up."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    pieces, run = [], []
+    for name, keywords in cli._ARGUMENTS[command]:
+        if name.startswith("--"):
+            low = 1 if keywords.get("required") else 0
+            for _ in range(draw(st.integers(low, 2))):
+                flag = keywords.get("action") == "store_true"
+                pieces.append((name,) if flag else (name, draw(option_value(keywords))))
+            continue
+        nargs = keywords.get("nargs")
+        size = {None: 1, "?": draw(st.integers(0, 1)), "*": draw(st.integers(0, 3))}[nargs]
+        if nargs == "*" and not run:
+            size = 0  # argparse fills the positionals in order: none after an empty "?"
+        texts = st.integers(0, 10**6).map(str) if "type" in keywords else st.sampled_from(FAMILIES if nargs else ARRAY_TEXTS)
+        run += [draw(texts) for _ in range(size)]
+    pieces = draw(st.permutations(pieces))
+    at = draw(st.integers(0, len(pieces)))
+    return command, [token for piece in pieces[:at] for token in piece] + run + [token for piece in pieces[at:] for token in piece]
+
+
+@st.composite
+def near_miss_argv(draw):
+    """A well-formed argv with up to three edits: a token from TOKENS put in,
+    a token taken out, or a token moved."""
+    command, tokens = draw(well_formed_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "move"]))
+        if edit == "insert" or not tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKENS)))
+            continue
+        token = tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+        if edit == "move":
+            tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return command, tokens
+
+
+class TestDirectReader:
+    @given(st.one_of(token_argv(), near_miss_argv()))
+    @settings(max_examples=2000, deadline=None)
+    def test_a_reading_is_argparse_s(self, case):
+        command, tokens = case
+        direct = cli._read_direct(command, list(tokens))
+        if direct is not None:
+            expected, extra = argparse_reading(command, tokens)
+            assert extra == []
+            assert typed(vars(direct)) == typed(expected)
+
+    @given(well_formed_argv())
+    @settings(max_examples=500, deadline=None)
+    def test_reads_every_well_formed_argv(self, case):
+        command, tokens = case
+        direct = cli._read_direct(command, list(tokens))
+        expected, extra = argparse_reading(command, tokens)
+        assert extra == []
+        assert direct is not None
+        assert typed(vars(direct)) == typed(expected)
+
+    # the argv shape of each benchmark op: if the reader stopped taking one,
+    # that op would be back on argparse
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50", "--jobs", "1", "--format", "json"],
+            ["scan", "--k", "3..7", "--diameter", "1..7", "--jobs", "1", "--format", "json"],
+            ["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)", "--format", "json"],
+            ["catalog", "--recompute", "--format", "json"],
+            ["verify", "hypercube", "3", "--exhaustive", "--format", "json"],
+            ["verify", "petersen", "--format", "json"],
+            ["walk", "hamming", "3", "3", "--from-distance", "2", "--trials", "4000", "--seed", "1805", "--format", "json"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_reads_each_benchmark_shape(self, argv):
+        direct = cli._read_direct(argv[0], argv[1:])
+        assert direct is not None
+        assert typed(vars(direct)) == typed(argparse_reading(argv[0], argv[1:])[0])
+
+    # one case, at least, of each argv the reader leaves to argparse
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a "-" token that is not exactly a declared option
+            ["analyze", "-h"],
+            ["analyze", "--help"],
+            ["analyze", "(3,2,1;1,2,3)", "--form", "json"],
+            ["analyze", "(3,2,1;1,2,3)", "--format=json"],
+            ["analyze", "--", "(3,2,1;1,2,3)"],
+            ["verify", "hypercube", "-1"],
+            ["catalog", "--k", "3"],
+            # an option value missing or starting with "-"
+            ["catalog", "--format"],
+            ["analyze", "(3,2,1;1,2,3)", "--output", "-"],
+            ["walk", "petersen", "--from-distance", "1", "--seed", "-7"],
+            ["scan", "--k", "--diameter", "2"],
+            # a value outside the choices, or refused by the type
+            ["analyze", "(3,2,1;1,2,3)", "--format", "xml"],
+            ["scan", "--k", "3", "--diameter", "2", "--n-max", "1_000"],
+            ["walk", "petersen", "--from-distance", "\u0663"],
+            ["verify", "hypercube", " 3"],
+            # a required option missing
+            ["scan", "--k", "3"],
+            ["walk", "petersen", "--trials", "5"],
+            # analyze without exactly one positional; scan or catalog with one
+            ["analyze"],
+            ["analyze", "(3,2,1;1,2,3)", "(5,4;1,4)"],
+            ["analyze", "(3,2,1;1,2,3)", "--format", "json", "(5,4;1,4)"],
+            ["catalog", "x"],
+            ["scan", "--k", "3", "--diameter", "2", "x"],
+            # verify or walk with positionals in two runs
+            ["verify", "hypercube", "--exhaustive", "3"],
+            ["walk", "--from-distance", "1", "petersen", "--trials", "5", "3"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_defers(self, argv):
+        assert cli._read_direct(argv[0], argv[1:]) is None
+
+
 GRAPH_HELP = """
 positional arguments:
   family
@@ -1483,14 +1660,15 @@ def test_numpy_loads_only_for_graph_commands():
     ]
 
 
-# the drglab modules a fresh process holds after `import drglab` (no
-# arguments) or after one command run as `python -m drglab` runs it, then
-# which of the slow standard modules below it loaded that the interpreter's
-# `site` had not (`.pth` files differ between hosts)
+# the exit code, then the drglab modules a fresh process holds after `import
+# drglab` (no arguments) or after one command run as `python -m drglab` runs
+# it, then which of the slow standard modules below it loaded that the
+# interpreter's `site` had not (`.pth` files differ between hosts)
 MODULES_PROBE = """
 import sys
 at_start = set(sys.modules)
 import contextlib, io
+code = 0
 if sys.argv[1:]:
     # a module that ends in SystemExit leaves no entry in sys.modules, but
     # everything it imported stays
@@ -1499,38 +1677,47 @@ if sys.argv[1:]:
         try:
             import drglab.__main__
         except SystemExit as exc:
-            assert exc.code == 0, exc.code
+            code = exc.code
 else:
     import drglab
+print(code)
 print(*sorted(name for name in sys.modules if name.startswith("drglab.")))
-print(*sorted(name for name in ("dataclasses", "inspect", "json") if name in sys.modules and name not in at_start))
+print(*sorted(name for name in ("argparse", "dataclasses", "inspect", "json") if name in sys.modules and name not in at_start))
 """
 
 CATALOG_PATH = ("arrays", "catalog", "rational", "resistance")
+GRAPH_PATH = ("analysis", "circuits", "cli", "cli_graph", "graphs", "potentials", "verification", "walks")
 
 
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, code, extra",
     [
-        ([], ()),
-        (["--help"], ("cli",)),
-        (["catalog", "--recompute"], ("cli",)),
-        (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], ("cli", "cli_scan", "scanner")),
-        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], ("analysis", "cli", "cli_analyze", "potentials")),
-        (["verify", "petersen"], ("analysis", "circuits", "cli", "cli_graph", "graphs", "potentials", "verification", "walks")),
-        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], ("analysis", "circuits", "cli", "cli_graph", "graphs", "potentials", "verification", "walks")),
+        ([], 0, ()),
+        (["--help"], 0, ("cli",)),
+        (["scan", "--k", "3"], 1, ("cli",)),
+        (["catalog", "--recompute"], 0, ("cli",)),
+        (["scan", "--k", "3..4", "--diameter", "1..4", "--n-max", "50"], 0, ("cli", "cli_scan", "scanner")),
+        (["analyze", "(3,2,2,2,1,1,1;1,1,1,1,1,1,3)"], 0, ("analysis", "cli", "cli_analyze", "potentials")),
+        (["verify", "petersen"], 0, GRAPH_PATH),
+        (["walk", "petersen", "--from-distance", "2", "--trials", "100"], 0, GRAPH_PATH),
     ],
-    ids=["import", "help", "catalog", "scan", "analyze", "verify", "walk"],
+    ids=["import", "help", "usage error", "catalog", "scan", "analyze", "verify", "walk"],
 )
-def test_each_command_imports_only_the_modules_it_runs(argv, extra):
+def test_each_command_imports_only_the_modules_it_runs(argv, code, extra):
     # importing and compiling a module is most of a short command's time; one
     # fresh process per command, so that the sets do not accumulate
     result = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    drglab_modules, slow_modules = result.stdout.splitlines()
+    exit_code, drglab_modules, slow_modules = result.stdout.splitlines()
+    assert int(exit_code) == code
     assert drglab_modules.split() == sorted(f"drglab.{name}" for name in CATALOG_PATH + extra)
-    # `dataclasses` loads `inspect`; numpy, which only verify loads, does too
-    if argv[:1] != ["verify"]:
+    # argparse loads for help and usage errors alone; `dataclasses` loads
+    # `inspect`, and numpy, which only verify loads, loads `inspect` too
+    if argv[:1] == ["verify"]:
+        assert "argparse" not in slow_modules.split()
+    elif argv in (["--help"], ["scan", "--k", "3"]):
+        assert slow_modules == "argparse"
+    else:
         assert slow_modules == ""
 
 

@@ -439,7 +439,8 @@ class TestVerifiedForms:
         arr = verify_distance_regular(g)
         p = potentials_recursive(arr)
         u, v = 0, g.adjacency[0][0]
-        assert _harmonic_function(g, u, v, p) == build_harmonic_function(g, u, v, p)
+        rows = bfs_distances(g, u), bfs_distances(g, v)
+        assert _harmonic_function(g, u, v, p, *rows) == build_harmonic_function(g, u, v, p)
         # C5 included: its Jacobi sweep settles on the off-diagonal entries'
         # own norm, on both routes
         assert _spectral_report(g, resistance_profile(arr)) == spectral_check(g, arr)

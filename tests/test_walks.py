@@ -27,6 +27,7 @@ from drglab import (
     WalkReport,
     analyze_array,
     bfs_distances,
+    circuits,
     commute_time,
     construct_named_graph,
     from_edge_list,
@@ -279,6 +280,22 @@ class TestOracleRows:
             OracleRow(2, (0, 2), Fraction(2), Fraction(2), True),
         )
         assert solves == [[(0, 1)]]
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_verify_takes_each_bfs_row_once(self, monkeypatch, exhaustive):
+        # the harmonic function's rows, from 0 and its least neighbour, are
+        # the oracle's rows from the ends of its distance-1 pair
+        sources = []
+
+        def counted(g, source):
+            sources.append(source)
+            return bfs_distances(g, source)
+
+        for module in (circuits, verification):
+            monkeypatch.setattr(module, "bfs_distances", counted)
+        report = verify_graph(PETERSEN, exhaustive)
+        assert sorted(sources) == sorted({end for row in report.oracle for end in row.pair})
+        assert sources[:2] == [0, PETERSEN.adjacency[0][0]]
 
     def test_formula_off_solves_every_row(self, monkeypatch, solves):
         monkeypatch.setattr(verification, "resistance_profile", d1_off_by_a_seventh)
